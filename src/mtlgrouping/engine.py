@@ -9,6 +9,12 @@ every task's loss, its gradient with respect to the shared parameters, and
 the velocity entering the step; downstream affinity scoring consumes exactly
 those signals, so it costs no extra passes.
 
+One training step handles every task of the group at once, over a leading
+task axis. Each reduction and matrix product in it works on per-task slices
+of the shapes the one-task reference ``_loss_and_grads`` uses, so numpy runs
+the same summation and the same BLAS call per task, and the batched step
+reproduces the per-task loop bit for bit.
+
 All randomness (initialization, batch order) is drawn from streams keyed by
 the config seed alone, shared across tasks. Sharing the head-init and batch
 streams between tasks makes training of a single-task group reproduce
@@ -20,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -59,16 +66,17 @@ class Architecture:
         if self.loss not in _LOSSES:
             raise ValueError(f"loss must be one of {_LOSSES}")
 
-    @property
+    # pure metadata of the frozen fields, computed once per instance
+    @cached_property
     def layer_shapes(self) -> tuple[tuple[int, int], ...]:
         dims = (self.input_dim,) + tuple(self.hidden_dims)
         return tuple((dims[i + 1], dims[i]) for i in range(len(self.hidden_dims)))
 
-    @property
+    @cached_property
     def rep_dim(self) -> int:
         return self.hidden_dims[-1] if self.hidden_dims else self.input_dim
 
-    @property
+    @cached_property
     def shared_size(self) -> int:
         return sum(o * i + o for o, i in self.layer_shapes)
 
@@ -77,14 +85,20 @@ class Architecture:
         return self.rep_dim + 1
 
     def unpack_shared(self, shared: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        if shared.size != self.shared_size:
+        """Views of the (weight, bias) pairs along the last axis of ``shared``.
+
+        Leading axes are kept, so a ``(T, shared_size)`` array of per-task
+        vectors unpacks into ``(T, out, in)`` weights and ``(T, out)`` biases.
+        """
+        if shared.shape[-1] != self.shared_size:
             raise ValueError(f"shared vector must have length {self.shared_size}")
+        lead = shared.shape[:-1]
         layers = []
         pos = 0
         for out_dim, in_dim in self.layer_shapes:
-            w = shared[pos: pos + out_dim * in_dim].reshape(out_dim, in_dim)
+            w = shared[..., pos: pos + out_dim * in_dim].reshape(lead + (out_dim, in_dim))
             pos += out_dim * in_dim
-            b = shared[pos: pos + out_dim]
+            b = shared[..., pos: pos + out_dim]
             pos += out_dim
             layers.append((w, b))
         return layers
@@ -170,11 +184,14 @@ def init_params(arch: Architecture, seed: int, tasks) -> ModelParams:
     return ModelParams(arch=arch, shared=shared, heads={t: head.copy() for t in tasks})
 
 
-def _encode(arch: Architecture, shared: np.ndarray, X: np.ndarray):
-    """Forward through the encoder, keeping activations for backprop."""
+def _encode(layers, X: np.ndarray):
+    """Forward through the encoder, keeping activations for backprop.
+
+    X may carry a leading task axis, ``(T, n, d)``; the layers are shared.
+    """
     activations = [X]
     a = X
-    for w, b in arch.unpack_shared(shared):
+    for w, b in layers:
         a = np.tanh(a @ w.T + b)
         activations.append(a)
     return a, activations
@@ -184,15 +201,16 @@ def _head_out(head: np.ndarray, rep: np.ndarray) -> np.ndarray:
     return rep @ head[:-1] + head[-1]
 
 
-def _mean_loss(arch: Architecture, yhat: np.ndarray, y: np.ndarray) -> float:
+def _mean_loss(arch: Architecture, yhat: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Batch-mean loss over the last axis."""
     if arch.loss == "squared":
-        return float(np.mean((yhat - y) ** 2))
+        return np.mean((yhat - y) ** 2, axis=-1)
     # binary cross-entropy on logits: log(1 + e^yhat) - y * yhat
-    return float(np.mean(np.logaddexp(0.0, yhat) - y * yhat))
+    return np.mean(np.logaddexp(0.0, yhat) - y * yhat, axis=-1)
 
 
 def _dloss_dyhat(arch: Architecture, yhat: np.ndarray, y: np.ndarray) -> np.ndarray:
-    n = y.size
+    n = y.shape[-1]
     if arch.loss == "squared":
         return 2.0 * (yhat - y) / n
     return (1.0 / (1.0 + np.exp(-yhat)) - y) / n
@@ -212,24 +230,27 @@ def _check_batch(arch: Architecture, batch):
 def forward_loss(params: ModelParams, task: int, batch) -> float:
     """Mean loss of one task's head on a batch."""
     X, y = _check_batch(params.arch, batch)
-    rep, _ = _encode(params.arch, params.shared, X)
+    rep, _ = _encode(params.arch.unpack_shared(params.shared), X)
     yhat = _head_out(params.heads[task], rep)
-    return _mean_loss(params.arch, yhat, y)
+    return float(_mean_loss(params.arch, yhat, y))
 
 
 def _loss_and_grads(params: ModelParams, task: int, batch):
-    """Loss plus analytic gradients of the batch-mean loss (shared, head)."""
+    """Loss plus analytic gradients of the batch-mean loss (shared, head).
+
+    The one-task reference that ``_batched_step`` reproduces bit for bit.
+    """
     arch = params.arch
     X, y = _check_batch(arch, batch)
-    rep, activations = _encode(arch, params.shared, X)
+    layers = arch.unpack_shared(params.shared)
+    rep, activations = _encode(layers, X)
     head = params.heads[task]
     yhat = _head_out(head, rep)
-    loss = _mean_loss(arch, yhat, y)
+    loss = float(_mean_loss(arch, yhat, y))
 
     dyhat = _dloss_dyhat(arch, yhat, y)
     head_grad = np.concatenate([rep.T @ dyhat, [dyhat.sum()]])
 
-    layers = arch.unpack_shared(params.shared)
     delta = np.outer(dyhat, head[:-1])  # dL/d(encoder output)
     grads = [None] * len(layers)
     for i in range(len(layers) - 1, -1, -1):
@@ -239,6 +260,37 @@ def _loss_and_grads(params: ModelParams, task: int, batch):
         delta = ds @ w
     shared_grad = arch.pack_shared(grads) if grads else np.zeros(0)
     return loss, shared_grad, head_grad
+
+
+def _batched_step(arch: Architecture, layers, heads: np.ndarray, X: np.ndarray,
+                  y: np.ndarray, grads: np.ndarray, head_grads: np.ndarray) -> np.ndarray:
+    """Losses and gradients of all tasks of a group for one batch.
+
+    X is ``(T, n, d)``, y ``(T, n)`` and heads ``(T, head_size)``, one slice
+    per task; ``layers`` are the unpacked shared parameters. Fills ``grads``
+    ``(T, shared_size)`` and ``head_grads`` ``(T, head_size)`` in place and
+    returns the ``(T,)`` batch-mean losses. Every product multiplies per-task
+    2-D slices and every sum runs over the batch axis, exactly as
+    ``_loss_and_grads`` does for one task, so each slice matches it bit for bit.
+    """
+    rep, activations = _encode(layers, X)
+    yhat = (rep @ heads[:, :-1, None])[..., 0] + heads[:, -1:]
+    losses = _mean_loss(arch, yhat, y)
+
+    dyhat = _dloss_dyhat(arch, yhat, y)
+    head_grads[:, :-1] = (rep.transpose(0, 2, 1) @ dyhat[..., None])[..., 0]
+    head_grads[:, -1] = dyhat.sum(axis=-1)
+
+    delta = dyhat[..., None] * heads[:, None, :-1]  # dL/d(encoder output)
+    grad_layers = arch.unpack_shared(grads)
+    for i in range(len(layers) - 1, -1, -1):
+        w, _ = layers[i]
+        g_w, g_b = grad_layers[i]
+        ds = delta * (1.0 - activations[i + 1] ** 2)  # tanh'
+        g_w[...] = ds.transpose(0, 2, 1) @ activations[i]
+        g_b[...] = ds.sum(axis=1)
+        delta = ds @ w
+    return losses
 
 
 def shared_gradient(params: ModelParams, task: int, batch) -> np.ndarray:
@@ -282,12 +334,13 @@ def train_mtl(group, datasets, config: TrainConfig, capture_trace: bool = False)
     first = datasets[group[0]]
     input_dim = first.input_dim
     task_type = first.task_type
-    n_train = first.rows("train")[1].size
-    for t in group:
+    train = [datasets[t].rows("train") for t in group]
+    n_train = train[0][1].size
+    for t, (_, y) in zip(group, train):
         ds = datasets[t]
         if ds.input_dim != input_dim or ds.task_type != task_type:
             raise ValueError("all tasks in a group must share input dim and task type")
-        if ds.rows("train")[1].size != n_train:
+        if y.size != n_train:
             raise ValueError("all tasks in a group must have equally sized train splits")
     if n_train == 0:
         raise ValueError("empty train split")
@@ -296,9 +349,13 @@ def train_mtl(group, datasets, config: TrainConfig, capture_trace: bool = False)
     arch = Architecture(input_dim=input_dim, hidden_dims=tuple(config.hidden_dims), loss=loss_kind)
     params = init_params(arch, config.seed, group)
 
-    train_data = {t: datasets[t].rows("train") for t in group}
+    X_all = np.stack([X for X, _ in train]).astype(float, copy=False)  # (T, n, d)
+    y_all = np.stack([y for _, y in train]).astype(float, copy=False)  # (T, n)
+    heads = np.stack([params.heads[t] for t in group])
     v_shared = np.zeros(arch.shared_size)
-    v_heads = {t: np.zeros(arch.head_size) for t in group}
+    v_heads = np.zeros_like(heads)
+    grads = np.empty((len(group), arch.shared_size))
+    head_grads = np.empty_like(heads)
     rng_batches = stream(config.seed, _BATCHES)
     eta, beta = config.learning_rate, config.momentum
 
@@ -308,34 +365,23 @@ def train_mtl(group, datasets, config: TrainConfig, capture_trace: bool = False)
         order = rng_batches.permutation(n_train)
         for start in range(0, n_train, config.batch_size):
             rows = order[start: start + config.batch_size]
-            losses: dict[int, float] = {}
-            grads: dict[int, np.ndarray] = {}
-            head_grads: dict[int, np.ndarray] = {}
-            for t in group:
-                X, y = train_data[t]
-                loss, g_shared, g_head = _loss_and_grads(params, t, (X[rows], y[rows]))
-                if not np.isfinite(loss):
-                    raise TrainingDiverged(step, t)
-                losses[t] = loss
-                grads[t] = g_shared
-                head_grads[t] = g_head
+            losses = _batched_step(arch, arch.unpack_shared(params.shared), heads,
+                                   X_all[:, rows], y_all[:, rows], grads, head_grads)
+            finite = np.isfinite(losses)
+            if not finite.all():
+                raise TrainingDiverged(step, group[int(np.argmin(finite))])
             if capture_trace:
                 trace.append(StepTrace(
                     step=step,
-                    losses=dict(losses),
-                    gradients={t: g.copy() for t, g in grads.items()},
+                    losses=dict(zip(group, losses.tolist())),
+                    gradients={t: g.copy() for t, g in zip(group, grads)},
                     velocity_in=v_shared.copy(),
                 ))
-            mean_grad = (
-                np.mean(np.stack([grads[t] for t in group]), axis=0)
-                if arch.shared_size else np.zeros(0)
-            )
             params.shared, v_shared = sgd_momentum_step(
-                params.shared, v_shared, mean_grad, eta, beta)
-            for t in group:
-                params.heads[t], v_heads[t] = sgd_momentum_step(
-                    params.heads[t], v_heads[t], head_grads[t], eta, beta)
+                params.shared, v_shared, np.mean(grads, axis=0), eta, beta)
+            heads, v_heads = sgd_momentum_step(heads, v_heads, head_grads, eta, beta)
             step += 1
+    params.heads = dict(zip(group, heads))
 
     losses = _eval_losses(params, group, datasets)
     for split_losses in losses.values():

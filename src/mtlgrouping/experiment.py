@@ -323,6 +323,25 @@ def _realized_loss(assignment, stl_losses, mtl_by_group):
     return total
 
 
+def _oracle_records(rd: Path, tc: TrainConfig, cache: gn.StlCache) -> dict:
+    """The oracle's gain records of one run, keyed by group.
+
+    Each record must come from this run's seed and carry single-task losses
+    equal, bit for bit, to the baselines ``cache`` trains under ``tc``;
+    otherwise the oracle ran under another config and its gains cannot stand
+    in for the report's.
+    """
+    records = {}
+    for name in ("train", "heldout"):
+        for rec in gn.load_records(_require(rd / f"gains_{name}.jsonl", "report")):
+            baselines = {t: cache.get(t, tc).losses["test"][t] for t in rec.group}
+            if rec.seed != tc.seed or rec.stl_losses != baselines:
+                raise StageError("report", f"oracle record of group {rec.group} in {rd} "
+                                           "does not match this config; rerun oracle")
+            records[rec.group] = rec
+    return records
+
+
 def stage_report(config: ExperimentConfig, out: Path) -> dict:
     suite = load_suite(_require(out / "suite", "report"))
     n = config.suite.n_tasks
@@ -335,12 +354,15 @@ def stage_report(config: ExperimentConfig, out: Path) -> dict:
     for rd, seed in zip(run_dirs(config, out), config.seeds):
         tc = _run_train_config(config, seed)
         cache = gn.StlCache(suite)
+        measured = _oracle_records(rd, tc, cache)
         result = gn.measure_gains_batch(
-            candidates, suite, tc, parallelism=config.parallelism, cache=cache)
+            [g for g in candidates if g not in measured], suite, tc,
+            parallelism=config.parallelism, cache=cache)
         if result.failures:
             g, err = result.failures[0]
             raise StageError("report", f"group {g} failed: {err}")
-        gn.save_records(result.records, rd / "gains_candidates.jsonl")
+        measured.update((rec.group, rec) for rec in result.records)
+        gn.save_records([measured[g] for g in candidates], rd / "gains_candidates.jsonl")
         records = gn.load_records(rd / "gains_candidates.jsonl")
         mtl_by_group = {rec.group: rec.mtl_losses for rec in records}
         stl_losses: dict[int, float] = {}

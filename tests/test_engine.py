@@ -1,11 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from mtlgrouping.engine import (
+    _BATCHES,
     Architecture,
     ModelParams,
     TrainConfig,
     TrainingDiverged,
+    _loss_and_grads,
     forward_loss,
     init_params,
     load_trace,
@@ -15,6 +19,7 @@ from mtlgrouping.engine import (
     train_mtl,
     train_stl,
 )
+from mtlgrouping.seeding import stream
 from mtlgrouping.suite import TaskDataset, TaskSuiteSpec, generate_suite
 
 from helpers import mlp_forward_by_hand
@@ -217,18 +222,69 @@ class TestTrainMtl:
             v_expect = beta * prev.velocity_in - eta * mean_grad
             assert np.max(np.abs(v_expect - nxt.velocity_in)) < 1e-12
 
-    def test_update_identity_replay(self):
-        model = train_mtl((0, 1), self.suite, self.config, capture_trace=True)
-        arch = model.params.arch
-        start = init_params(arch, self.config.seed, (0, 1))
-        theta = start.shared.copy()
-        v = np.zeros(arch.shared_size)
-        for st in model.trace:
-            assert np.max(np.abs(st.velocity_in - v)) < 1e-12
-            mean_grad = np.mean([st.gradients[t] for t in (0, 1)], axis=0)
-            theta, v = sgd_momentum_step(theta, v, mean_grad, self.config.learning_rate,
-                                         self.config.momentum)
-        assert np.max(np.abs(theta - model.params.shared)) < 1e-12
+    def replay(self, group, datasets, config):
+        """Per-task reference loop: ``_loss_and_grads`` task by task, then
+        ``sgd_momentum_step`` on the mean shared gradient and on each head."""
+        first = datasets[group[0]]
+        loss = "squared" if first.task_type == "regression" else "logistic"
+        arch = Architecture(input_dim=first.input_dim, hidden_dims=config.hidden_dims, loss=loss)
+        params = init_params(arch, config.seed, group)
+        v_shared = np.zeros(arch.shared_size)
+        v_heads = {t: np.zeros(arch.head_size) for t in group}
+        eta, beta = config.learning_rate, config.momentum
+        rng = stream(config.seed, _BATCHES)
+        n_train = first.rows("train")[1].size
+        steps = []
+        for _ in range(config.epochs):
+            order = rng.permutation(n_train)
+            for start in range(0, n_train, config.batch_size):
+                rows = order[start: start + config.batch_size]
+                out = {}
+                for t in group:
+                    X, y = datasets[t].rows("train")
+                    out[t] = _loss_and_grads(params, t, (X[rows], y[rows]))
+                    if not np.isfinite(out[t][0]):
+                        raise TrainingDiverged(len(steps), t)
+                steps.append((out, v_shared.copy()))
+                mean_grad = np.mean(np.stack([out[t][1] for t in group]), axis=0)
+                params.shared, v_shared = sgd_momentum_step(
+                    params.shared, v_shared, mean_grad, eta, beta)
+                for t in group:
+                    params.heads[t], v_heads[t] = sgd_momentum_step(
+                        params.heads[t], v_heads[t], out[t][2], eta, beta)
+        return params, steps
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4], ids=lambda k: f"g{k}")
+    @pytest.mark.parametrize("hidden", [(), (1,), (4,), (5, 3)],
+                             ids=lambda h: "h" + "x".join(map(str, h)))
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
+    def test_update_identity_replay(self, loss, hidden, size):
+        task_type = "regression" if loss == "squared" else "classification"
+        suite = generate_suite(replace(self.spec, task_type=task_type))
+        config = replace(self.config, hidden_dims=hidden)
+        group = {1: (2,), 2: (0, 1), 3: (1, 2, 3), 4: (0, 1, 2, 3)}[size]
+        model = train_mtl(group, suite, config, capture_trace=True)
+        params, steps = self.replay(group, suite, config)
+        assert len(model.trace) == len(steps)
+        for st, (out, velocity_in) in zip(model.trace, steps):
+            assert np.array_equal(st.velocity_in, velocity_in)
+            assert st.losses == {t: out[t][0] for t in group}
+            for t in group:
+                assert np.array_equal(st.gradients[t], out[t][1])
+        assert np.array_equal(model.params.shared, params.shared)
+        for t in group:
+            assert np.array_equal(model.params.heads[t], params.heads[t])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_matches_replay(self):
+        config = replace(self.config, learning_rate=20.0, epochs=40)
+        group = (0, 1, 2, 3)
+        with pytest.raises(TrainingDiverged) as want:
+            self.replay(group, self.suite, config)
+        with pytest.raises(TrainingDiverged) as got:
+            train_mtl(group, self.suite, config)
+        assert want.value.task != group[0]  # not simply the first task checked
+        assert (got.value.step, got.value.task) == (want.value.step, want.value.task)
 
     def test_first_step_velocity_zero(self):
         model = train_mtl((0, 1), self.suite, self.config, capture_trace=True)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from mtlgrouping import gains as gn
 from mtlgrouping.engine import TrainConfig
 from mtlgrouping.experiment import (
     STAGES,
@@ -20,7 +21,8 @@ from mtlgrouping.experiment import (
     run_stage,
     run_dirs,
 )
-from mtlgrouping.suite import TaskSuiteSpec
+from mtlgrouping.selector import enumerate_candidate_groups
+from mtlgrouping.suite import TaskSuiteSpec, load_suite
 
 
 def tiny_config(out, seeds=(0, 1), **overrides):
@@ -214,6 +216,46 @@ class TestStageErrors:
         run_stage("generate", cfg, Path(out))
         with pytest.raises(StageError, match="stage train-affinity"):
             run_stage("train-affinity", cfg, Path(out))
+
+
+class TestReport:
+    def through_select(self, out):
+        cfg = tiny_config(out, seeds=(0,))
+        for stage in STAGES[:-1]:
+            run_stage(stage, cfg, out)
+        return cfg
+
+    def test_reuses_oracle_gains(self, tmp_path, monkeypatch):
+        out = tmp_path / "reuse"
+        cfg = self.through_select(out)
+        trained = []
+        train_mtl = gn.train_mtl
+
+        def counting_train_mtl(group, *args, **kwargs):
+            trained.append(tuple(group))
+            return train_mtl(group, *args, **kwargs)
+
+        monkeypatch.setattr(gn, "train_mtl", counting_train_mtl)
+        run_stage("report", cfg, out)
+        monkeypatch.undo()
+        rd = run_dirs(cfg, out)[0]
+        groups = json.loads((rd / "groups.json").read_text())
+        oracle = {tuple(g) for g in groups["train"] + groups["heldout"]}
+        candidates = enumerate_candidate_groups(cfg.suite.n_tasks)
+        assert sorted(trained) == sorted(set(candidates) - oracle)
+        # reused and fresh records together equal measuring every candidate
+        expected = tmp_path / "expected.jsonl"
+        tc = replace(cfg.train, seed=cfg.seeds[0])
+        gn.save_records(
+            gn.measure_gains_batch(candidates, load_suite(out / "suite"), tc).records, expected)
+        assert (rd / "gains_candidates.jsonl").read_bytes() == expected.read_bytes()
+
+    def test_rejects_oracle_from_other_config(self, tmp_path):
+        out = tmp_path / "stale"
+        cfg = self.through_select(out)
+        stale = replace(cfg, train=replace(cfg.train, epochs=cfg.train.epochs + 1))
+        with pytest.raises(StageError, match="stage report: oracle record of group"):
+            run_stage("report", stale, out)
 
 
 class TestAblations:
