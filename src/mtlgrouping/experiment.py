@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -70,7 +70,6 @@ class ExperimentConfig:
     budgets: tuple[int, ...] = (2,)
     seeds: tuple[int, ...] = (0,)
     velocity_mode: str = "joint"
-    parallelism: int = 1
     output_dir: str = "experiment-out"
 
     def __post_init__(self):
@@ -84,8 +83,6 @@ class ExperimentConfig:
             raise ValueError("budgets must be a non-empty list of integers >= 1")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
         lo, hi = self.resolved_sizes()
         if not 2 <= lo <= hi <= self.suite.n_tasks:
             raise ValueError(f"group size range ({lo}, {hi}) invalid for this suite")
@@ -115,13 +112,25 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         "budgets": list(config.budgets),
         "seeds": list(config.seeds),
         "velocity_mode": config.velocity_mode,
-        "parallelism": config.parallelism,
         "output_dir": config.output_dir,
     }
 
 
+def _reject_unknown_keys(keys, cls, prefix: str = "") -> None:
+    unknown = sorted(set(keys) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError("unknown config key " + ", ".join(repr(prefix + k) for k in unknown))
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
+    """Build a config, rejecting unknown keys and any schema but ``CONFIG_SCHEMA``."""
+    schema = data.get("schema", CONFIG_SCHEMA)
+    if schema != CONFIG_SCHEMA:
+        raise ValueError(f"config schema must be {CONFIG_SCHEMA!r}, got {schema!r}")
+    _reject_unknown_keys(data.keys() - {"schema"}, ExperimentConfig)
+    _reject_unknown_keys(data["suite"], TaskSuiteSpec, "suite.")
     train = data["train"]
+    _reject_unknown_keys(train, TrainConfig, "train.")
     return ExperimentConfig(
         suite=spec_from_dict(data["suite"]),
         train=TrainConfig(
@@ -140,7 +149,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         budgets=tuple(int(b) for b in data.get("budgets", (2,))),
         seeds=tuple(int(s) for s in data.get("seeds", (0,))),
         velocity_mode=data.get("velocity_mode", "joint"),
-        parallelism=int(data.get("parallelism", 1)),
         output_dir=data.get("output_dir", "experiment-out"),
     )
 
@@ -166,9 +174,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _read_json(path: Path, stage: str) -> dict:
-    if not path.exists():
-        raise StageError(stage, f"missing upstream artifact {path}")
-    with open(path) as fh:
+    with open(_require(path, stage)) as fh:
         return json.load(fh)
 
 
@@ -238,8 +244,7 @@ def stage_oracle(config: ExperimentConfig, out: Path) -> None:
         tc = _run_train_config(config, seed)
         cache = gn.StlCache(suite)
         for name, groups in (("train", train_groups), ("heldout", heldout_groups)):
-            result = gn.measure_gains_batch(
-                groups, suite, tc, parallelism=config.parallelism, cache=cache)
+            result = gn.measure_gains_batch(groups, suite, tc, cache=cache)
             if result.failures:
                 g, err = result.failures[0]
                 raise StageError("oracle", f"group {g} failed: {err}")
@@ -356,14 +361,13 @@ def stage_report(config: ExperimentConfig, out: Path) -> dict:
         cache = gn.StlCache(suite)
         measured = _oracle_records(rd, tc, cache)
         result = gn.measure_gains_batch(
-            [g for g in candidates if g not in measured], suite, tc,
-            parallelism=config.parallelism, cache=cache)
+            [g for g in candidates if g not in measured], suite, tc, cache=cache)
         if result.failures:
             g, err = result.failures[0]
             raise StageError("report", f"group {g} failed: {err}")
         measured.update((rec.group, rec) for rec in result.records)
-        gn.save_records([measured[g] for g in candidates], rd / "gains_candidates.jsonl")
-        records = gn.load_records(rd / "gains_candidates.jsonl")
+        records = [measured[g] for g in candidates]
+        gn.save_records(records, rd / "gains_candidates.jsonl")
         mtl_by_group = {rec.group: rec.mtl_losses for rec in records}
         stl_losses: dict[int, float] = {}
         for rec in records:

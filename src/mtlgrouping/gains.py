@@ -1,17 +1,15 @@
 """Ground-truth gain measurement: train alone, train jointly, compare test losses.
 
 The gain of a task inside a group is the relative reduction of its test loss
-under joint training versus its own single-task baseline. Baselines are
-cached per (task, config) so a batch of group measurements trains each
-single-task model exactly once.
+under joint training versus its own single-task baseline. A batch measures
+its groups one after another in input order; baselines are trained on first
+use and cached per (task, config), so each single-task model trains once.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -55,49 +53,25 @@ def relative_gain(stl_loss: float, mtl_loss: float) -> float:
 class StlCache:
     """Single-task baselines for one suite, trained once per (task, config).
 
-    Each key is built by exactly one writer while concurrent readers of the
-    same key wait on its event. Training errors are cached too (a retry would
-    fail identically) and re-raised to every reader of that key.
+    Training errors are cached too (a retry would fail identically) and
+    re-raised to every later caller of that key.
     """
 
     def __init__(self, suite):
         self._suite = suite
-        self._entries: dict = {}  # key -> ("ok", model) | ("error", exception)
-        self._building: dict = {}
-        self._lock = threading.Lock()
-
-    @staticmethod
-    def _unwrap(entry) -> TrainedModel:
-        kind, value = entry
-        if kind == "error":
-            raise value
-        return value
+        self._entries: dict = {}  # key -> TrainedModel | exception
 
     def get(self, task: int, config: TrainConfig) -> TrainedModel:
         key = (int(task), config)
-        with self._lock:
-            if key in self._entries:
-                return self._unwrap(self._entries[key])
-            event = self._building.get(key)
-            if event is None:
-                event = threading.Event()
-                self._building[key] = event
-                builder = True
-            else:
-                builder = False
-        if not builder:
-            event.wait()
-            with self._lock:
-                return self._unwrap(self._entries[key])
-        try:
-            entry = ("ok", train_stl(task, self._suite[task], config))
-        except Exception as exc:
-            entry = ("error", exc)
-        with self._lock:
-            self._entries[key] = entry
-            del self._building[key]
-        event.set()
-        return self._unwrap(entry)
+        if key not in self._entries:
+            try:
+                self._entries[key] = train_stl(task, self._suite[task], config)
+            except Exception as exc:
+                self._entries[key] = exc
+        entry = self._entries[key]
+        if isinstance(entry, Exception):
+            raise entry
+        return entry
 
 
 def _normalize_group(group) -> tuple[int, ...]:
@@ -130,43 +104,18 @@ def measure_gain(group, suite, config: TrainConfig, cache: StlCache | None = Non
     )
 
 
-def measure_gains_batch(groups, suite, config: TrainConfig, parallelism: int = 1,
+def measure_gains_batch(groups, suite, config: TrainConfig,
                         cache: StlCache | None = None) -> BatchGains:
-    """Measure many groups; per-group errors are collected, not raised.
-
-    Baselines for every involved task are trained up front (once each), then
-    the joint runs proceed in parallel. Results keep the input order.
-    """
+    """Measure many groups in input order; per-group errors are collected, not raised."""
     groups = [_normalize_group(g) for g in groups]
     if cache is None:
         cache = StlCache(suite)
-    for t in sorted(set(t for g in groups for t in g)):
+    records, failures = [], []
+    for group in groups:
         try:
-            cache.get(t, config)
-        except Exception:
-            pass  # resurfaces per group below
-
-
-    def one(group):
-        return measure_gain(group, suite, config, cache=cache)
-
-    outcomes: list = [None] * len(groups)
-    if parallelism <= 1:
-        for i, g in enumerate(groups):
-            try:
-                outcomes[i] = one(g)
-            except Exception as exc:  # collected per group
-                outcomes[i] = GainFailure(g, str(exc))
-    else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            futures = [pool.submit(one, g) for g in groups]
-            for i, fut in enumerate(futures):
-                try:
-                    outcomes[i] = fut.result()
-                except Exception as exc:
-                    outcomes[i] = GainFailure(groups[i], str(exc))
-    records = [o for o in outcomes if isinstance(o, GainRecord)]
-    failures = [o for o in outcomes if isinstance(o, GainFailure)]
+            records.append(measure_gain(group, suite, config, cache=cache))
+        except Exception as exc:  # collected per group
+            failures.append(GainFailure(group, str(exc)))
     return BatchGains(records=records, failures=failures)
 
 

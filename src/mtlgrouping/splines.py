@@ -6,6 +6,11 @@ interior knots sit at empirical quantiles of the training scores so the
 basis spends its resolution where the data mass is. Inputs outside the
 knot range are clamped to the nearest boundary before evaluation, which
 makes extrapolation constant instead of polynomial.
+
+The basis is evaluated in numpy rather than with
+``scipy.interpolate.BSpline.design_matrix``: the two agree to ~1e-16, but
+importing ``scipy.interpolate`` pulls in ``scipy.optimize`` and adds about
+0.2 s and 20 MB (scipy 1.17) to every process that fits a predictor.
 """
 
 from __future__ import annotations
@@ -86,30 +91,21 @@ def fit_knots(training_scores, degree: int, interior_knot_count: int = 0) -> Spl
     return SplineSpec(degree=degree, knots=tuple(knots))
 
 
-def _find_span(t: np.ndarray, degree: int, m: int, z: float) -> int:
-    """Index i with t[i] <= z < t[i+1], snapped to the last span at the right end."""
-    if z >= t[m]:
-        return m - 1
-    if z <= t[degree]:
-        return degree
-    return int(np.searchsorted(t, z, side="right") - 1)
+def basis_matrix(zs, spec: SplineSpec) -> np.ndarray:
+    """Design matrix with one row of basis values per score, clamped into the knot range.
 
-
-def basis_expand(z: float, spec: SplineSpec) -> np.ndarray:
-    """Evaluate every basis function at z, clamped into the knot range.
-
-    Uses the iterative triangular recurrence over the single non-empty span,
-    so at most degree+1 entries of the result are nonzero.
+    Runs the triangular recurrence over each score's single non-empty span,
+    for all scores at once, so each row has at most degree+1 nonzero entries.
     """
     t = np.asarray(spec.knots, dtype=float)
     d = spec.degree
     m = spec.basis_count
-    z = min(max(float(z), spec.z_min), spec.z_max)
-    span = _find_span(t, d, m, z)
-    vals = np.zeros(d + 1)
+    z = np.clip(np.asarray(zs, dtype=float).ravel(), spec.z_min, spec.z_max)
+    span = np.clip(np.searchsorted(t, z, side="right") - 1, d, m - 1)
+    vals = np.zeros((d + 1, z.size))
     vals[0] = 1.0
-    left = np.zeros(d + 1)
-    right = np.zeros(d + 1)
+    left = np.zeros((d + 1, z.size))
+    right = np.zeros((d + 1, z.size))
     for j in range(1, d + 1):
         left[j] = z - t[span + 1 - j]
         right[j] = t[span + j] - z
@@ -119,17 +115,14 @@ def basis_expand(z: float, spec: SplineSpec) -> np.ndarray:
             vals[r] = saved + right[r + 1] * term
             saved = left[j - r] * term
         vals[j] = saved
-    out = np.zeros(m)
-    out[span - d: span + 1] = vals
+    out = np.zeros((z.size, m))
+    out[np.arange(z.size)[:, None], span[:, None] - d + np.arange(d + 1)] = vals.T
     return out
 
 
-def basis_matrix(zs, spec: SplineSpec) -> np.ndarray:
-    """Design matrix with one row of basis values per input score."""
-    zs = np.asarray(zs, dtype=float).ravel()
-    if zs.size == 0:
-        return np.zeros((0, spec.basis_count))
-    return np.vstack([basis_expand(z, spec) for z in zs])
+def basis_expand(z: float, spec: SplineSpec) -> np.ndarray:
+    """Every basis function at one score; at most degree+1 entries are nonzero."""
+    return basis_matrix([z], spec)[0]
 
 
 def affine_expand(z: float) -> np.ndarray:

@@ -58,6 +58,15 @@ class TestSubcommands:
         sidecar = json.loads((other / "suite" / "spec.json").read_text())
         assert sidecar["spec"]["seed"] == 99
 
+    @pytest.mark.parametrize("override", ["train.epoch=100", "suite.sed=3"])
+    def test_set_unknown_key_fails(self, config_file, capsys, override):
+        path, out = config_file
+        assert main(["generate", "--config", str(path), "--set", override]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("stage config: ")
+        assert override.split("=")[0] in err
+        assert not out.exists()
+
     def test_bad_config_reports_and_fails(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{\"nope\": 1}")

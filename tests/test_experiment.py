@@ -63,6 +63,26 @@ class TestConfig:
         assert resolve_output_dir(cfg) == tmp_path / "rel-dir"
         assert resolve_output_dir(cfg, tmp_path / "abs") == tmp_path / "abs"
 
+    @pytest.mark.parametrize("section, key", [
+        (None, "parallelism"), (None, "n_train_group"),
+        ("suite", "sed"), ("train", "epoch"),
+    ])
+    def test_rejects_unknown_key(self, tmp_path, section, key):
+        data = config_to_dict(tiny_config(tmp_path / "x"))
+        (data if section is None else data[section])[key] = 3
+        dotted = key if section is None else f"{section}.{key}"
+        with pytest.raises(ValueError, match=f"unknown config key '{dotted}'"):
+            config_from_dict(data)
+
+    def test_schema_checked_when_present(self, tmp_path):
+        cfg = tiny_config(tmp_path / "x")
+        data = config_to_dict(cfg)
+        del data["schema"]
+        assert config_from_dict(data) == cfg
+        data["schema"] = "experiment-config/2"
+        with pytest.raises(ValueError, match="experiment-config/2"):
+            config_from_dict(data)
+
     def test_validation(self, tmp_path):
         with pytest.raises(ValueError, match="budgets"):
             tiny_config(tmp_path, budgets=())

@@ -84,10 +84,15 @@ class TestBasisExpand:
         rng = np.random.default_rng(8)
         for _ in range(40):
             spec = random_spec(rng)
-            for z in list(rng.uniform(0.0, 1.0, size=15)) + [0.0, 1.0] + list(spec.knots):
+            zs = (list(rng.uniform(0.0, 1.0, size=15)) + [0.0, 1.0] + list(spec.knots)
+                  + [-3.0, -1e-9, 1.0 + 1e-9, 7.5])
+            batched = basis_matrix(zs, spec)
+            assert batched.shape == (len(zs), spec.basis_count)
+            for z, row in zip(zs, batched):
                 got = basis_expand(z, spec)
                 want = naive_basis(min(max(z, 0.0), 1.0), spec.degree, spec.knots)
                 assert np.max(np.abs(got - want)) < 1e-12
+                assert np.max(np.abs(row - want)) < 1e-12
 
     def test_clamped_extrapolation_constant(self):
         rng = np.random.default_rng(9)
