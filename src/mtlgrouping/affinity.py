@@ -12,12 +12,11 @@ are skipped rather than poisoning the mean.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
+
+from .artifacts import check_schema, read_json, write_csv
 
 LOSS_FLOOR = 1e-12
 
@@ -132,6 +131,7 @@ def matrix_to_dict(matrix: AffinityMatrix) -> dict:
 
 
 def matrix_from_dict(data: dict) -> AffinityMatrix:
+    check_schema(data, AFFINITY_SCHEMA)
     n = int(data["n"])
     return AffinityMatrix(
         values=np.asarray(data["values"], dtype=float).reshape(n, n),
@@ -139,21 +139,11 @@ def matrix_from_dict(data: dict) -> AffinityMatrix:
     )
 
 
-def save_matrix(matrix: AffinityMatrix, path) -> None:
-    with open(Path(path), "w") as fh:
-        json.dump(matrix_to_dict(matrix), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def load_matrix(path) -> AffinityMatrix:
-    with open(Path(path)) as fh:
-        return matrix_from_dict(json.load(fh))
+    return matrix_from_dict(read_json(path))
 
 
 def matrix_to_csv(matrix: AffinityMatrix, path) -> None:
     """Rows are source tasks, columns receiving tasks."""
-    with open(Path(path), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([""] + [str(j) for j in range(matrix.n)])
-        for i in range(matrix.n):
-            writer.writerow([str(i)] + [repr(float(v)) for v in matrix.values[i]])
+    write_csv(path, [""] + [str(j) for j in range(matrix.n)], (
+        [str(i)] + [repr(float(v)) for v in matrix.values[i]] for i in range(matrix.n)))

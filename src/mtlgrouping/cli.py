@@ -13,8 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
+from .artifacts import read_json
 from .experiment import (
     STAGES,
     StageError,
@@ -39,8 +39,7 @@ def _apply_override(data: dict, key: str, raw: str) -> None:
 
 
 def _load_config(args):
-    with open(Path(args.config)) as fh:
-        data = json.load(fh)
+    data = read_json(args.config)
     for item in args.set or []:
         if "=" not in item:
             raise ValueError(f"--set expects key=value, got {item!r}")

@@ -24,13 +24,12 @@ identical trajectories.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
+from .artifacts import read_jsonl, write_jsonl
 from .seeding import stream
 
 # stream purposes
@@ -403,33 +402,18 @@ def train_stl(task: int, dataset, config: TrainConfig) -> TrainedModel:
 
 def save_trace(trace, path) -> None:
     """One JSON object per step: losses, shared gradients, incoming velocity."""
-    path = Path(path)
-    with open(path, "w") as fh:
-        for st in trace:
-            record = {
-                "step": st.step,
-                "losses": {str(t): float(v) for t, v in sorted(st.losses.items())},
-                "gradients": {
-                    str(t): [float(v) for v in g] for t, g in sorted(st.gradients.items())
-                },
-                "velocity_in": [float(v) for v in st.velocity_in],
-            }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    write_jsonl(path, ({
+        "step": st.step,
+        "losses": {str(t): float(v) for t, v in sorted(st.losses.items())},
+        "gradients": {str(t): [float(v) for v in g] for t, g in sorted(st.gradients.items())},
+        "velocity_in": [float(v) for v in st.velocity_in],
+    } for st in trace))
 
 
 def load_trace(path) -> tuple[StepTrace, ...]:
-    steps = []
-    with open(path) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            steps.append(StepTrace(
-                step=int(rec["step"]),
-                losses={int(t): float(v) for t, v in rec["losses"].items()},
-                gradients={
-                    int(t): np.asarray(g, dtype=float) for t, g in rec["gradients"].items()
-                },
-                velocity_in=np.asarray(rec["velocity_in"], dtype=float),
-            ))
-    return tuple(steps)
+    return tuple(StepTrace(
+        step=int(rec["step"]),
+        losses={int(t): float(v) for t, v in rec["losses"].items()},
+        gradients={int(t): np.asarray(g, dtype=float) for t, g in rec["gradients"].items()},
+        velocity_in=np.asarray(rec["velocity_in"], dtype=float),
+    ) for rec in read_jsonl(path))

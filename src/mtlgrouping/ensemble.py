@@ -11,15 +11,14 @@ corrected. The final prediction is the stage-1 value plus the residual term.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from . import ridge
+from .artifacts import check_schema, read_json
 from .affinity import AffinityMatrix, GroupAffinity, group_affinity
 from .ridge import CvConfig, RidgeModel
 from .splines import SplineSpec, affine_matrix, basis_matrix, fit_knots
@@ -263,8 +262,7 @@ def predictor_to_dict(predictor: EnsemblePredictor) -> dict:
 
 
 def predictor_from_dict(data: dict) -> EnsemblePredictor:
-    if data.get("schema") != PREDICTOR_SCHEMA:
-        raise ValueError(f"unsupported predictor schema {data.get('schema')!r}")
+    check_schema(data, PREDICTOR_SCHEMA)
     s1 = data["stage1"]
     spline = None
     if s1["spline"] is not None:
@@ -287,12 +285,5 @@ def predictor_from_dict(data: dict) -> EnsemblePredictor:
     )
 
 
-def save_predictor(predictor: EnsemblePredictor, path) -> None:
-    with open(Path(path), "w") as fh:
-        json.dump(predictor_to_dict(predictor), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def load_predictor(path) -> EnsemblePredictor:
-    with open(Path(path)) as fh:
-        return predictor_from_dict(json.load(fh))
+    return predictor_from_dict(read_json(path))

@@ -12,8 +12,8 @@ reruns are byte-identical.
 
 from __future__ import annotations
 
-import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -24,6 +24,7 @@ from . import ensemble as ens
 from . import gains as gn
 from . import metrics as met
 from . import selector as sel
+from .artifacts import read_json, write_json, writing
 from .engine import TrainConfig, load_trace, save_trace, train_mtl
 from .ridge import CvConfig
 from .seeding import stream
@@ -154,8 +155,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(Path(path)) as fh:
-        return config_from_dict(json.load(fh))
+    return config_from_dict(read_json(path))
 
 
 def resolve_output_dir(config: ExperimentConfig, override=None) -> Path:
@@ -163,24 +163,6 @@ def resolve_output_dir(config: ExperimentConfig, override=None) -> Path:
     path = Path(override) if override is not None else Path(config.output_dir)
     if not path.is_absolute():
         path = Path(os.environ.get(OUTPUT_ROOT_ENV, ".")) / path
-    return path
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _read_json(path: Path, stage: str) -> dict:
-    with open(_require(path, stage)) as fh:
-        return json.load(fh)
-
-
-def _require(path: Path, stage: str) -> Path:
-    if not path.exists():
-        raise StageError(stage, f"missing upstream artifact {path}")
     return path
 
 
@@ -202,21 +184,29 @@ def _mean_std(values) -> dict:
 # ---------------------------------------------------------------- stages
 
 def stage_generate(config: ExperimentConfig, out: Path) -> None:
-    _write_json(out / "config.json", config_to_dict(config))
+    write_json(out / "config.json", config_to_dict(config))
     save_suite(generate_suite(config.suite), out / "suite")
 
 
+def _config_suite(config: ExperimentConfig, out: Path):
+    """The persisted suite, which must have been generated from ``config.suite``."""
+    suite = load_suite(out / "suite")
+    if suite.spec != config.suite:
+        raise ValueError(f"suite in {out / 'suite'} was generated from another "
+                         "suite spec than this config's; rerun generate")
+    return suite
+
+
 def stage_train_affinity(config: ExperimentConfig, out: Path) -> None:
-    suite = load_suite(_require(out / "suite", "train-affinity"))
+    suite = _config_suite(config, out)
     for rd, seed in zip(run_dirs(config, out), config.seeds):
-        rd.mkdir(parents=True, exist_ok=True)
         tc = _run_train_config(config, seed)
         model = train_mtl(suite.tasks, suite, tc, capture_trace=True)
         save_trace(model.trace, rd / "trace.jsonl")
         trace = load_trace(rd / "trace.jsonl")
         matrix = aff.pairwise_affinity(
             trace, tc.learning_rate, tc.momentum, velocity_mode=config.velocity_mode)
-        aff.save_matrix(matrix, rd / "affinity.json")
+        write_json(rd / "affinity.json", aff.matrix_to_dict(matrix))
         aff.matrix_to_csv(matrix, rd / "affinity.csv")
 
 
@@ -232,11 +222,10 @@ def _sampled_groups(config: ExperimentConfig, seed: int):
 
 
 def stage_oracle(config: ExperimentConfig, out: Path) -> None:
-    suite = load_suite(_require(out / "suite", "oracle"))
+    suite = _config_suite(config, out)
     for rd, seed in zip(run_dirs(config, out), config.seeds):
-        rd.mkdir(parents=True, exist_ok=True)
         train_groups, heldout_groups = _sampled_groups(config, seed)
-        _write_json(rd / "groups.json", {
+        write_json(rd / "groups.json", {
             "schema": "groups/1",
             "train": [list(g) for g in train_groups],
             "heldout": [list(g) for g in heldout_groups],
@@ -254,20 +243,20 @@ def stage_oracle(config: ExperimentConfig, out: Path) -> None:
 
 def stage_fit(config: ExperimentConfig, out: Path) -> None:
     for rd, seed in zip(run_dirs(config, out), config.seeds):
-        groups = _read_json(rd / "groups.json", "fit")
+        groups = read_json(rd / "groups.json")
         train_set = {tuple(g) for g in groups["train"]}
         heldout_set = {tuple(g) for g in groups["heldout"]}
         if train_set & heldout_set:
             raise StageError("fit", "training and held-out groups overlap")
-        matrix = aff.load_matrix(_require(rd / "affinity.json", "fit"))
-        records = gn.load_records(_require(rd / "gains_train.jsonl", "fit"))
+        matrix = aff.load_matrix(rd / "affinity.json")
+        records = gn.load_records(rd / "gains_train.jsonl")
         predictor = ens.fit_predictor(
             records, matrix, config.suite.n_tasks,
             mapping_kind=config.mapping_kind,
             residual_enabled=config.residual_enabled,
             cv=CvConfig(seed=seed),
         )
-        ens.save_predictor(predictor, rd / "predictor.json")
+        write_json(rd / "predictor.json", ens.predictor_to_dict(predictor))
 
 
 def _heldout_points(predictor, matrix, records):
@@ -291,11 +280,11 @@ def _report_dict(report: met.EvalReport) -> dict:
 
 def stage_evaluate(config: ExperimentConfig, out: Path) -> None:
     for rd, _ in zip(run_dirs(config, out), config.seeds):
-        predictor = ens.load_predictor(_require(rd / "predictor.json", "evaluate"))
-        matrix = aff.load_matrix(_require(rd / "affinity.json", "evaluate"))
-        records = gn.load_records(_require(rd / "gains_heldout.jsonl", "evaluate"))
+        predictor = ens.load_predictor(rd / "predictor.json")
+        matrix = aff.load_matrix(rd / "affinity.json")
+        records = gn.load_records(rd / "gains_heldout.jsonl")
         actual, final, stage1 = _heldout_points(predictor, matrix, records)
-        _write_json(rd / "eval.json", {
+        write_json(rd / "eval.json", {
             "schema": "eval/1",
             "final": _report_dict(met.evaluate(actual, final)),
             "stage1": _report_dict(met.evaluate(actual, stage1)),
@@ -310,13 +299,13 @@ def _candidate_universe(config: ExperimentConfig):
 def stage_select(config: ExperimentConfig, out: Path) -> None:
     candidates = _candidate_universe(config)
     for rd, _ in zip(run_dirs(config, out), config.seeds):
-        predictor = ens.load_predictor(_require(rd / "predictor.json", "select"))
-        matrix = aff.load_matrix(_require(rd / "affinity.json", "select"))
+        predictor = ens.load_predictor(rd / "predictor.json")
+        matrix = aff.load_matrix(rd / "affinity.json")
         for budget in config.budgets:
             problem = sel.build_problem(predictor, matrix, candidates, budget)
             result = sel.select_branch_and_bound(problem)
-            sel.save_result(result, rd / f"selection_B{budget}.json")
-            with open(rd / f"selection_B{budget}.txt", "w") as fh:
+            write_json(rd / f"selection_B{budget}.json", sel.result_to_dict(result))
+            with writing(rd / f"selection_B{budget}.txt") as fh:
                 fh.write(sel.format_selection_table(result))
 
 
@@ -338,7 +327,7 @@ def _oracle_records(rd: Path, tc: TrainConfig, cache: gn.StlCache) -> dict:
     """
     records = {}
     for name in ("train", "heldout"):
-        for rec in gn.load_records(_require(rd / f"gains_{name}.jsonl", "report")):
+        for rec in gn.load_records(rd / f"gains_{name}.jsonl"):
             baselines = {t: cache.get(t, tc).losses["test"][t] for t in rec.group}
             if rec.seed != tc.seed or rec.stl_losses != baselines:
                 raise StageError("report", f"oracle record of group {rec.group} in {rd} "
@@ -348,7 +337,7 @@ def _oracle_records(rd: Path, tc: TrainConfig, cache: gn.StlCache) -> dict:
 
 
 def stage_report(config: ExperimentConfig, out: Path) -> dict:
-    suite = load_suite(_require(out / "suite", "report"))
+    suite = _config_suite(config, out)
     n = config.suite.n_tasks
     all_tasks = tuple(range(n))
     candidates = list(_candidate_universe(config))
@@ -384,8 +373,7 @@ def stage_report(config: ExperimentConfig, out: Path) -> dict:
             for rec in records if rec.group in universe
         ]
         for budget in config.budgets:
-            selection = sel.result_from_dict(
-                _read_json(rd / f"selection_B{budget}.json", "report"))
+            selection = sel.result_from_dict(read_json(rd / f"selection_B{budget}.json"))
             selected = _realized_loss(selection.assignment, stl_losses, mtl_by_group)
             optimal_problem = sel.SelectionProblem(
                 n_tasks=n,
@@ -394,7 +382,7 @@ def stage_report(config: ExperimentConfig, out: Path) -> dict:
             )
             optimal_sel = sel.select_exhaustive(optimal_problem)
             optimal = stl_total - optimal_sel.objective
-            _write_json(rd / f"realized_B{budget}.json", {
+            write_json(rd / f"realized_B{budget}.json", {
                 "schema": "realized/1",
                 "budget": budget,
                 "selected_total_test_loss": float(selected),
@@ -411,7 +399,7 @@ def stage_report(config: ExperimentConfig, out: Path) -> dict:
     evals = {"final": {"r2": [], "pearson": [], "mse": []},
              "stage1": {"r2": [], "pearson": [], "mse": []}}
     for rd, _ in zip(run_dirs(config, out), config.seeds):
-        data = _read_json(rd / "eval.json", "report")
+        data = read_json(rd / "eval.json")
         for kind in ("final", "stage1"):
             for metric in ("r2", "pearson", "mse"):
                 evals[kind][metric].append(data[kind][metric])
@@ -427,7 +415,7 @@ def stage_report(config: ExperimentConfig, out: Path) -> dict:
             for b, results in per_budget.items()
         },
     }
-    _write_json(out / "report.json", report)
+    write_json(out / "report.json", report)
     return report
 
 
@@ -442,15 +430,23 @@ _STAGE_FUNCS = {
 }
 
 
-def run_stage(name: str, config: ExperimentConfig, out: Path):
-    """Run one stage, tagging any failure with the stage name."""
-    func = _STAGE_FUNCS[name]
+@contextmanager
+def _tagged(stage: str):
+    """Re-raise any failure inside the block as a ``StageError`` naming ``stage``."""
     try:
-        return func(config, out)
+        yield
     except StageError:
         raise
+    except FileNotFoundError as exc:
+        raise StageError(stage, f"missing upstream artifact {exc.filename}") from exc
     except Exception as exc:
-        raise StageError(name, str(exc)) from exc
+        raise StageError(stage, str(exc)) from exc
+
+
+def run_stage(name: str, config: ExperimentConfig, out: Path):
+    """Run one stage, tagging any failure with the stage name."""
+    with _tagged(name):
+        return _STAGE_FUNCS[name](config, out)
 
 
 def run_experiment(config: ExperimentConfig, out=None) -> dict:
@@ -469,11 +465,11 @@ def compare_ablations(config: ExperimentConfig, out=None) -> dict:
         run_stage(name, config, out)
     cells: dict[str, dict[str, list[float]]] = {
         label: {"r2": [], "pearson": []} for _, _, label in ABLATION_CELLS}
-    try:
+    with _tagged("ablate"):
         for rd, seed in zip(run_dirs(config, out), config.seeds):
-            matrix = aff.load_matrix(_require(rd / "affinity.json", "ablate"))
-            train_records = gn.load_records(_require(rd / "gains_train.jsonl", "ablate"))
-            heldout_records = gn.load_records(_require(rd / "gains_heldout.jsonl", "ablate"))
+            matrix = aff.load_matrix(rd / "affinity.json")
+            train_records = gn.load_records(rd / "gains_train.jsonl")
+            heldout_records = gn.load_records(rd / "gains_heldout.jsonl")
             for mapping_kind, residual, label in ABLATION_CELLS:
                 predictor = ens.fit_predictor(
                     train_records, matrix, config.suite.n_tasks,
@@ -484,10 +480,6 @@ def compare_ablations(config: ExperimentConfig, out=None) -> dict:
                 report = met.evaluate(actual, final)
                 cells[label]["r2"].append(report.r2)
                 cells[label]["pearson"].append(report.pearson)
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError("ablate", str(exc)) from exc
     table = {
         "schema": "ablation/1",
         "n_runs": len(config.seeds),
@@ -496,7 +488,7 @@ def compare_ablations(config: ExperimentConfig, out=None) -> dict:
             for label, metrics in cells.items()
         },
     }
-    _write_json(out / "ablation.json", table)
+    write_json(out / "ablation.json", table)
     lines = [f"{'cell':<18} {'r2':>18} {'pearson':>18}"]
     for label, metrics in table["cells"].items():
         r2, pr = metrics["r2"], metrics["pearson"]
@@ -504,7 +496,7 @@ def compare_ablations(config: ExperimentConfig, out=None) -> dict:
             f"{label:<18} {r2['mean']:>8.4f} ± {r2['std']:<7.4f} "
             f"{pr['mean']:>8.4f} ± {pr['std']:<7.4f}"
         )
-    with open(out / "ablation.txt", "w") as fh:
+    with writing(out / "ablation.txt") as fh:
         fh.write("\n".join(lines) + "\n")
     return table
 

@@ -8,14 +8,12 @@ use and cached per (task, config), so each single-task model trains once.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from pathlib import Path
 from typing import NamedTuple
 
+from .artifacts import read_jsonl, write_csv, write_jsonl
 from .engine import TrainConfig, TrainedModel, train_mtl, train_stl
 from .seeding import stream
 
@@ -156,30 +154,15 @@ def record_from_dict(data: dict) -> GainRecord:
 
 
 def save_records(records, path) -> None:
-    with open(Path(path), "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(record_to_dict(rec), sort_keys=True) + "\n")
+    write_jsonl(path, (record_to_dict(rec) for rec in records))
 
 
 def load_records(path) -> list[GainRecord]:
-    records = []
-    with open(Path(path)) as fh:
-        for line in fh:
-            if line.strip():
-                records.append(record_from_dict(json.loads(line)))
-    return records
+    return [record_from_dict(data) for data in read_jsonl(path)]
 
 
 def records_to_csv(records, path) -> None:
-    with open(Path(path), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "task", "gain", "stl_loss", "mtl_loss"])
-        for rec in records:
-            label = "+".join(str(t) for t in rec.group)
-            for t in rec.group:
-                writer.writerow([
-                    label, t,
-                    repr(float(rec.gains[t])),
-                    repr(float(rec.stl_losses[t])),
-                    repr(float(rec.mtl_losses[t])),
-                ])
+    write_csv(path, ["group", "task", "gain", "stl_loss", "mtl_loss"], (
+        ["+".join(str(t) for t in rec.group), t, repr(float(rec.gains[t])),
+         repr(float(rec.stl_losses[t])), repr(float(rec.mtl_losses[t]))]
+        for rec in records for t in rec.group))

@@ -11,13 +11,12 @@ incrementally.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from pathlib import Path
 
 from .affinity import AffinityMatrix
+from .artifacts import check_schema
 from .ensemble import EnsemblePredictor, predict_from_matrix
 from .seeding import stream
 
@@ -262,6 +261,7 @@ def result_to_dict(result: SelectionResult) -> dict:
 
 
 def result_from_dict(data: dict) -> SelectionResult:
+    check_schema(data, SELECTION_SCHEMA)
     return SelectionResult(
         chosen=tuple(tuple(int(t) for t in g) for g in data["chosen"]),
         objective=float(data["objective"]),
@@ -270,12 +270,6 @@ def result_from_dict(data: dict) -> SelectionResult:
             for t, g in data["assignment"].items()
         },
     )
-
-
-def save_result(result: SelectionResult, path) -> None:
-    with open(Path(path), "w") as fh:
-        json.dump(result_to_dict(result), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def format_selection_table(result: SelectionResult) -> str:

@@ -11,12 +11,12 @@ for which tasks should help which under joint training.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import check_schema, read_json, write_csv, write_json
 from .seeding import stream
 
 SPLITS = ("train", "val", "test")
@@ -199,29 +199,23 @@ def spec_from_dict(data: dict) -> TaskSuiteSpec:
 def save_suite(suite: TaskSuite, directory) -> None:
     """Write one CSV per task plus a JSON sidecar with the generating spec."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     d = suite.spec.input_dim
     header = [f"x{i}" for i in range(d)] + ["target", "split"]
     for t, ds in sorted(suite.datasets.items()):
-        with open(directory / f"task_{t}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row, target, split in zip(ds.features, ds.targets, ds.split):
-                writer.writerow([repr(float(v)) for v in row] + [repr(float(target)), split])
-    sidecar = {
+        write_csv(directory / f"task_{t}.csv", header, (
+            [repr(float(v)) for v in row] + [repr(float(target)), split]
+            for row, target, split in zip(ds.features, ds.targets, ds.split)))
+    write_json(directory / "spec.json", {
         "schema": SUITE_SCHEMA,
         "spec": spec_to_dict(suite.spec),
         "task_weights": [[float(v) for v in w] for w in suite.task_weights],
-    }
-    with open(directory / "spec.json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def load_suite(directory) -> TaskSuite:
     directory = Path(directory)
-    with open(directory / "spec.json") as fh:
-        sidecar = json.load(fh)
+    sidecar = read_json(directory / "spec.json")
+    check_schema(sidecar, SUITE_SCHEMA)
     spec = spec_from_dict(sidecar["spec"])
     weights = np.asarray(sidecar["task_weights"], dtype=float)
     datasets: dict[int, TaskDataset] = {}

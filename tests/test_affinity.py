@@ -9,9 +9,9 @@ from mtlgrouping.affinity import (
     matrix_to_csv,
     matrix_to_dict,
     pairwise_affinity,
-    save_matrix,
     step_affinity,
 )
+from mtlgrouping.artifacts import write_json
 from mtlgrouping.engine import StepTrace
 
 from helpers import random_trace
@@ -246,7 +246,7 @@ class TestSerialization:
         rng = np.random.default_rng(9)
         mat = pairwise_affinity(random_trace(rng, 3, 4, 5), 0.1, 0.5)
         path = tmp_path / "affinity.json"
-        save_matrix(mat, path)
+        write_json(path, matrix_to_dict(mat))
         loaded = load_matrix(path)
         assert np.array_equal(loaded.values, mat.values)
         assert np.array_equal(loaded.steps_used, mat.steps_used)

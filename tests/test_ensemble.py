@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mtlgrouping import ridge
+from mtlgrouping.artifacts import write_json
 from mtlgrouping.affinity import AffinityMatrix, group_affinity
 from mtlgrouping.ensemble import (
     TrainingPair,
@@ -17,7 +18,6 @@ from mtlgrouping.ensemble import (
     predict_stage1,
     predictor_from_dict,
     predictor_to_dict,
-    save_predictor,
 )
 from mtlgrouping.gains import GainRecord
 from mtlgrouping.ridge import CvConfig
@@ -313,7 +313,7 @@ class TestSerialization:
         records = random_records(rng, 5, 12, matrix)
         predictor = fit_predictor(records, matrix, 5, cv=CvConfig(seed=27))
         path = tmp_path / "predictor.json"
-        save_predictor(predictor, path)
+        write_json(path, predictor_to_dict(predictor))
         loaded = load_predictor(path)
         for group in ((0, 1), (2, 3, 4), (0, 1, 2, 3, 4)):
             a = predict_from_matrix(predictor, group, matrix)

@@ -1,4 +1,6 @@
 import json
+import re
+import shutil
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -209,11 +211,36 @@ class TestRunExperiment:
             assert (rd1 / "predictor.json").read_bytes() != (rd2 / "predictor.json").read_bytes()
 
 
+# one input of each stage, deleted from a finished run to test the stage's error
+STAGE_INPUTS = {
+    "train-affinity": "suite/spec.json",
+    "fit": "runs/00_seed0/gains_train.jsonl",
+    "evaluate": "runs/00_seed0/predictor.json",
+    "select": "runs/00_seed0/affinity.json",
+    "report": "runs/00_seed0/selection_B2.json",
+}
+
+
 class TestStageErrors:
-    def test_missing_upstream_names_stage(self, tmp_path):
-        cfg = tiny_config(tmp_path / "x")
-        with pytest.raises(StageError, match="stage train-affinity"):
-            run_stage("train-affinity", cfg, resolve_output_dir(cfg))
+    @pytest.mark.parametrize("stage", list(STAGE_INPUTS))
+    def test_missing_upstream_names_stage(self, finished, tmp_path, stage):
+        missing = STAGE_INPUTS[stage]
+        cfg, out, _, _ = finished
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        (copy / missing).unlink()
+        with pytest.raises(StageError, match=f"stage {stage}: missing upstream artifact "
+                                             + re.escape(str(copy / missing))):
+            run_stage(stage, cfg, copy)
+
+    @pytest.mark.parametrize("stage", ["train-affinity", "oracle", "report"])
+    def test_suite_from_other_spec_rejected(self, tmp_path, stage):
+        out = tmp_path / "respec"
+        cfg = tiny_config(out, seeds=(0,))
+        run_stage("generate", cfg, out)
+        other = replace(cfg, suite=replace(cfg.suite, seed=cfg.suite.seed + 1))
+        with pytest.raises(StageError, match=f"stage {stage}: suite in .* another suite spec"):
+            run_stage(stage, other, out)
 
     def test_overlapping_groups_rejected_at_fit(self, tmp_path):
         out = tmp_path / "overlap"

@@ -197,6 +197,26 @@ class TestSerialization:
         save_records(records, path)
         assert load_records(path) == records
 
+    def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
+        other = GainRecord(group=(1, 3), gains={1: 0.0, 3: 0.3}, stl_losses={1: 1.0, 3: 1.0},
+                           mtl_losses={1: 1.0, 3: 0.7}, seed=3)
+        path = tmp_path / "gains.jsonl"
+        save_records([self.record(), other], path)
+        before = path.read_bytes()
+        converted = []
+
+        def fail_on_second(rec):
+            converted.append(rec)
+            if len(converted) == 2:
+                raise RuntimeError("interrupted")
+            return record_to_dict(rec)
+
+        monkeypatch.setattr(gains, "record_to_dict", fail_on_second)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            save_records([other, self.record()], path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["gains.jsonl"]
+
     def test_csv_columns(self, tmp_path):
         path = tmp_path / "gains.csv"
         records_to_csv([self.record()], path)

@@ -3,6 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from mtlgrouping.artifacts import write_json
 from mtlgrouping.ensemble import fit_predictor
 from mtlgrouping.ridge import CvConfig
 from mtlgrouping.selector import (
@@ -12,7 +13,6 @@ from mtlgrouping.selector import (
     format_selection_table,
     result_from_dict,
     result_to_dict,
-    save_result,
     select_branch_and_bound,
     select_exhaustive,
     selection_objective,
@@ -242,7 +242,7 @@ class TestSerialization:
         assert data["schema"] == "selection/1"
         back = result_from_dict(data)
         assert back == result
-        save_result(result, tmp_path / "sel.json")
+        write_json(tmp_path / "sel.json", data)
         assert (tmp_path / "sel.json").read_text().startswith("{")
 
     def test_table_format(self):
