@@ -4,6 +4,13 @@ The intercept is never penalized: targets and feature columns are centered
 before the symmetric solve and the intercept is recovered from the means.
 Coefficients are reported in the original feature units, so predictions are
 simply X @ coefficients + intercept.
+
+Cross-validation does each fold's penalty-independent work once: the mask,
+the centering, Xc'Xc and Xc'yc. It then factors Xc'Xc + lam*I for the whole
+sorted grid with one batched Cholesky and solves each penalty with LAPACK's
+``dpotrs`` (the routine ``scipy.linalg.cho_solve`` calls). ``fit`` runs the
+same solve with a single penalty, so each fold's coefficients, and hence the
+CV errors, are bit-for-bit those of ``fit`` on the fold's training rows.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrs
 
 from .seeding import stream
 
@@ -37,43 +44,77 @@ class RidgeModel:
         return int(self.coefficients.size)
 
 
-def fit(X, y, lam: float) -> RidgeModel:
-    """Solve (Xc'Xc + lam*I) w = Xc'yc on centered data, intercept from the means."""
+def _checked(X, y):
+    """X as a finite 2-d float matrix and y as a finite vector with one entry per row."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     if X.ndim != 2:
         raise ValueError("X must be a 2-d matrix")
-    n, p = X.shape
+    n = X.shape[0]
     if n != y.size:
         raise ValueError(f"X has {n} rows but y has {y.size} entries")
     if n < 1:
         raise ValueError("need at least one sample")
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
+    for name, a in (("X", X), ("y", y)):
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"{name} contains NaN or inf")
+    return X, y
+
+
+def _centered(X, y):
+    """(x_mean, y_mean, Xc'Xc, Xc'yc) of the centered data."""
     x_mean = X.mean(axis=0)
     y_mean = float(y.mean())
     Xc = X - x_mean
     yc = y - y_mean
-    gram = Xc.T @ Xc + lam * np.eye(p)
-    rhs = Xc.T @ yc
+    return x_mean, y_mean, Xc.T @ Xc, Xc.T @ yc
+
+
+def _singular(lam) -> SingularFitError:
+    remedy = "refit with lam > 0" if lam == 0 else "use a larger lam or fewer collinear features"
+    return SingularFitError(f"normal equations are singular at lam={float(lam)!r}; {remedy}")
+
+
+def _solve(gram, rhs, lams) -> np.ndarray:
+    """Row i solves (gram + lams[i]*I) w = rhs; one batched factorization for all lams."""
+    p = rhs.size
+    lhs = gram + lams[:, None, None] * np.eye(p)
     try:
-        chol = np.linalg.cholesky(gram)
+        chol = np.linalg.cholesky(lhs)
     except np.linalg.LinAlgError as exc:
-        raise SingularFitError(
-            "normal equations are singular at lam=0; refit with lam > 0"
-        ) from exc
+        for lam, a in zip(lams, lhs):  # factor one by one to name the penalty that failed
+            try:
+                np.linalg.cholesky(a)
+            except np.linalg.LinAlgError:
+                raise _singular(lam) from exc
+        raise
+    coefs = np.empty((lams.size, p))
+    if p == 0:
+        return coefs
     # rounding can sneak an exactly singular Gram matrix past the factorization
-    if p > 0:
-        pivots = np.diag(chol) ** 2
-        if np.min(pivots) <= np.max(np.diag(gram)) * p * 1e-14:
-            raise SingularFitError(
-                "normal equations are singular at lam=0; refit with lam > 0"
-            )
-    w = scipy.linalg.cho_solve((chol, True), rhs)
-    if not np.all(np.isfinite(w)):
+    pivots = np.diagonal(chol, axis1=1, axis2=2) ** 2
+    limits = np.diagonal(lhs, axis1=1, axis2=2).max(axis=1) * p * 1e-14
+    singular = pivots.min(axis=1) <= limits
+    if singular.any():
+        raise _singular(lams[np.argmax(singular)])
+    for w, c in zip(coefs, chol):
+        w[:] = dpotrs(c, rhs, lower=1)[0]
+    finite = np.isfinite(coefs).all(axis=1)
+    if not finite.all():
         raise SingularFitError(
-            "normal equations produced non-finite coefficients; refit with lam > 0"
+            "normal equations produced non-finite coefficients at "
+            f"lam={float(lams[np.argmin(finite)])!r}; use a larger lam"
         )
+    return coefs
+
+
+def fit(X, y, lam: float) -> RidgeModel:
+    """Solve (Xc'Xc + lam*I) w = Xc'yc on centered data, intercept from the means."""
+    X, y = _checked(X, y)
+    if lam < 0:
+        raise ValueError("lam must be >= 0")
+    x_mean, y_mean, gram, rhs = _centered(X, y)
+    w = _solve(gram, rhs, np.array([lam], dtype=float))[0]
     intercept = y_mean - float(x_mean @ w)
     return RidgeModel(coefficients=w, intercept=intercept, lam=float(lam))
 
@@ -110,26 +151,27 @@ def fit_cv(X, y, cv: CvConfig | None = None):
     """
     if cv is None:
         cv = CvConfig()
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
+    X, y = _checked(X, y)
     n = y.size
     if cv.folds > n:
         raise ValueError(f"{cv.folds} folds but only {n} samples")
     order = stream(cv.seed, _CV_STREAM).permutation(n)
     folds = np.array_split(order, cv.folds)
-    grid = sorted(cv.lambda_grid)
+    grid = np.array(sorted(cv.lambda_grid), dtype=float)
+    fold_mses = np.empty((grid.size, len(folds)))  # one contiguous row per lam
+    for f, fold in enumerate(folds):
+        mask = np.ones(n, dtype=bool)
+        mask[fold] = False
+        x_mean, y_mean, gram, rhs = _centered(X[mask], y[mask])
+        X_val, y_val = X[fold], y[fold]
+        for i, w in enumerate(_solve(gram, rhs, grid)):
+            err = X_val @ w + (y_mean - float(x_mean @ w)) - y_val
+            fold_mses[i, f] = np.mean(err ** 2)
     cv_mse: dict[float, float] = {}
     best_lam = None
     best_mse = None
-    for lam in grid:
-        fold_mses = []
-        for fold in folds:
-            mask = np.ones(n, dtype=bool)
-            mask[fold] = False
-            model = fit(X[mask], y[mask], lam)
-            err = predict(model, X[fold]) - y[fold]
-            fold_mses.append(float(np.mean(err ** 2)))
-        mean_mse = float(np.mean(fold_mses))
+    for lam, mses in zip(grid, fold_mses):
+        mean_mse = float(np.mean(mses))
         cv_mse[float(lam)] = mean_mse
         if best_mse is None or mean_mse <= best_mse:
             best_mse = mean_mse

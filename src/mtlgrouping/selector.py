@@ -32,15 +32,12 @@ class SelectionProblem:
     n_tasks: int
     candidates: tuple  # ((group, {task: gain}), ...)
     budget: int
-    min_groups: int = 0  # set to 1 to force at least one chosen group
 
     def __post_init__(self):
         if self.n_tasks < 1:
             raise ValueError("n_tasks must be >= 1")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
-        if not 0 <= self.min_groups <= self.budget:
-            raise ValueError("min_groups must lie in [0, budget]")
         seen = set()
         for group, gains in self.candidates:
             group = tuple(group)
@@ -95,8 +92,6 @@ class _Search:
         self.m = len(self.cands)
         if self.m == 0:
             raise ValueError("no candidate groups to select from")
-        if problem.min_groups > self.m:
-            raise ValueError("min_groups exceeds the number of candidates")
         self.top = min(problem.budget, self.m)
         self.cover: list = [None] * problem.n_tasks
         self.chosen: list[int] = []
@@ -121,8 +116,6 @@ class _Search:
             self.cover[t] = old
 
     def consider(self) -> None:
-        if len(self.chosen) < self.problem.min_groups:
-            return
         obj = self.objective()
         if self.best is not None and obj < self.best[0]:
             return
@@ -131,8 +124,6 @@ class _Search:
             self.best = (obj, key, tuple(self.chosen))
 
     def result(self) -> SelectionResult:
-        if self.best is None:
-            raise ValueError("no feasible selection")
         return _result(self.problem, [self.cands[i] for i in self.best[2]])
 
 
@@ -195,8 +186,6 @@ def select_branch_and_bound(problem: SelectionProblem,
         return float(sum(v for v in ub if v is not None))
 
     def dfs(i: int):
-        if len(search.chosen) + (m - i) < problem.min_groups:
-            return  # infeasible completion
         if search.best is not None:
             bound = node_bound(i)
             if bound < search.best[0]:
@@ -234,7 +223,7 @@ def enumerate_candidate_groups(n_tasks: int, min_size: int = 2, max_size: int | 
 
 
 def build_problem(predictor: EnsemblePredictor, matrix: AffinityMatrix,
-                  candidate_groups, budget: int, min_groups: int = 0) -> SelectionProblem:
+                  candidate_groups, budget: int) -> SelectionProblem:
     """Fill candidate gains from the predictor over an affinity matrix."""
     candidates = []
     for group in candidate_groups:
@@ -244,7 +233,6 @@ def build_problem(predictor: EnsemblePredictor, matrix: AffinityMatrix,
         n_tasks=predictor.n_tasks,
         candidates=tuple(candidates),
         budget=budget,
-        min_groups=min_groups,
     )
 
 

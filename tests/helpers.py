@@ -6,8 +6,10 @@ same numbers.
 """
 
 import numpy as np
+import scipy.linalg
 
 from mtlgrouping.engine import StepTrace
+from mtlgrouping.seeding import stream
 
 
 def naive_basis(z: float, degree: int, knots) -> np.ndarray:
@@ -42,6 +44,45 @@ def centered_ridge(X, y, lam):
     Xc = X - xm
     w = np.linalg.solve(Xc.T @ Xc + lam * np.eye(X.shape[1]), Xc.T @ (y - ym))
     return w, float(ym - xm @ w)
+
+
+def cholesky_ridge(X, y, lam):
+    """(coefficients, intercept) from one Cholesky factor and cho_solve per fit.
+
+    Same centering and operation order as the package's solve, without its
+    singularity checks, so equal inputs give equal bits.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float).ravel()
+    x_mean = X.mean(axis=0)
+    y_mean = float(y.mean())
+    Xc = X - x_mean
+    yc = y - y_mean
+    chol = np.linalg.cholesky(Xc.T @ Xc + lam * np.eye(X.shape[1]))
+    w = scipy.linalg.cho_solve((chol, True), Xc.T @ yc)
+    return w, y_mean - float(x_mean @ w)
+
+
+def fold_loop_cv(X, y, lambda_grid, folds, seed):
+    """(cv_mse, chosen lam) from one cholesky_ridge fit per (lam, fold), ties to larger lam."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float).ravel()
+    n = y.size
+    parts = np.array_split(stream(seed, 41).permutation(n), folds)
+    cv_mse = {}
+    best_lam = best_mse = None
+    for lam in sorted(lambda_grid):
+        fold_mses = []
+        for fold in parts:
+            mask = np.ones(n, dtype=bool)
+            mask[fold] = False
+            w, b = cholesky_ridge(X[mask], y[mask], lam)
+            err = X[fold] @ w + b - y[fold]
+            fold_mses.append(float(np.mean(err ** 2)))
+        cv_mse[float(lam)] = float(np.mean(fold_mses))
+        if best_mse is None or cv_mse[float(lam)] <= best_mse:
+            best_mse, best_lam = cv_mse[float(lam)], float(lam)
+    return cv_mse, best_lam
 
 
 def random_trace(rng, n_tasks, dim, steps):

@@ -1,11 +1,16 @@
+import warnings
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from mtlgrouping import ridge
+from mtlgrouping.ensemble import encode_group
 from mtlgrouping.ridge import CvConfig, SingularFitError
 from mtlgrouping.seeding import stream
+from mtlgrouping.splines import affine_matrix, basis_matrix, fit_knots
 
-from helpers import centered_ridge
+from helpers import centered_ridge, cholesky_ridge, fold_loop_cv
 
 
 class TestFit:
@@ -160,6 +165,107 @@ class TestFitCv:
     def test_too_few_samples(self):
         with pytest.raises(ValueError, match="folds"):
             ridge.fit_cv([[1.0], [2.0]], [1.0, 2.0], CvConfig(folds=3))
+
+    def test_singular_names_failing_grid_lam(self):
+        # collinear columns at 1e9 scale: every grid lam is negligible next to
+        # the Gram entries, so the smallest one, not lam=0, is the first to fail
+        rng = np.random.default_rng(0)
+        x0, x1 = rng.standard_normal(20), rng.standard_normal(20)
+        X = np.column_stack([x0 * 1e9, x0 * 1e9, x1])
+        with pytest.raises(SingularFitError, match=r"singular at lam=0\.001; ") as info:
+            ridge.fit_cv(X, rng.standard_normal(20))
+        assert "lam > 0" not in str(info.value)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["X", "y"])
+    @pytest.mark.parametrize("call", ["fit", "fit_cv"])
+    def test_rejected_before_solving(self, call, where, bad):
+        X = np.arange(12, dtype=float).reshape(6, 2) ** 1.5
+        y = np.linspace(0.0, 1.0, 6)
+        (X if where == "X" else y)[3] = bad
+        run = {"fit": lambda: ridge.fit(X, y, 0.1),
+               "fit_cv": lambda: ridge.fit_cv(X, y, CvConfig(folds=3))}[call]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{where} contains NaN or inf$") as info:
+                run()
+        assert not isinstance(info.value, SingularFitError)
+
+
+def _spline_designs(rng):
+    for degree in (1, 2, 3):
+        for interior in (0, 2, 5, 8):
+            n = int(rng.integers(12, 40))
+            z = rng.uniform(-1.0, 1.0, n)
+            yield basis_matrix(z, fit_knots(z, degree, interior)), rng.standard_normal(n)
+
+
+def _affine_designs(rng):
+    for n in (3, 5, 9, 24):
+        yield affine_matrix(rng.uniform(-0.5, 2.0, n)), rng.standard_normal(n)
+
+
+def _multi_hot_designs(rng):
+    # residual-stage rows: groups that all contain task t, so column t is all ones
+    for n_tasks in (3, 5, 6):
+        for t in range(n_tasks):
+            others = [g for k in range(2, n_tasks + 1)
+                      for g in combinations(range(n_tasks), k) if t in g]
+            pick = rng.choice(len(others), size=min(len(others), 9), replace=False)
+            X = np.stack([encode_group(others[i], n_tasks) for i in sorted(pick)])
+            yield X, rng.standard_normal(len(X))
+
+
+def _wide_designs(rng):
+    for p in range(1, 13):
+        n = int(rng.integers(p + 2, 3 * p + 6))
+        yield rng.standard_normal((n, p)) * rng.uniform(0.1, 5.0), rng.standard_normal(n)
+
+
+class TestMatchesPerFitOracle:
+    """fit and fit_cv equal, bit for bit, one Cholesky + cho_solve per (lam, fold)."""
+
+    @pytest.mark.parametrize("designs", [_spline_designs, _affine_designs,
+                                         _multi_hot_designs, _wide_designs])
+    def test_pipeline_designs(self, designs):
+        rng = np.random.default_rng(17)
+        checked = 0
+        for X, y in designs(rng):
+            folds = min(5, len(y))
+            for seed in (0, 3):
+                self._assert_same(X, y, CvConfig(folds=folds, seed=seed))
+            checked += 1
+        assert checked >= 4
+
+    def test_two_folds_of_one_training_row(self):
+        rng = np.random.default_rng(18)
+        for p in (1, 3):
+            X = rng.standard_normal((2, p))
+            y = rng.standard_normal(2)
+            self._assert_same(X, y, CvConfig(folds=2, seed=5))
+
+    def test_leave_one_out_custom_grid(self):
+        rng = np.random.default_rng(19)
+        X = rng.standard_normal((7, 4))
+        y = rng.standard_normal(7)
+        self._assert_same(X, y, CvConfig(lambda_grid=(2.0, 1e-4, 0.3), folds=7, seed=1))
+
+    @staticmethod
+    def _assert_same(X, y, cv):
+        for lam in cv.lambda_grid:
+            model = ridge.fit(X, y, lam)
+            w, b = cholesky_ridge(X, y, lam)
+            assert np.array_equal(model.coefficients, w)
+            assert model.intercept == b
+        model, lam, cv_mse = ridge.fit_cv(X, y, cv)
+        want_mse, want_lam = fold_loop_cv(X, y, cv.lambda_grid, cv.folds, cv.seed)
+        assert list(cv_mse.items()) == list(want_mse.items())
+        assert lam == want_lam
+        w, b = cholesky_ridge(X, y, lam)
+        assert np.array_equal(model.coefficients, w)
+        assert model.intercept == b
 
 
 class TestSerialization:

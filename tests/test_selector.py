@@ -19,9 +19,8 @@ from mtlgrouping.selector import (
 )
 
 
-def problem(candidates, n_tasks, budget, min_groups=0):
-    return SelectionProblem(n_tasks=n_tasks, candidates=tuple(candidates),
-                            budget=budget, min_groups=min_groups)
+def problem(candidates, n_tasks, budget):
+    return SelectionProblem(n_tasks=n_tasks, candidates=tuple(candidates), budget=budget)
 
 
 def random_problem(rng, n_max=8, cand_max=60, budget_max=4):
@@ -79,12 +78,6 @@ class TestSelectExhaustive:
         assert result.chosen == ()
         assert result.objective == 0.0
 
-    def test_all_negative_with_forced_choice_picks_least_harmful(self):
-        cands = [((0, 1), {0: -0.2, 1: -0.1}), ((1, 2), {1: -0.3, 2: -0.05})]
-        result = select_exhaustive(problem(cands, 3, 2, min_groups=1))
-        assert result.chosen == ((0, 1),)  # -0.3 beats -0.35
-        assert result.objective == pytest.approx(-0.3, abs=1e-15)
-
     def test_empty_candidates_error(self):
         with pytest.raises(ValueError, match="no candidate"):
             select_exhaustive(problem([], 3, 1))
@@ -113,16 +106,6 @@ class TestBranchAndBound:
             assert a.chosen == b.chosen
             assert a.assignment == b.assignment
 
-    def test_matches_exhaustive_with_min_groups(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            prob = random_problem(rng, n_max=5, cand_max=12, budget_max=3)
-            forced = SelectionProblem(n_tasks=prob.n_tasks, candidates=prob.candidates,
-                                      budget=prob.budget, min_groups=1)
-            a = select_exhaustive(forced)
-            b = select_branch_and_bound(forced)
-            assert a.objective == b.objective and a.chosen == b.chosen
-
     def test_pruned_bounds_are_admissible(self):
         rng = np.random.default_rng(4)
         checked = 0
@@ -149,18 +132,10 @@ def _best_completion(prob, depth, chosen_idx):
     """Exhaustive best objective over completions of a search node."""
     cands = list(prob.candidates)
     base = [cands[i] for i in chosen_idx]
-    best = None
-    remaining = list(range(depth, len(cands)))
+    remaining = range(depth, len(cands))
     max_extra = min(prob.budget, len(cands)) - len(base)
-    for k in range(0, max_extra + 1):
-        for extra in combinations(remaining, k):
-            chosen = base + [cands[i] for i in extra]
-            if len(chosen) < prob.min_groups:
-                continue
-            obj, _ = selection_objective(prob, chosen)
-            if best is None or obj > best:
-                best = obj
-    return best if best is not None else -np.inf
+    return max(selection_objective(prob, base + [cands[i] for i in extra])[0]
+               for k in range(max_extra + 1) for extra in combinations(remaining, k))
 
 
 class TestProperties:
