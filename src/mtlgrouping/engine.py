@@ -130,11 +130,11 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 0.05
-    momentum: float = 0.9
-    epochs: int = 1
-    batch_size: int = 32
-    hidden_dims: tuple[int, ...] = ()
+    learning_rate: float
+    momentum: float
+    epochs: int
+    batch_size: int
+    hidden_dims: tuple[int, ...]
     seed: int = 0
 
     def __post_init__(self):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,18 +24,11 @@ from . import ensemble as ens
 from . import gains as gn
 from . import metrics as met
 from . import selector as sel
-from .artifacts import read_json, write_json, writing
+from .artifacts import from_dict, read_json, write_json, writing
 from .engine import TrainConfig, load_trace, save_trace, train_mtl
 from .ridge import CvConfig
 from .seeding import stream
-from .suite import (
-    TaskSuiteSpec,
-    generate_suite,
-    load_suite,
-    save_suite,
-    spec_from_dict,
-    spec_to_dict,
-)
+from .suite import TaskSuiteSpec, generate_suite, load_suite, save_suite
 
 OUTPUT_ROOT_ENV = "MTLGROUPING_OUTPUT_ROOT"
 
@@ -94,64 +87,15 @@ class ExperimentConfig:
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    return {
-        "schema": CONFIG_SCHEMA,
-        "suite": spec_to_dict(config.suite),
-        "train": {
-            "learning_rate": config.train.learning_rate,
-            "momentum": config.train.momentum,
-            "epochs": config.train.epochs,
-            "batch_size": config.train.batch_size,
-            "hidden_dims": list(config.train.hidden_dims),
-            "seed": config.train.seed,
-        },
-        "n_train_groups": config.n_train_groups,
-        "n_heldout_groups": config.n_heldout_groups,
-        "group_sizes": list(config.group_sizes),
-        "mapping_kind": config.mapping_kind,
-        "residual_enabled": config.residual_enabled,
-        "budgets": list(config.budgets),
-        "seeds": list(config.seeds),
-        "velocity_mode": config.velocity_mode,
-        "output_dir": config.output_dir,
-    }
-
-
-def _reject_unknown_keys(keys, cls, prefix: str = "") -> None:
-    unknown = sorted(set(keys) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ValueError("unknown config key " + ", ".join(repr(prefix + k) for k in unknown))
+    return {"schema": CONFIG_SCHEMA, **asdict(config)}
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Build a config, rejecting unknown keys and any schema but ``CONFIG_SCHEMA``."""
+    """Build a config with the typed reader; any schema but ``CONFIG_SCHEMA`` fails."""
     schema = data.get("schema", CONFIG_SCHEMA)
     if schema != CONFIG_SCHEMA:
         raise ValueError(f"config schema must be {CONFIG_SCHEMA!r}, got {schema!r}")
-    _reject_unknown_keys(data.keys() - {"schema"}, ExperimentConfig)
-    _reject_unknown_keys(data["suite"], TaskSuiteSpec, "suite.")
-    train = data["train"]
-    _reject_unknown_keys(train, TrainConfig, "train.")
-    return ExperimentConfig(
-        suite=spec_from_dict(data["suite"]),
-        train=TrainConfig(
-            learning_rate=float(train["learning_rate"]),
-            momentum=float(train["momentum"]),
-            epochs=int(train["epochs"]),
-            batch_size=int(train["batch_size"]),
-            hidden_dims=tuple(int(h) for h in train["hidden_dims"]),
-            seed=int(train.get("seed", 0)),
-        ),
-        n_train_groups=int(data["n_train_groups"]),
-        n_heldout_groups=int(data["n_heldout_groups"]),
-        group_sizes=tuple(int(s) for s in data.get("group_sizes", (2, 0))),
-        mapping_kind=data.get("mapping_kind", "spline"),
-        residual_enabled=bool(data.get("residual_enabled", True)),
-        budgets=tuple(int(b) for b in data.get("budgets", (2,))),
-        seeds=tuple(int(s) for s in data.get("seeds", (0,))),
-        velocity_mode=data.get("velocity_mode", "joint"),
-        output_dir=data.get("output_dir", "experiment-out"),
-    )
+    return from_dict(ExperimentConfig, {k: v for k, v in data.items() if k != "schema"})
 
 
 def load_config(path) -> ExperimentConfig:

@@ -18,11 +18,8 @@ from math import comb
 from .affinity import AffinityMatrix
 from .artifacts import check_schema
 from .ensemble import EnsemblePredictor, predict_from_matrix
-from .seeding import stream
 
 MAX_EXHAUSTIVE_COMBINATIONS = 10_000_000
-
-_UNIVERSE = 31
 
 SELECTION_SCHEMA = "selection/1"
 
@@ -151,13 +148,14 @@ def select_branch_and_bound(problem: SelectionProblem,
                             pruned_log: list | None = None) -> SelectionResult:
     """Same optimum and tie rule as the exhaustive search, with pruning.
 
-    The bound at a node replaces each task's current contribution with the
-    best gain still available among undecided candidates whenever that would
-    improve it; budget exhaustion collapses the bound to the node objective.
-    Nodes are pruned only when the bound is strictly below the incumbent, so
-    equal-objective solutions still surface for the lexicographic tie rule.
-    If pruned_log is a list, (depth, chosen_indices, bound) triples for every
-    pruned node are appended to it.
+    The search enumerates subsets in the exhaustive search's index order, so
+    its depth is at most the budget. Before a candidate ``j`` is added, the
+    bound replaces each task's current contribution with the best gain among
+    candidates ``j..`` whenever that would improve it. That bound only falls
+    as ``j`` grows, so the loop stops at the first ``j`` whose bound is
+    strictly below the incumbent; equal-objective solutions still surface for
+    the lexicographic tie rule. If pruned_log is a list, a (next index,
+    chosen_indices, bound) triple is appended to it at every such stop.
     """
     search = _Search(problem)
     m, n = search.m, problem.n_tasks
@@ -173,53 +171,39 @@ def select_branch_and_bound(problem: SelectionProblem,
                 row[t] = gains[t]
         best_remaining[i] = row
 
-    def node_bound(i: int) -> float:
-        if len(search.chosen) == search.top:
-            return search.objective()
-        remaining = best_remaining[i]
+    def node_bound(j: int) -> float:
         ub = list(search.cover)
-        for t in range(n):
+        for t, candidate in enumerate(best_remaining[j]):
             current = ub[t] if ub[t] is not None else 0.0
-            candidate = remaining[t]
             if candidate is not None and candidate > current:
                 ub[t] = candidate
         return float(sum(v for v in ub if v is not None))
 
     def dfs(i: int):
-        if search.best is not None:
-            bound = node_bound(i)
+        search.consider()
+        if len(search.chosen) == search.top:
+            return
+        for j in range(i, m):
+            bound = node_bound(j)
             if bound < search.best[0]:
                 if pruned_log is not None:
-                    pruned_log.append((i, tuple(search.chosen), bound))
+                    pruned_log.append((j, tuple(search.chosen), bound))
                 return
-        if i == m:
-            search.consider()
-            return
-        if len(search.chosen) < search.top:
-            undo = search.push(i)
-            dfs(i + 1)
+            undo = search.push(j)
+            dfs(j + 1)
             search.pop(undo)
-        dfs(i + 1)
 
     dfs(0)
     return search.result()
 
 
-def enumerate_candidate_groups(n_tasks: int, min_size: int = 2, max_size: int | None = None,
-                               fraction: float = 1.0, seed: int = 0):
-    """All groups with sizes in range, optionally a seeded uniform sample."""
+def enumerate_candidate_groups(n_tasks: int, min_size: int = 2, max_size: int | None = None):
+    """All groups with sizes in ``[min_size, max_size]``, smallest first."""
     max_size = n_tasks if max_size is None else max_size
     if not 2 <= min_size <= max_size <= n_tasks:
         raise ValueError(f"size range ({min_size}, {max_size}) invalid for {n_tasks} tasks")
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError("fraction must be in (0, 1]")
-    universe = [g for k in range(min_size, max_size + 1)
-                for g in combinations(range(n_tasks), k)]
-    if fraction >= 1.0:
-        return universe
-    count = max(1, round(fraction * len(universe)))
-    idx = stream(seed, _UNIVERSE).choice(len(universe), size=count, replace=False)
-    return [universe[i] for i in sorted(idx)]
+    return [g for k in range(min_size, max_size + 1)
+            for g in combinations(range(n_tasks), k)]
 
 
 def build_problem(predictor: EnsemblePredictor, matrix: AffinityMatrix,

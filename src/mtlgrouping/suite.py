@@ -11,12 +11,12 @@ for which tasks should help which under joint training.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .artifacts import check_schema, read_json, write_csv, write_json
+from .artifacts import check_schema, from_dict, read_json, write_csv, write_json
 from .seeding import stream
 
 SPLITS = ("train", "val", "test")
@@ -165,37 +165,6 @@ def generate_suite(spec: TaskSuiteSpec) -> TaskSuite:
     return TaskSuite(spec=spec, datasets=datasets, task_weights=weights)
 
 
-def spec_to_dict(spec: TaskSuiteSpec) -> dict:
-    return {
-        "n_tasks": spec.n_tasks,
-        "input_dim": spec.input_dim,
-        "n_clusters": spec.n_clusters,
-        "within_cluster_similarity": spec.within_cluster_similarity,
-        "label_noise_std": spec.label_noise_std,
-        "samples_per_split": list(spec.samples_per_split),
-        "seed": spec.seed,
-        "cluster_assignment": (
-            None if spec.cluster_assignment is None else list(spec.cluster_assignment)
-        ),
-        "task_type": spec.task_type,
-    }
-
-
-def spec_from_dict(data: dict) -> TaskSuiteSpec:
-    assignment = data.get("cluster_assignment")
-    return TaskSuiteSpec(
-        n_tasks=int(data["n_tasks"]),
-        input_dim=int(data["input_dim"]),
-        n_clusters=int(data["n_clusters"]),
-        within_cluster_similarity=float(data["within_cluster_similarity"]),
-        label_noise_std=float(data["label_noise_std"]),
-        samples_per_split=tuple(int(s) for s in data["samples_per_split"]),
-        seed=int(data["seed"]),
-        cluster_assignment=None if assignment is None else tuple(int(c) for c in assignment),
-        task_type=data.get("task_type", "regression"),
-    )
-
-
 def save_suite(suite: TaskSuite, directory) -> None:
     """Write one CSV per task plus a JSON sidecar with the generating spec."""
     directory = Path(directory)
@@ -207,7 +176,7 @@ def save_suite(suite: TaskSuite, directory) -> None:
             for row, target, split in zip(ds.features, ds.targets, ds.split)))
     write_json(directory / "spec.json", {
         "schema": SUITE_SCHEMA,
-        "spec": spec_to_dict(suite.spec),
+        "spec": asdict(suite.spec),
         "task_weights": [[float(v) for v in w] for w in suite.task_weights],
     })
 
@@ -216,7 +185,7 @@ def load_suite(directory) -> TaskSuite:
     directory = Path(directory)
     sidecar = read_json(directory / "spec.json")
     check_schema(sidecar, SUITE_SCHEMA)
-    spec = spec_from_dict(sidecar["spec"])
+    spec = from_dict(TaskSuiteSpec, sidecar["spec"], "spec.")
     weights = np.asarray(sidecar["task_weights"], dtype=float)
     datasets: dict[int, TaskDataset] = {}
     for t in range(spec.n_tasks):

@@ -67,6 +67,14 @@ class TestSubcommands:
         assert override.split("=")[0] in err
         assert not out.exists()
 
+    def test_set_bare_word_is_a_string_and_fails(self, config_file, capsys):
+        path, out = config_file
+        assert main(["generate", "--config", str(path), "--set", "residual_enabled=no"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("stage config: ")
+        assert "'residual_enabled'" in err
+        assert not out.exists()
+
     def test_bad_config_reports_and_fails(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{\"nope\": 1}")

@@ -2,7 +2,7 @@ import json
 import re
 import shutil
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -75,6 +75,62 @@ class TestConfig:
         dotted = key if section is None else f"{section}.{key}"
         with pytest.raises(ValueError, match=f"unknown config key '{dotted}'"):
             config_from_dict(data)
+
+    @pytest.mark.parametrize("dotted, value", [
+        ("train.epochs", 60.5), ("residual_enabled", "no"), ("suite.seed", 1.5),
+        ("budgets", [2.7]), ("train.hidden_dims", [1.9]), ("group_sizes", [2]),
+        ("suite", 3), ("n_train_groups", True), ("train.learning_rate", "0.05"),
+    ])
+    def test_rejects_wrong_type(self, tmp_path, dotted, value):
+        data = config_to_dict(tiny_config(tmp_path / "x"))
+        *sections, key = dotted.split(".")
+        node = data
+        for section in sections:
+            node = node[section]
+        node[key] = value
+        with pytest.raises(ValueError, match=f"config key '{dotted}'"):
+            config_from_dict(data)
+
+    @pytest.mark.parametrize("section, key", [
+        (None, "n_train_groups"), ("suite", "n_tasks"), ("train", "epochs"),
+    ])
+    def test_rejects_missing_key(self, tmp_path, section, key):
+        data = config_to_dict(tiny_config(tmp_path / "x"))
+        del (data if section is None else data[section])[key]
+        dotted = key if section is None else f"{section}.{key}"
+        with pytest.raises(ValueError, match=f"missing config key '{dotted}'"):
+            config_from_dict(data)
+
+    def test_json_round_trip_keeps_every_field(self, tmp_path):
+        cfg = ExperimentConfig(
+            suite=TaskSuiteSpec(
+                n_tasks=5, input_dim=3, n_clusters=3, within_cluster_similarity=0.5,
+                label_noise_std=0.25, samples_per_split=(10, 6, 12), seed=17,
+                cluster_assignment=(2, 1, 0, 1, 2), task_type="classification"),
+            train=TrainConfig(learning_rate=0.125, momentum=0.5, epochs=3,
+                              batch_size=4, hidden_dims=(3, 2), seed=9),
+            n_train_groups=4,
+            n_heldout_groups=3,
+            group_sizes=(3, 4),
+            mapping_kind="affine",
+            residual_enabled=False,
+            budgets=(1, 3),
+            seeds=(5, 6, 7),
+            velocity_mode="zero",
+            output_dir=str(tmp_path / "elsewhere"),
+        )
+        for obj in (cfg, cfg.suite, cfg.train):
+            for f in fields(obj):
+                assert getattr(obj, f.name) != f.default, f.name
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+
+    def test_integer_float_stays_float(self, tmp_path):
+        data = config_to_dict(tiny_config(tmp_path / "x"))
+        data["train"]["learning_rate"] = 1
+        data["suite"]["within_cluster_similarity"] = 1
+        cfg = config_from_dict(data)
+        assert type(cfg.train.learning_rate) is float and cfg.train.learning_rate == 1.0
+        assert json.dumps(config_to_dict(cfg)["suite"]["within_cluster_similarity"]) == "1.0"
 
     def test_schema_checked_when_present(self, tmp_path):
         cfg = tiny_config(tmp_path / "x")

@@ -119,6 +119,18 @@ class TestBranchAndBound:
                 checked += 1
         assert checked > 0
 
+    @pytest.mark.parametrize("budget", [1, 2])
+    def test_full_ten_task_universe_matches_exhaustive(self, budget):
+        # 1,013 candidates: a search that recursed once per candidate overflowed the stack
+        rng = np.random.default_rng(12)
+        cands = [(g, {t: float(rng.normal(0.0, 0.2)) for t in g})
+                 for g in enumerate_candidate_groups(10)]
+        assert len(cands) == 1013
+        prob = problem(cands, 10, budget)
+        a = select_exhaustive(prob)
+        b = select_branch_and_bound(prob)
+        assert (b.objective, b.chosen, b.assignment) == (a.objective, a.chosen, a.assignment)
+
     def test_tie_breaking_lexicographic(self):
         # two disjoint pairs with identical gains: either alone is optimal at
         # budget 1, so the lexicographically smaller chosen list must win
@@ -200,13 +212,6 @@ class TestBuildProblem:
         prob = build_problem(predictor, matrix, [], budget=1)
         with pytest.raises(ValueError, match="no candidate"):
             select_exhaustive(prob)
-
-    def test_fraction_sampling(self):
-        full = enumerate_candidate_groups(6, 2, 6)
-        half = enumerate_candidate_groups(6, 2, 6, fraction=0.5, seed=3)
-        assert len(half) == round(0.5 * len(full))
-        assert set(half) <= set(full)
-        assert half == enumerate_candidate_groups(6, 2, 6, fraction=0.5, seed=3)
 
 
 class TestSerialization:

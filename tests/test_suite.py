@@ -1,14 +1,11 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
-from mtlgrouping.suite import (
-    TaskSuiteSpec,
-    generate_suite,
-    load_suite,
-    save_suite,
-    spec_from_dict,
-    spec_to_dict,
-)
+from mtlgrouping.artifacts import from_dict, read_json, write_json
+from mtlgrouping.suite import TaskSuiteSpec, generate_suite, load_suite, save_suite
 
 
 def small_spec(**overrides):
@@ -126,4 +123,16 @@ class TestRoundTrip:
 
     def test_spec_dict_round_trip(self):
         spec = small_spec(cluster_assignment=(0, 1, 0, 1, 0, 1))
-        assert spec_from_dict(spec_to_dict(spec)) == spec
+        assert from_dict(TaskSuiteSpec, json.loads(json.dumps(asdict(spec)))) == spec
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("sed", 3, "unknown config key 'spec.sed'"),
+        ("seed", 1.5, "config key 'spec.seed' must be int"),
+    ])
+    def test_load_rejects_bad_sidecar_spec(self, tmp_path, key, value, message):
+        save_suite(generate_suite(small_spec()), tmp_path / "suite")
+        sidecar = read_json(tmp_path / "suite" / "spec.json")
+        sidecar["spec"][key] = value
+        write_json(tmp_path / "suite" / "spec.json", sidecar)
+        with pytest.raises(ValueError, match=message):
+            load_suite(tmp_path / "suite")
