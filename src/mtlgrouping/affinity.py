@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import check_schema, read_json, write_csv
+from .artifacts import from_dict, read_json, to_json, write_csv
 
 LOSS_FLOOR = 1e-12
 
@@ -121,22 +121,27 @@ def group_affinity(matrix: AffinityMatrix, group) -> GroupAffinity:
     return GroupAffinity(group=group, scores=scores)
 
 
+@dataclass(frozen=True)
+class _FlatMatrix:
+    """The JSON layout of an affinity matrix: both matrices flattened row by row."""
+
+    n: int
+    values: np.ndarray
+    steps_used: tuple[int, ...]
+
+
 def matrix_to_dict(matrix: AffinityMatrix) -> dict:
-    return {
-        "schema": AFFINITY_SCHEMA,
-        "n": matrix.n,
-        "values": [float(v) for v in matrix.values.ravel()],
-        "steps_used": [int(v) for v in matrix.steps_used.ravel()],
-    }
+    flat = _FlatMatrix(matrix.n, matrix.values.ravel(), tuple(matrix.steps_used.ravel().tolist()))
+    return {"schema": AFFINITY_SCHEMA, **to_json(flat)}
 
 
 def matrix_from_dict(data: dict) -> AffinityMatrix:
-    check_schema(data, AFFINITY_SCHEMA)
-    n = int(data["n"])
-    return AffinityMatrix(
-        values=np.asarray(data["values"], dtype=float).reshape(n, n),
-        steps_used=np.asarray(data["steps_used"], dtype=int).reshape(n, n),
-    )
+    flat = from_dict(_FlatMatrix, data, schema=AFFINITY_SCHEMA)
+    n = flat.n
+    if n < 0 or len(flat.values) != n * n or len(flat.steps_used) != n * n:
+        raise ValueError(f"keys 'values' and 'steps_used' must hold n * n = {n * n} entries")
+    return AffinityMatrix(values=flat.values.reshape(n, n),
+                          steps_used=np.array(flat.steps_used, dtype=int).reshape(n, n))
 
 
 def load_matrix(path) -> AffinityMatrix:

@@ -1,4 +1,4 @@
-"""Artifact files: the one module that writes them, and the typed config reader.
+"""Artifact files: the one module that writes them, and the one typed JSON codec.
 
 A file is written to ``.<name>.<pid>.tmp`` beside its target and renamed over
 it only once the write finished, so a failed or killed stage leaves the old
@@ -6,13 +6,15 @@ file or none, never a truncated one. There is no fsync: this guards against a
 failing process, not against power loss. Keys are sorted, so equal data gives
 equal bytes.
 
-Config dataclasses are written with ``dataclasses.asdict`` and read back with
-``from_dict``, which takes every key, default and type from the dataclass.
+Dataclasses, config and artifacts alike, are written with ``to_json`` and read
+back with ``from_dict``, which takes every key, default and type from the
+dataclass and casts nothing.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 import types
@@ -20,6 +22,8 @@ import typing
 from contextlib import contextmanager
 from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
+
+import numpy as np
 
 
 @contextmanager
@@ -73,49 +77,111 @@ def check_schema(data: dict, schema: str) -> None:
         raise ValueError(f"unsupported schema {data.get('schema')!r}, expected {schema!r}")
 
 
-def from_dict(cls, data: dict, prefix: str = ""):
-    """Build dataclass ``cls`` from JSON data; every key is checked against its field.
+def to_json(value):
+    """``value`` as JSON data: dataclasses by field, str keys, tuples and arrays as lists."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {str(k): to_json(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [to_json(v) for v in value]
+    if is_dataclass(value):
+        return {f.name: to_json(getattr(value, f.name)) for f in fields(value)}
+    return value
+
+
+def from_dict(cls, data: dict, key: str = "", noun: str = "key", schema: str | None = None):
+    """Build dataclass ``cls`` from JSON data, checking every key against its field.
 
     A key is required exactly when its field has no default. ``int``, ``bool``
-    and ``str`` fields take exactly that JSON type; ``float`` fields also take
-    an integer. A tuple field takes a list of the right length, ``X | None``
-    takes ``null`` and a nested dataclass is read by the same rules. Errors
-    name the dotted key, starting with ``prefix``.
+    and ``str`` take exactly that JSON type, ``float`` also an integer, a
+    tuple a list of its length, ``X | None`` also null, ``dict[int, X]`` an
+    object keyed by decimals such as "0" or "10", ``np.ndarray`` a flat list
+    of numbers (read as float64), a dataclass an object; nothing is cast.
+    Errors name the dotted key as a ``noun``; ``schema`` must equal data's "schema".
     """
-    unknown = sorted(data.keys() - {f.name for f in fields(cls)})
-    if unknown:
-        raise ValueError("unknown config key " + ", ".join(repr(prefix + k) for k in unknown))
-    hints = typing.get_type_hints(cls)
-    values = {}
-    for f in fields(cls):
-        key = prefix + f.name
-        if f.name in data:
-            values[f.name] = _typed(hints[f.name], data[f.name], key)
-        elif f.default is MISSING and f.default_factory is MISSING:
-            raise ValueError(f"missing config key {key!r}")
-    return cls(**values)
+    if schema is not None:
+        check_schema(data, schema)
+        data = {k: v for k, v in data.items() if k != "schema"}
+    return _reader(cls, noun)(data, key)
 
 
-def _typed(tp, value, key: str):
+@functools.cache
+def _int_key(key: str) -> int | None:
+    """The int a decimal key such as "0" or "10" names, else None; a trace repeats its keys."""
+    return int(key) if key.isdecimal() and str(int(key)) == key else None
+
+
+@functools.cache
+def _reader(tp, noun: str):
+    """``read(value, key)`` for annotation ``tp``, built once, so reading makes no typing calls."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
+
+    def fail(value, key, expected):
+        raise ValueError(f"{noun} {key!r} must be {expected}, got {value!r}")
+
     if origin in (typing.Union, types.UnionType):  # X | None
-        if value is None:
-            return None
-        (tp,) = [a for a in args if a is not type(None)]
-        return _typed(tp, value, key)
+        read_inner = _reader(next(a for a in args if a is not type(None)), noun)
+        return lambda value, key: None if value is None else read_inner(value, key)
     if is_dataclass(tp):
-        if not isinstance(value, dict):
-            raise ValueError(f"config key {key!r} must be an object, got {value!r}")
-        return from_dict(tp, value, key + ".")
+        hints = typing.get_type_hints(tp)
+        readers = [(f.name, _reader(hints[f.name], noun),
+                    f.default is MISSING and f.default_factory is MISSING) for f in fields(tp)]
+        names = frozenset(name for name, _, _ in readers)
+
+        def read_object(value, key):
+            if not isinstance(value, dict):
+                fail(value, key, "an object")
+            prefix = key + "." if key else ""
+            extra = sorted(value.keys() - names)
+            if extra:
+                raise ValueError(f"unknown {noun} " + ", ".join(repr(prefix + k) for k in extra))
+            values = {}
+            for name, read, required in readers:
+                if name in value:
+                    values[name] = read(value[name], prefix + name)
+                elif required:
+                    raise ValueError(f"missing {noun} {prefix + name!r}")
+            return tp(**values)
+        return read_object
     if origin is tuple:
-        if not isinstance(value, (list, tuple)):
-            raise ValueError(f"config key {key!r} must be a list, got {value!r}")
-        items = args[:1] * len(value) if args[1:] == (...,) else args
-        if len(value) != len(items):
-            raise ValueError(f"config key {key!r} must be a list of {len(items)}, got {value!r}")
-        return tuple(_typed(t, v, key) for t, v in zip(items, value))
-    if tp is float and type(value) is int:
-        return float(value)
-    if type(value) is not tp:
-        raise ValueError(f"config key {key!r} must be {tp.__name__}, got {value!r}")
-    return value
+        variadic = args[1:] == (...,)
+        readers = [_reader(a, noun) for a in args[:1 if variadic else None]]
+
+        def read_tuple(value, key):
+            if not isinstance(value, (list, tuple)):
+                fail(value, key, "a list")
+            items = readers * len(value) if variadic else readers
+            if len(value) != len(items):
+                fail(value, key, f"a list of {len(items)}")
+            return tuple(read(v, key) for read, v in zip(items, value))
+        return read_tuple
+    if origin is dict:  # dict[int, X]
+        read_item = _reader(args[1], noun)
+
+        def read_dict(value, key):
+            if not isinstance(value, dict):
+                fail(value, key, "an object")
+            out = {}
+            for k, v in value.items():
+                n = _int_key(k)
+                if n is None:
+                    fail(k, f"{key}.{k}", "a decimal integer such as '0' or '10'")
+                out[n] = read_item(v, f"{key}.{k}")
+            return out
+        return read_dict
+    if tp is np.ndarray:
+        def read_array(value, key):
+            # a type test per element: a dtype test lets np.array([True, 1.5]) through
+            if type(value) is not list or not {int, float}.issuperset(map(type, value)):
+                fail(value, key, "a list of numbers")
+            return np.array(value, dtype=float)
+        return read_array
+
+    def read_scalar(value, key):
+        if type(value) is tp:
+            return value
+        if tp is float and type(value) is int:
+            return float(value)
+        fail(value, key, tp.__name__)
+    return read_scalar

@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .artifacts import read_jsonl, write_jsonl
+from .artifacts import from_dict, read_jsonl, to_json, write_jsonl
 from .seeding import stream
 
 # stream purposes
@@ -402,18 +402,8 @@ def train_stl(task: int, dataset, config: TrainConfig) -> TrainedModel:
 
 def save_trace(trace, path) -> None:
     """One JSON object per step: losses, shared gradients, incoming velocity."""
-    write_jsonl(path, ({
-        "step": st.step,
-        "losses": {str(t): float(v) for t, v in sorted(st.losses.items())},
-        "gradients": {str(t): [float(v) for v in g] for t, g in sorted(st.gradients.items())},
-        "velocity_in": [float(v) for v in st.velocity_in],
-    } for st in trace))
+    write_jsonl(path, map(to_json, trace))
 
 
 def load_trace(path) -> tuple[StepTrace, ...]:
-    return tuple(StepTrace(
-        step=int(rec["step"]),
-        losses={int(t): float(v) for t, v in rec["losses"].items()},
-        gradients={int(t): np.asarray(g, dtype=float) for t, g in rec["gradients"].items()},
-        velocity_in=np.asarray(rec["velocity_in"], dtype=float),
-    ) for rec in read_jsonl(path))
+    return tuple(from_dict(StepTrace, rec) for rec in read_jsonl(path))

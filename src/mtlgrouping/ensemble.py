@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import ridge
-from .artifacts import check_schema, read_json
+from .artifacts import from_dict, read_json
 from .affinity import AffinityMatrix, GroupAffinity, group_affinity
 from .ridge import CvConfig, RidgeModel
 from .splines import SplineSpec, affine_matrix, basis_matrix, fit_knots
@@ -52,6 +52,12 @@ class Stage1Model:
     z_lo: float
     z_hi: float
 
+    def __post_init__(self):
+        if self.mapping_kind not in MAPPING_KINDS:
+            raise ValueError(f"mapping_kind {self.mapping_kind!r} is not one of {MAPPING_KINDS}")
+        if (self.spline is None) != (self.mapping_kind == "affine"):
+            raise ValueError("spline must be null exactly when mapping_kind is 'affine'")
+
     def design(self, zs) -> np.ndarray:
         zs = np.clip(np.asarray(zs, dtype=float).ravel(), self.z_lo, self.z_hi)
         if self.mapping_kind == "affine":
@@ -82,10 +88,6 @@ def encode_group(group, n_tasks: int) -> np.ndarray:
             raise ValueError(f"task {t} outside 0..{n_tasks - 1}")
         bits[t] = 1.0
     return bits
-
-
-def decode_group(bits) -> tuple[int, ...]:
-    return tuple(int(i) for i in np.flatnonzero(np.asarray(bits) != 0))
 
 
 def build_training_pairs(records, matrix: AffinityMatrix) -> list[TrainingPair]:
@@ -238,52 +240,5 @@ def predict_from_matrix(predictor: EnsemblePredictor, group,
     return predict(predictor, group, group_affinity(matrix, group))
 
 
-def predictor_to_dict(predictor: EnsemblePredictor) -> dict:
-    s1 = predictor.stage1
-    return {
-        "schema": PREDICTOR_SCHEMA,
-        "n_tasks": predictor.n_tasks,
-        "residual_enabled": predictor.residual_enabled,
-        "stage1": {
-            "mapping_kind": s1.mapping_kind,
-            "model": ridge.model_to_dict(s1.model),
-            "spline": (
-                None if s1.spline is None
-                else {"degree": s1.spline.degree, "knots": list(s1.spline.knots)}
-            ),
-            "z_lo": s1.z_lo,
-            "z_hi": s1.z_hi,
-        },
-        "residual_models": {
-            str(t): ridge.model_to_dict(m)
-            for t, m in sorted(predictor.residual_models.items())
-        },
-    }
-
-
-def predictor_from_dict(data: dict) -> EnsemblePredictor:
-    check_schema(data, PREDICTOR_SCHEMA)
-    s1 = data["stage1"]
-    spline = None
-    if s1["spline"] is not None:
-        spline = SplineSpec(degree=int(s1["spline"]["degree"]),
-                            knots=tuple(float(k) for k in s1["spline"]["knots"]))
-    stage1 = Stage1Model(
-        mapping_kind=s1["mapping_kind"],
-        model=ridge.model_from_dict(s1["model"]),
-        spline=spline,
-        z_lo=float(s1["z_lo"]),
-        z_hi=float(s1["z_hi"]),
-    )
-    return EnsemblePredictor(
-        stage1=stage1,
-        residual_models={
-            int(t): ridge.model_from_dict(m) for t, m in data["residual_models"].items()
-        },
-        residual_enabled=bool(data["residual_enabled"]),
-        n_tasks=int(data["n_tasks"]),
-    )
-
-
 def load_predictor(path) -> EnsemblePredictor:
-    return predictor_from_dict(read_json(path))
+    return from_dict(EnsemblePredictor, read_json(path), schema=PREDICTOR_SCHEMA)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from . import ensemble as ens
 from . import gains as gn
 from . import metrics as met
 from . import selector as sel
-from .artifacts import from_dict, read_json, write_json, writing
+from .artifacts import check_schema, from_dict, read_json, to_json, write_json, writing
 from .engine import TrainConfig, load_trace, save_trace, train_mtl
 from .ridge import CvConfig
 from .seeding import stream
@@ -87,7 +87,7 @@ class ExperimentConfig:
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    return {"schema": CONFIG_SCHEMA, **asdict(config)}
+    return {"schema": CONFIG_SCHEMA, **to_json(config)}
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -95,7 +95,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     schema = data.get("schema", CONFIG_SCHEMA)
     if schema != CONFIG_SCHEMA:
         raise ValueError(f"config schema must be {CONFIG_SCHEMA!r}, got {schema!r}")
-    return from_dict(ExperimentConfig, {k: v for k, v in data.items() if k != "schema"})
+    return from_dict(ExperimentConfig, {k: v for k, v in data.items() if k != "schema"},
+                     noun="config key")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -188,6 +189,7 @@ def stage_oracle(config: ExperimentConfig, out: Path) -> None:
 def stage_fit(config: ExperimentConfig, out: Path) -> None:
     for rd, seed in zip(run_dirs(config, out), config.seeds):
         groups = read_json(rd / "groups.json")
+        check_schema(groups, "groups/1")
         train_set = {tuple(g) for g in groups["train"]}
         heldout_set = {tuple(g) for g in groups["heldout"]}
         if train_set & heldout_set:
@@ -200,7 +202,7 @@ def stage_fit(config: ExperimentConfig, out: Path) -> None:
             residual_enabled=config.residual_enabled,
             cv=CvConfig(seed=seed),
         )
-        write_json(rd / "predictor.json", ens.predictor_to_dict(predictor))
+        write_json(rd / "predictor.json", {"schema": ens.PREDICTOR_SCHEMA, **to_json(predictor)})
 
 
 def _heldout_points(predictor, matrix, records):
@@ -217,11 +219,6 @@ def _heldout_points(predictor, matrix, records):
     return actual, final, stage1
 
 
-def _report_dict(report: met.EvalReport) -> dict:
-    return {"r2": report.r2, "pearson": report.pearson,
-            "mse": report.mse, "n_points": report.n_points}
-
-
 def stage_evaluate(config: ExperimentConfig, out: Path) -> None:
     for rd, _ in zip(run_dirs(config, out), config.seeds):
         predictor = ens.load_predictor(rd / "predictor.json")
@@ -230,8 +227,8 @@ def stage_evaluate(config: ExperimentConfig, out: Path) -> None:
         actual, final, stage1 = _heldout_points(predictor, matrix, records)
         write_json(rd / "eval.json", {
             "schema": "eval/1",
-            "final": _report_dict(met.evaluate(actual, final)),
-            "stage1": _report_dict(met.evaluate(actual, stage1)),
+            "final": to_json(met.evaluate(actual, final)),
+            "stage1": to_json(met.evaluate(actual, stage1)),
         })
 
 
@@ -248,7 +245,8 @@ def stage_select(config: ExperimentConfig, out: Path) -> None:
         for budget in config.budgets:
             problem = sel.build_problem(predictor, matrix, candidates, budget)
             result = sel.select_branch_and_bound(problem)
-            write_json(rd / f"selection_B{budget}.json", sel.result_to_dict(result))
+            write_json(rd / f"selection_B{budget}.json",
+                       {"schema": sel.SELECTION_SCHEMA, **to_json(result)})
             with writing(rd / f"selection_B{budget}.txt") as fh:
                 fh.write(sel.format_selection_table(result))
 
@@ -344,6 +342,7 @@ def stage_report(config: ExperimentConfig, out: Path) -> dict:
              "stage1": {"r2": [], "pearson": [], "mse": []}}
     for rd, _ in zip(run_dirs(config, out), config.seeds):
         data = read_json(rd / "eval.json")
+        check_schema(data, "eval/1")
         for kind in ("final", "stage1"):
             for metric in ("r2", "pearson", "mse"):
                 evals[kind][metric].append(data[kind][metric])

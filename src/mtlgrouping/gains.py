@@ -13,7 +13,7 @@ from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
-from .artifacts import read_jsonl, write_csv, write_jsonl
+from .artifacts import from_dict, read_jsonl, to_json, write_csv, write_jsonl
 from .engine import TrainConfig, TrainedModel, train_mtl, train_stl
 from .seeding import stream
 
@@ -133,32 +133,12 @@ def sample_training_groups(n_tasks: int, count: int, size_range=(2, None), seed:
     return [universe[i] for i in sorted(idx)]
 
 
-def record_to_dict(record: GainRecord) -> dict:
-    return {
-        "group": list(record.group),
-        "gains": {str(t): float(v) for t, v in sorted(record.gains.items())},
-        "stl_losses": {str(t): float(v) for t, v in sorted(record.stl_losses.items())},
-        "mtl_losses": {str(t): float(v) for t, v in sorted(record.mtl_losses.items())},
-        "seed": record.seed,
-    }
-
-
-def record_from_dict(data: dict) -> GainRecord:
-    return GainRecord(
-        group=tuple(int(t) for t in data["group"]),
-        gains={int(t): float(v) for t, v in data["gains"].items()},
-        stl_losses={int(t): float(v) for t, v in data["stl_losses"].items()},
-        mtl_losses={int(t): float(v) for t, v in data["mtl_losses"].items()},
-        seed=int(data["seed"]),
-    )
-
-
 def save_records(records, path) -> None:
-    write_jsonl(path, (record_to_dict(rec) for rec in records))
+    write_jsonl(path, map(to_json, records))
 
 
 def load_records(path) -> list[GainRecord]:
-    return [record_from_dict(data) for data in read_jsonl(path)]
+    return [from_dict(GainRecord, data) for data in read_jsonl(path)]
 
 
 def records_to_csv(records, path) -> None:

@@ -179,18 +179,3 @@ def fit_cv(X, y, cv: CvConfig | None = None):
     final = fit(X, y, best_lam)
     return final, best_lam, cv_mse
 
-
-def model_to_dict(model: RidgeModel) -> dict:
-    return {
-        "coefficients": [float(c) for c in model.coefficients],
-        "intercept": float(model.intercept),
-        "lam": float(model.lam),
-    }
-
-
-def model_from_dict(data: dict) -> RidgeModel:
-    return RidgeModel(
-        coefficients=np.asarray(data["coefficients"], dtype=float),
-        intercept=float(data["intercept"]),
-        lam=float(data["lam"]),
-    )

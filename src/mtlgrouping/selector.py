@@ -16,7 +16,7 @@ from itertools import combinations
 from math import comb
 
 from .affinity import AffinityMatrix
-from .artifacts import check_schema
+from .artifacts import from_dict
 from .ensemble import EnsemblePredictor, predict_from_matrix
 
 MAX_EXHAUSTIVE_COMBINATIONS = 10_000_000
@@ -220,28 +220,8 @@ def build_problem(predictor: EnsemblePredictor, matrix: AffinityMatrix,
     )
 
 
-def result_to_dict(result: SelectionResult) -> dict:
-    return {
-        "schema": SELECTION_SCHEMA,
-        "chosen": [list(g) for g in result.chosen],
-        "objective": float(result.objective),
-        "assignment": {
-            str(t): (None if g is None else list(g))
-            for t, g in sorted(result.assignment.items())
-        },
-    }
-
-
 def result_from_dict(data: dict) -> SelectionResult:
-    check_schema(data, SELECTION_SCHEMA)
-    return SelectionResult(
-        chosen=tuple(tuple(int(t) for t in g) for g in data["chosen"]),
-        objective=float(data["objective"]),
-        assignment={
-            int(t): (None if g is None else tuple(int(x) for x in g))
-            for t, g in data["assignment"].items()
-        },
-    )
+    return from_dict(SelectionResult, data, schema=SELECTION_SCHEMA)
 
 
 def format_selection_table(result: SelectionResult) -> str:

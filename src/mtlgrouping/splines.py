@@ -125,11 +125,6 @@ def basis_expand(z: float, spec: SplineSpec) -> np.ndarray:
     return basis_matrix([z], spec)[0]
 
 
-def affine_expand(z: float) -> np.ndarray:
-    """Two-feature expansion (1, z) for the affine mapping variant."""
-    return np.array([1.0, float(z)])
-
-
 def affine_matrix(zs) -> np.ndarray:
     """Design matrix for the affine mapping: columns (1, z)."""
     zs = np.asarray(zs, dtype=float).ravel()

@@ -11,12 +11,12 @@ for which tasks should help which under joint training.
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .artifacts import check_schema, from_dict, read_json, write_csv, write_json
+from .artifacts import check_schema, from_dict, read_json, to_json, write_csv, write_json
 from .seeding import stream
 
 SPLITS = ("train", "val", "test")
@@ -176,8 +176,8 @@ def save_suite(suite: TaskSuite, directory) -> None:
             for row, target, split in zip(ds.features, ds.targets, ds.split)))
     write_json(directory / "spec.json", {
         "schema": SUITE_SCHEMA,
-        "spec": asdict(suite.spec),
-        "task_weights": [[float(v) for v in w] for w in suite.task_weights],
+        "spec": to_json(suite.spec),
+        "task_weights": to_json(suite.task_weights),
     })
 
 
@@ -185,7 +185,7 @@ def load_suite(directory) -> TaskSuite:
     directory = Path(directory)
     sidecar = read_json(directory / "spec.json")
     check_schema(sidecar, SUITE_SCHEMA)
-    spec = from_dict(TaskSuiteSpec, sidecar["spec"], "spec.")
+    spec = from_dict(TaskSuiteSpec, sidecar["spec"], "spec", noun="config key")
     weights = np.asarray(sidecar["task_weights"], dtype=float)
     datasets: dict[int, TaskDataset] = {}
     for t in range(spec.n_tasks):

@@ -258,6 +258,20 @@ class TestSerialization:
         assert data["n"] == 2
         assert matrix_from_dict(data).n == 2
 
+    @pytest.mark.parametrize("key, value, match", [
+        ("n", 2.0, "key 'n' must be int, got 2.0"),
+        ("values", ["1.0", 0.0, 0.0, 1.0], "key 'values' must be a list of numbers"),
+        ("steps_used", [240, 240.5, 240, 240], "key 'steps_used' must be int, got 240.5"),
+        ("values", [1.0, 0.0, 1.0], r"must hold n \* n = 4 entries"),
+    ])
+    def test_wrong_type_rejected(self, tmp_path, key, value, match):
+        mat = AffinityMatrix(values=np.eye(2), steps_used=np.full((2, 2), 240))
+        data = matrix_to_dict(mat)
+        data[key] = value
+        write_json(tmp_path / "affinity.json", data)
+        with pytest.raises(ValueError, match=match):
+            load_matrix(tmp_path / "affinity.json")
+
     def test_csv_header_row(self, tmp_path):
         mat = AffinityMatrix(values=np.eye(3), steps_used=np.ones((3, 3), dtype=int))
         path = tmp_path / "affinity.csv"

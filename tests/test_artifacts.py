@@ -1,4 +1,6 @@
+import json
 import re
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -6,8 +8,20 @@ import pytest
 
 import mtlgrouping
 from mtlgrouping.affinity import AffinityMatrix, load_matrix, matrix_to_dict
-from mtlgrouping.artifacts import read_json, read_jsonl, write_json, write_jsonl
-from mtlgrouping.selector import SelectionResult, result_from_dict, result_to_dict
+from mtlgrouping.artifacts import (
+    from_dict,
+    read_json,
+    read_jsonl,
+    to_json,
+    write_json,
+    write_jsonl,
+)
+from mtlgrouping.engine import StepTrace, load_trace, save_trace
+from mtlgrouping.ensemble import PREDICTOR_SCHEMA, EnsemblePredictor, Stage1Model, load_predictor
+from mtlgrouping.gains import GainRecord, load_records, save_records
+from mtlgrouping.ridge import RidgeModel
+from mtlgrouping.selector import SELECTION_SCHEMA, SelectionResult, result_from_dict
+from mtlgrouping.splines import fit_knots
 from mtlgrouping.suite import TaskSuiteSpec, generate_suite, load_suite, save_suite
 
 PACKAGE = Path(mtlgrouping.__file__).parent
@@ -40,7 +54,7 @@ def _affinity(directory):
 
 def _selection(directory):
     result = SelectionResult(chosen=((0, 1),), objective=0.5, assignment={0: (0, 1), 1: (0, 1)})
-    write_json(directory / "selection.json", result_to_dict(result))
+    write_json(directory / "selection.json", {"schema": SELECTION_SCHEMA, **to_json(result)})
     return directory / "selection.json", lambda path: result_from_dict(read_json(path))
 
 
@@ -67,6 +81,134 @@ def test_wrong_schema_rejected(tmp_path, make, schema, wrong):
     write_json(path, data)
     with pytest.raises(ValueError, match=f"unsupported schema {wrong!r}, expected '{schema}'"):
         load(path)
+
+
+def _gains(directory):
+    record = GainRecord(group=(0, 2), gains={0: 0.1, 2: -0.05}, stl_losses={0: 1.0, 2: 2.0},
+                        mtl_losses={0: 0.9, 2: 2.1}, seed=3)
+    save_records([record], directory / "gains.jsonl")
+    return directory / "gains.jsonl", load_records
+
+
+def _trace(directory):
+    step = StepTrace(step=0, losses={0: 1.0, 1: 2.0},
+                     gradients={0: np.array([0.5, -0.5]), 1: np.array([0.25, 0.0])},
+                     velocity_in=np.array([0.0, 0.1]))
+    save_trace([step], directory / "trace.jsonl")
+    return directory / "trace.jsonl", load_trace
+
+
+def _predictor(directory):
+    model = RidgeModel(coefficients=np.array([0.5, 2.0]), intercept=0.1, lam=0.1)
+    stage1 = Stage1Model(mapping_kind="affine", model=model, spline=None, z_lo=-1.0, z_hi=1.0)
+    predictor = EnsemblePredictor(stage1=stage1, residual_models={1: model},
+                                  residual_enabled=True, n_tasks=2)
+    write_json(directory / "predictor.json", {"schema": PREDICTOR_SCHEMA, **to_json(predictor)})
+    return directory / "predictor.json", load_predictor
+
+
+def _set(data, dotted, value):
+    *parents, last = dotted.split(".")
+    for key in parents:
+        data = data[key]
+    data[last] = value
+
+
+@pytest.mark.parametrize("make, dotted, value, match", [
+    (_selection, "chosen", [[0, 1.7]], "key 'chosen' must be int, got 1.7"),
+    (_selection, "objective", "0.5", "key 'objective' must be float, got '0.5'"),
+    (_selection, "assignment.0", [0, True], "key 'assignment.0' must be int, got True"),
+    (_gains, "gains.0", "0.1", "key 'gains.0' must be float, got '0.1'"),
+    (_gains, "seed", 3.0, "key 'seed' must be int, got 3.0"),
+    (_gains, "gains", {"01": 0.1, "2": -0.05},
+     "key 'gains.01' must be a decimal integer such as '0' or '10', got '01'"),
+    (_gains, "mtl_losses", {"x": 0.9, "2": 2.1}, "key 'mtl_losses.x' must be a decimal integer"),
+    (_trace, "velocity_in", [0.0, "0.1"], "key 'velocity_in' must be a list of numbers"),
+    (_trace, "velocity_in", [True, 0.1], "key 'velocity_in' must be a list of numbers"),
+    (_trace, "gradients.1", [[0.25], [0.0]], "key 'gradients.1' must be a list of numbers"),
+    (_trace, "gradients.1", None, "key 'gradients.1' must be a list of numbers"),
+    (_trace, "losses", {"0": 1.0, "-1": 2.0}, "key 'losses.-1' must be a decimal integer"),
+    (_predictor, "stage1.model.lam", "0.1", "key 'stage1.model.lam' must be float, got '0.1'"),
+    (_predictor, "residual_models.1.coefficients", [0.5, None],
+     "key 'residual_models.1.coefficients' must be a list of numbers"),
+    (_predictor, "n_tasks", 2.0, "key 'n_tasks' must be int, got 2.0"),
+    (_predictor, "residual_enabled", 1, "key 'residual_enabled' must be bool, got 1"),
+], ids=lambda v: v.__name__.strip("_") if callable(v) else None)
+def test_wrong_type_rejected(tmp_path, make, dotted, value, match):
+    path, load = make(tmp_path)
+    load(path)
+    if path.suffix == ".jsonl":
+        (data,) = read_jsonl(path)
+        _set(data, dotted, value)
+        write_jsonl(path, [data])
+    else:
+        data = read_json(path)
+        _set(data, dotted, value)
+        write_json(path, data)
+    with pytest.raises(ValueError, match=re.escape(match)):
+        load(path)
+
+
+def _assert_same(got, want):
+    """Equal values of equal types all the way down, with arrays as float64."""
+    assert type(got) is type(want)
+    if is_dataclass(want):
+        for f in fields(want):
+            _assert_same(getattr(got, f.name), getattr(want, f.name))
+    elif isinstance(want, dict):
+        assert sorted(got) == sorted(want)
+        for k in want:
+            _assert_same(got[k], want[k])
+    elif isinstance(want, tuple):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            _assert_same(a, b)
+    elif isinstance(want, np.ndarray):
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+    else:
+        assert got == want
+
+
+def _twelve_task_artifacts():
+    rng = np.random.default_rng(12)
+    tasks = range(12)
+    spline = fit_knots(np.linspace(-1.0, 1.0, 30), degree=3, interior_knot_count=2)
+    stage1 = Stage1Model(
+        mapping_kind="spline", spline=spline, z_lo=-1.0, z_hi=1.0,
+        model=RidgeModel(rng.standard_normal(spline.basis_count), intercept=0.25, lam=0.1))
+    return [
+        GainRecord(group=(0, 2, 10, 11), gains={t: 0.1 * t - 0.3 for t in (0, 2, 10, 11)},
+                   stl_losses={t: 1.0 + t for t in (0, 2, 10, 11)},
+                   mtl_losses={t: 0.5 + t for t in (0, 2, 10, 11)}, seed=7),
+        StepTrace(step=239, losses={t: float(rng.random()) for t in tasks},
+                  gradients={t: rng.standard_normal(9) for t in tasks},
+                  velocity_in=rng.standard_normal(9)),
+        EnsemblePredictor(stage1=stage1, residual_enabled=True, n_tasks=12, residual_models={
+            t: RidgeModel(rng.standard_normal(12), intercept=-0.5, lam=1.0) for t in (0, 10, 11)}),
+        SelectionResult(chosen=((0, 10), (2, 3, 11)), objective=1.5,
+                        assignment={t: (0, 10) if t in (0, 10) else (2, 3, 11)
+                                    if t in (2, 3, 11) else None for t in tasks}),
+    ]
+
+
+@pytest.mark.parametrize("value", _twelve_task_artifacts(), ids=lambda v: type(v).__name__)
+def test_twelve_task_round_trip(value):
+    data = json.loads(json.dumps(to_json(value), sort_keys=True))
+    assert data == to_json(value)
+    _assert_same(from_dict(type(value), data), value)
+
+
+# a codec function; the artifact dataclasses go through to_json and from_dict instead
+_CODEC_DEF = re.compile(r"^\s*def (\w+_(?:to|from)_dict)\(", re.MULTILINE)
+_CODECS_KEPT = {"config_to_dict", "config_from_dict", "matrix_to_dict", "matrix_from_dict",
+                "result_from_dict"}
+
+
+def test_no_hand_written_codecs():
+    defined = sorted(
+        f"{path.name}:{name}" for path in PACKAGE.glob("*.py")
+        for name in _CODEC_DEF.findall(path.read_text()) if name not in _CODECS_KEPT)
+    assert defined == []
 
 
 def test_only_artifacts_module_writes_files():

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from mtlgrouping import ridge
-from mtlgrouping.artifacts import write_json
+from mtlgrouping.artifacts import to_json, write_json
 from mtlgrouping.affinity import AffinityMatrix, group_affinity
 from mtlgrouping.ensemble import (
+    PREDICTOR_SCHEMA,
     TrainingPair,
     build_training_pairs,
-    decode_group,
     encode_group,
     fit_predictor,
     fit_residual,
@@ -16,8 +16,6 @@ from mtlgrouping.ensemble import (
     predict,
     predict_from_matrix,
     predict_stage1,
-    predictor_from_dict,
-    predictor_to_dict,
 )
 from mtlgrouping.gains import GainRecord
 from mtlgrouping.ridge import CvConfig
@@ -60,7 +58,6 @@ class TestMultiHot:
     def test_encode_decode_identity(self):
         bits = encode_group((1, 3), 5)
         assert np.array_equal(bits, [0.0, 1.0, 0.0, 1.0, 0.0])
-        assert decode_group(bits) == (1, 3)
         assert int(bits.sum()) == 2
 
     def test_out_of_range(self):
@@ -313,20 +310,38 @@ class TestSerialization:
         records = random_records(rng, 5, 12, matrix)
         predictor = fit_predictor(records, matrix, 5, cv=CvConfig(seed=27))
         path = tmp_path / "predictor.json"
-        write_json(path, predictor_to_dict(predictor))
+        write_json(path, {"schema": PREDICTOR_SCHEMA, **to_json(predictor)})
         loaded = load_predictor(path)
         for group in ((0, 1), (2, 3, 4), (0, 1, 2, 3, 4)):
             a = predict_from_matrix(predictor, group, matrix)
             b = predict_from_matrix(loaded, group, matrix)
             assert a == b
 
-    def test_schema_checked(self):
+    def test_schema_checked(self, tmp_path):
         rng = np.random.default_rng(28)
         matrix = random_matrix(rng, 4)
         records = random_records(rng, 4, 8, matrix)
         predictor = fit_predictor(records, matrix, 4, cv=CvConfig(seed=29))
-        data = predictor_to_dict(predictor)
+        data = {"schema": PREDICTOR_SCHEMA, **to_json(predictor)}
         assert data["schema"] == "predictor/1"
         data["schema"] = "predictor/999"
+        write_json(tmp_path / "predictor.json", data)
         with pytest.raises(ValueError, match="schema"):
-            predictor_from_dict(data)
+            load_predictor(tmp_path / "predictor.json")
+
+    @pytest.mark.parametrize("mapping_kind, residual, stage1, match", [
+        ("spline", True, {"mapping_kind": "cubic"}, "mapping_kind 'cubic' is not one of"),
+        ("spline", False, {"spline": None}, "spline must be null exactly when"),
+        ("affine", True, {"mapping_kind": "spline"}, "spline must be null exactly when"),
+    ])
+    def test_inconsistent_stage1_rejected(self, tmp_path, mapping_kind, residual, stage1, match):
+        rng = np.random.default_rng(30)
+        matrix = random_matrix(rng, 4)
+        records = random_records(rng, 4, 8, matrix)
+        predictor = fit_predictor(records, matrix, 4, mapping_kind=mapping_kind,
+                                  residual_enabled=residual, cv=CvConfig(seed=31))
+        data = {"schema": PREDICTOR_SCHEMA, **to_json(predictor)}
+        data["stage1"].update(stage1)
+        write_json(tmp_path / "predictor.json", data)
+        with pytest.raises(ValueError, match=match):
+            load_predictor(tmp_path / "predictor.json")

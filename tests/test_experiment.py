@@ -289,6 +289,22 @@ class TestStageErrors:
                                              + re.escape(str(copy / missing))):
             run_stage(stage, cfg, copy)
 
+    @pytest.mark.parametrize("stage, name, schema", [
+        ("fit", "groups.json", "groups/1"), ("report", "eval.json", "eval/1"),
+    ])
+    def test_wrong_schema_names_stage(self, finished, tmp_path, stage, name, schema):
+        cfg, out, _, _ = finished
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        path = run_dirs(cfg, copy)[1] / name
+        data = json.loads(path.read_text())
+        assert data["schema"] == schema
+        data["schema"] = "other/1"
+        path.write_text(json.dumps(data))
+        with pytest.raises(StageError, match=f"stage {stage}: unsupported schema 'other/1', "
+                                             f"expected '{schema}'"):
+            run_stage(stage, cfg, copy)
+
     @pytest.mark.parametrize("stage", ["train-affinity", "oracle", "report"])
     def test_suite_from_other_spec_rejected(self, tmp_path, stage):
         out = tmp_path / "respec"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mtlgrouping import gains
+from mtlgrouping.artifacts import from_dict, to_json
 from mtlgrouping.engine import TrainConfig, TrainingDiverged, train_stl
 from mtlgrouping.gains import (
     GainRecord,
@@ -11,8 +12,6 @@ from mtlgrouping.gains import (
     load_records,
     measure_gain,
     measure_gains_batch,
-    record_from_dict,
-    record_to_dict,
     records_to_csv,
     relative_gain,
     sample_training_groups,
@@ -185,7 +184,7 @@ class TestSerialization:
 
     def test_dict_round_trip(self):
         rec = self.record()
-        assert record_from_dict(record_to_dict(rec)) == rec
+        assert from_dict(GainRecord, to_json(rec)) == rec
 
     def test_jsonl_round_trip(self, tmp_path):
         records = [self.record(), GainRecord(group=(1, 2, 3),
@@ -209,9 +208,9 @@ class TestSerialization:
             converted.append(rec)
             if len(converted) == 2:
                 raise RuntimeError("interrupted")
-            return record_to_dict(rec)
+            return to_json(rec)
 
-        monkeypatch.setattr(gains, "record_to_dict", fail_on_second)
+        monkeypatch.setattr(gains, "to_json", fail_on_second)
         with pytest.raises(RuntimeError, match="interrupted"):
             save_records([other, self.record()], path)
         assert path.read_bytes() == before

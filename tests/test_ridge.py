@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mtlgrouping import ridge
+from mtlgrouping.artifacts import from_dict, to_json
 from mtlgrouping.ensemble import encode_group
 from mtlgrouping.ridge import CvConfig, SingularFitError
 from mtlgrouping.seeding import stream
@@ -271,7 +272,7 @@ class TestMatchesPerFitOracle:
 class TestSerialization:
     def test_round_trip(self):
         model = ridge.fit([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 2.0, 3.5], 0.05)
-        back = ridge.model_from_dict(ridge.model_to_dict(model))
+        back = from_dict(ridge.RidgeModel, to_json(model))
         assert np.array_equal(back.coefficients, model.coefficients)
         assert back.intercept == model.intercept
         assert back.lam == model.lam

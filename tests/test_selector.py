@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from mtlgrouping.artifacts import write_json
+from mtlgrouping.artifacts import to_json, write_json
 from mtlgrouping.ensemble import fit_predictor
 from mtlgrouping.ridge import CvConfig
 from mtlgrouping.selector import (
@@ -11,8 +11,8 @@ from mtlgrouping.selector import (
     build_problem,
     enumerate_candidate_groups,
     format_selection_table,
+    SELECTION_SCHEMA,
     result_from_dict,
-    result_to_dict,
     select_branch_and_bound,
     select_exhaustive,
     selection_objective,
@@ -218,7 +218,7 @@ class TestSerialization:
     def test_round_trip(self, tmp_path):
         cands = [((0, 1), {0: 0.1, 1: 0.2}), ((1, 2), {1: 0.0, 2: 0.3})]
         result = select_exhaustive(problem(cands, 3, 2))
-        data = result_to_dict(result)
+        data = {"schema": SELECTION_SCHEMA, **to_json(result)}
         assert data["schema"] == "selection/1"
         back = result_from_dict(data)
         assert back == result

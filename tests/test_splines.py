@@ -3,7 +3,6 @@ import pytest
 
 from mtlgrouping.splines import (
     SplineSpec,
-    affine_expand,
     affine_matrix,
     basis_expand,
     basis_matrix,
@@ -113,8 +112,8 @@ class TestBasisExpand:
 
 class TestAffine:
     def test_values(self):
-        assert np.array_equal(affine_expand(0.0), [1.0, 0.0])
-        assert np.array_equal(affine_expand(-1.5), [1.0, -1.5])
+        assert np.array_equal(affine_matrix([0.0])[0], [1.0, 0.0])
+        assert np.array_equal(affine_matrix([-1.5])[0], [1.0, -1.5])
 
     def test_matrix(self):
         got = affine_matrix([1.0, 2.0, 3.0])

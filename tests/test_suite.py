@@ -1,10 +1,9 @@
 import json
-from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from mtlgrouping.artifacts import from_dict, read_json, write_json
+from mtlgrouping.artifacts import from_dict, read_json, to_json, write_json
 from mtlgrouping.suite import TaskSuiteSpec, generate_suite, load_suite, save_suite
 
 
@@ -123,7 +122,7 @@ class TestRoundTrip:
 
     def test_spec_dict_round_trip(self):
         spec = small_spec(cluster_assignment=(0, 1, 0, 1, 0, 1))
-        assert from_dict(TaskSuiteSpec, json.loads(json.dumps(asdict(spec)))) == spec
+        assert from_dict(TaskSuiteSpec, json.loads(json.dumps(to_json(spec)))) == spec
 
     @pytest.mark.parametrize("key, value, message", [
         ("sed", 3, "unknown config key 'spec.sed'"),
