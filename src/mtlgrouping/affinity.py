@@ -13,16 +13,15 @@ are skipped rather than poisoning the mean.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .artifacts import from_dict, read_json, to_json, write_csv
+from .artifacts import load, save, write_csv
 
 LOSS_FLOOR = 1e-12
 
 VELOCITY_MODES = ("joint", "zero")
-
-AFFINITY_SCHEMA = "affinity/1"
 
 
 @dataclass(frozen=True)
@@ -125,27 +124,28 @@ def group_affinity(matrix: AffinityMatrix, group) -> GroupAffinity:
 class _FlatMatrix:
     """The JSON layout of an affinity matrix: both matrices flattened row by row."""
 
+    SCHEMA: ClassVar[str] = "affinity/1"
+
     n: int
     values: np.ndarray
     steps_used: tuple[int, ...]
 
+    def __post_init__(self):
+        n = self.n
+        if n < 0 or len(self.values) != n * n or len(self.steps_used) != n * n:
+            raise ValueError(f"keys 'values' and 'steps_used' must hold n * n = {n * n} entries")
 
-def matrix_to_dict(matrix: AffinityMatrix) -> dict:
-    flat = _FlatMatrix(matrix.n, matrix.values.ravel(), tuple(matrix.steps_used.ravel().tolist()))
-    return {"schema": AFFINITY_SCHEMA, **to_json(flat)}
 
-
-def matrix_from_dict(data: dict) -> AffinityMatrix:
-    flat = from_dict(_FlatMatrix, data, schema=AFFINITY_SCHEMA)
-    n = flat.n
-    if n < 0 or len(flat.values) != n * n or len(flat.steps_used) != n * n:
-        raise ValueError(f"keys 'values' and 'steps_used' must hold n * n = {n * n} entries")
-    return AffinityMatrix(values=flat.values.reshape(n, n),
-                          steps_used=np.array(flat.steps_used, dtype=int).reshape(n, n))
+def save_matrix(matrix: AffinityMatrix, path) -> None:
+    save(path, _FlatMatrix(matrix.n, matrix.values.ravel(),
+                           tuple(matrix.steps_used.ravel().tolist())))
 
 
 def load_matrix(path) -> AffinityMatrix:
-    return matrix_from_dict(read_json(path))
+    flat = load(path, _FlatMatrix)
+    n = flat.n
+    return AffinityMatrix(values=flat.values.reshape(n, n),
+                          steps_used=np.array(flat.steps_used, dtype=int).reshape(n, n))
 
 
 def matrix_to_csv(matrix: AffinityMatrix, path) -> None:

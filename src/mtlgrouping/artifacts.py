@@ -8,7 +8,9 @@ equal bytes.
 
 Dataclasses, config and artifacts alike, are written with ``to_json`` and read
 back with ``from_dict``, which takes every key, default and type from the
-dataclass and casts nothing.
+dataclass and casts nothing. A dataclass with a ``SCHEMA`` class attribute is
+written with a "schema" key holding it and read back only if that key equals
+it; ``save`` and ``load`` are the file form of that pair.
 """
 
 from __future__ import annotations
@@ -72,13 +74,18 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def check_schema(data: dict, schema: str) -> None:
-    if data.get("schema") != schema:
-        raise ValueError(f"unsupported schema {data.get('schema')!r}, expected {schema!r}")
+def save(path, obj) -> None:
+    """Write dataclass ``obj`` as one JSON document."""
+    write_json(path, to_json(obj))
+
+
+def load(path, cls):
+    """Read the JSON document at ``path`` as dataclass ``cls``."""
+    return from_dict(cls, read_json(path))
 
 
 def to_json(value):
-    """``value`` as JSON data: dataclasses by field, str keys, tuples and arrays as lists."""
+    """``value`` as JSON data: dataclasses by field and schema, tuples and arrays as lists."""
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, dict):
@@ -86,24 +93,26 @@ def to_json(value):
     if isinstance(value, (tuple, list)):
         return [to_json(v) for v in value]
     if is_dataclass(value):
-        return {f.name: to_json(getattr(value, f.name)) for f in fields(value)}
+        data = {f.name: to_json(getattr(value, f.name)) for f in fields(value)}
+        if hasattr(value, "SCHEMA"):
+            data["schema"] = value.SCHEMA
+        return data
     return value
 
 
-def from_dict(cls, data: dict, key: str = "", noun: str = "key", schema: str | None = None):
+def from_dict(cls, data: dict):
     """Build dataclass ``cls`` from JSON data, checking every key against its field.
 
     A key is required exactly when its field has no default. ``int``, ``bool``
     and ``str`` take exactly that JSON type, ``float`` also an integer, a
     tuple a list of its length, ``X | None`` also null, ``dict[int, X]`` an
     object keyed by decimals such as "0" or "10", ``np.ndarray`` a flat list
-    of numbers (read as float64), a dataclass an object; nothing is cast.
-    Errors name the dotted key as a ``noun``; ``schema`` must equal data's "schema".
+    of numbers (read as float64), a dataclass an object whose "schema" must
+    equal the class's ``SCHEMA`` if it has one; nothing is cast. Errors name
+    the dotted key as a "key", or as the ``NOUN`` of the nearest enclosing
+    dataclass that sets one.
     """
-    if schema is not None:
-        check_schema(data, schema)
-        data = {k: v for k, v in data.items() if k != "schema"}
-    return _reader(cls, noun)(data, key)
+    return _reader(cls, "key")(data, "")
 
 
 @functools.cache
@@ -116,6 +125,7 @@ def _int_key(key: str) -> int | None:
 def _reader(tp, noun: str):
     """``read(value, key)`` for annotation ``tp``, built once, so reading makes no typing calls."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
+    noun = getattr(tp, "NOUN", noun)  # config sections name theirs "config key"
 
     def fail(value, key, expected):
         raise ValueError(f"{noun} {key!r} must be {expected}, got {value!r}")
@@ -127,11 +137,14 @@ def _reader(tp, noun: str):
         hints = typing.get_type_hints(tp)
         readers = [(f.name, _reader(hints[f.name], noun),
                     f.default is MISSING and f.default_factory is MISSING) for f in fields(tp)]
-        names = frozenset(name for name, _, _ in readers)
+        schema = getattr(tp, "SCHEMA", None)
+        names = {name for name, _, _ in readers} | ({"schema"} if schema else set())
 
         def read_object(value, key):
             if not isinstance(value, dict):
                 fail(value, key, "an object")
+            if schema is not None and value.get("schema") != schema:
+                raise ValueError(f"unsupported schema {value.get('schema')!r}, expected {schema!r}")
             prefix = key + "." if key else ""
             extra = sorted(value.keys() - names)
             if extra:

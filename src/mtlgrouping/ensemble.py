@@ -14,11 +14,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
 from . import ridge
-from .artifacts import from_dict, read_json
+from .artifacts import load
 from .affinity import AffinityMatrix, GroupAffinity, group_affinity
 from .ridge import CvConfig, RidgeModel
 from .splines import SplineSpec, affine_matrix, basis_matrix, fit_knots
@@ -26,8 +27,6 @@ from .splines import SplineSpec, affine_matrix, basis_matrix, fit_knots
 MAPPING_KINDS = ("spline", "affine")
 
 DEFAULT_DEGREES = (2, 3, 4, 5, 6)
-
-PREDICTOR_SCHEMA = "predictor/1"
 
 MIN_RESIDUAL_GROUPS = 2  # tasks seen in fewer training groups predict residual 0
 
@@ -70,6 +69,8 @@ class Stage1Model:
 
 @dataclass(frozen=True)
 class EnsemblePredictor:
+    SCHEMA: ClassVar[str] = "predictor/1"
+
     stage1: Stage1Model
     residual_models: dict[int, RidgeModel]
     residual_enabled: bool
@@ -241,4 +242,4 @@ def predict_from_matrix(predictor: EnsemblePredictor, group,
 
 
 def load_predictor(path) -> EnsemblePredictor:
-    return from_dict(EnsemblePredictor, read_json(path), schema=PREDICTOR_SCHEMA)
+    return load(path, EnsemblePredictor)

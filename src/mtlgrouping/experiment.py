@@ -16,6 +16,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from . import ensemble as ens
 from . import gains as gn
 from . import metrics as met
 from . import selector as sel
-from .artifacts import check_schema, from_dict, read_json, to_json, write_json, writing
+from .artifacts import from_dict, load, read_json, save, write_json, writing
 from .engine import TrainConfig, load_trace, save_trace, train_mtl
 from .ridge import CvConfig
 from .seeding import stream
@@ -33,8 +34,6 @@ from .suite import TaskSuiteSpec, generate_suite, load_suite, save_suite
 OUTPUT_ROOT_ENV = "MTLGROUPING_OUTPUT_ROOT"
 
 _SPLIT_GROUPS = 40
-
-CONFIG_SCHEMA = "experiment-config/1"
 
 STAGES = ("generate", "train-affinity", "oracle", "fit", "evaluate", "select", "report")
 
@@ -54,6 +53,9 @@ class StageError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    SCHEMA: ClassVar[str] = "experiment-config/1"
+    NOUN: ClassVar[str] = "config key"
+
     suite: TaskSuiteSpec
     train: TrainConfig  # its seed field is replaced by each repeat seed
     n_train_groups: int
@@ -86,17 +88,29 @@ class ExperimentConfig:
         return lo, (self.suite.n_tasks if hi == 0 else hi)
 
 
-def config_to_dict(config: ExperimentConfig) -> dict:
-    return {"schema": CONFIG_SCHEMA, **to_json(config)}
+@dataclass(frozen=True)
+class RunGroups:
+    """``groups.json``: the training and held-out groups the oracle measured in one run."""
+
+    SCHEMA: ClassVar[str] = "groups/1"
+
+    train: tuple[tuple[int, ...], ...]
+    heldout: tuple[tuple[int, ...], ...]
+
+
+@dataclass(frozen=True)
+class RunEval:
+    """``eval.json``: held-out fit of one run's final and stage-1 predictions."""
+
+    SCHEMA: ClassVar[str] = "eval/1"
+
+    final: met.EvalReport
+    stage1: met.EvalReport
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Build a config with the typed reader; any schema but ``CONFIG_SCHEMA`` fails."""
-    schema = data.get("schema", CONFIG_SCHEMA)
-    if schema != CONFIG_SCHEMA:
-        raise ValueError(f"config schema must be {CONFIG_SCHEMA!r}, got {schema!r}")
-    return from_dict(ExperimentConfig, {k: v for k, v in data.items() if k != "schema"},
-                     noun="config key")
+    """Build a config with the typed reader; a missing schema reads as the current one."""
+    return from_dict(ExperimentConfig, {"schema": ExperimentConfig.SCHEMA, **data})
 
 
 def load_config(path) -> ExperimentConfig:
@@ -119,17 +133,15 @@ def _run_train_config(config: ExperimentConfig, seed: int) -> TrainConfig:
     return replace(config.train, seed=seed)
 
 
-def _mean_std(values) -> dict:
-    values = [float(v) for v in values]
-    mean = float(np.mean(values))
+def _mean_std(values: list[float]) -> dict:
     std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
-    return {"mean": mean, "std": std, "values": values}
+    return {"mean": float(np.mean(values)), "std": std, "values": values}
 
 
 # ---------------------------------------------------------------- stages
 
 def stage_generate(config: ExperimentConfig, out: Path) -> None:
-    write_json(out / "config.json", config_to_dict(config))
+    save(out / "config.json", config)
     save_suite(generate_suite(config.suite), out / "suite")
 
 
@@ -151,48 +163,37 @@ def stage_train_affinity(config: ExperimentConfig, out: Path) -> None:
         trace = load_trace(rd / "trace.jsonl")
         matrix = aff.pairwise_affinity(
             trace, tc.learning_rate, tc.momentum, velocity_mode=config.velocity_mode)
-        write_json(rd / "affinity.json", aff.matrix_to_dict(matrix))
+        aff.save_matrix(matrix, rd / "affinity.json")
         aff.matrix_to_csv(matrix, rd / "affinity.csv")
 
 
-def _sampled_groups(config: ExperimentConfig, seed: int):
+def _sampled_groups(config: ExperimentConfig, seed: int) -> RunGroups:
     lo, hi = config.resolved_sizes()
     count = config.n_train_groups + config.n_heldout_groups
     sampled = gn.sample_training_groups(
         config.suite.n_tasks, count, size_range=(lo, hi), seed=seed)
     perm = stream(seed, _SPLIT_GROUPS).permutation(count)
-    train = sorted(sampled[i] for i in perm[: config.n_train_groups])
-    heldout = sorted(sampled[i] for i in perm[config.n_train_groups:])
-    return train, heldout
+    return RunGroups(train=tuple(sorted(sampled[i] for i in perm[: config.n_train_groups])),
+                     heldout=tuple(sorted(sampled[i] for i in perm[config.n_train_groups:])))
 
 
 def stage_oracle(config: ExperimentConfig, out: Path) -> None:
     suite = _config_suite(config, out)
     for rd, seed in zip(run_dirs(config, out), config.seeds):
-        train_groups, heldout_groups = _sampled_groups(config, seed)
-        write_json(rd / "groups.json", {
-            "schema": "groups/1",
-            "train": [list(g) for g in train_groups],
-            "heldout": [list(g) for g in heldout_groups],
-        })
+        groups = _sampled_groups(config, seed)
+        save(rd / "groups.json", groups)
         tc = _run_train_config(config, seed)
         cache = gn.StlCache(suite)
-        for name, groups in (("train", train_groups), ("heldout", heldout_groups)):
-            result = gn.measure_gains_batch(groups, suite, tc, cache=cache)
-            if result.failures:
-                g, err = result.failures[0]
-                raise StageError("oracle", f"group {g} failed: {err}")
-            gn.save_records(result.records, rd / f"gains_{name}.jsonl")
-            gn.records_to_csv(result.records, rd / f"gains_{name}.csv")
+        for name in ("train", "heldout"):
+            records = gn.measure_gains_batch(getattr(groups, name), suite, tc, cache=cache)
+            gn.save_records(records, rd / f"gains_{name}.jsonl")
+            gn.records_to_csv(records, rd / f"gains_{name}.csv")
 
 
 def stage_fit(config: ExperimentConfig, out: Path) -> None:
     for rd, seed in zip(run_dirs(config, out), config.seeds):
-        groups = read_json(rd / "groups.json")
-        check_schema(groups, "groups/1")
-        train_set = {tuple(g) for g in groups["train"]}
-        heldout_set = {tuple(g) for g in groups["heldout"]}
-        if train_set & heldout_set:
+        groups = load(rd / "groups.json", RunGroups)
+        if set(groups.train) & set(groups.heldout):
             raise StageError("fit", "training and held-out groups overlap")
         matrix = aff.load_matrix(rd / "affinity.json")
         records = gn.load_records(rd / "gains_train.jsonl")
@@ -202,7 +203,7 @@ def stage_fit(config: ExperimentConfig, out: Path) -> None:
             residual_enabled=config.residual_enabled,
             cv=CvConfig(seed=seed),
         )
-        write_json(rd / "predictor.json", {"schema": ens.PREDICTOR_SCHEMA, **to_json(predictor)})
+        save(rd / "predictor.json", predictor)
 
 
 def _heldout_points(predictor, matrix, records):
@@ -225,11 +226,8 @@ def stage_evaluate(config: ExperimentConfig, out: Path) -> None:
         matrix = aff.load_matrix(rd / "affinity.json")
         records = gn.load_records(rd / "gains_heldout.jsonl")
         actual, final, stage1 = _heldout_points(predictor, matrix, records)
-        write_json(rd / "eval.json", {
-            "schema": "eval/1",
-            "final": to_json(met.evaluate(actual, final)),
-            "stage1": to_json(met.evaluate(actual, stage1)),
-        })
+        save(rd / "eval.json", RunEval(final=met.evaluate(actual, final),
+                                       stage1=met.evaluate(actual, stage1)))
 
 
 def _candidate_universe(config: ExperimentConfig):
@@ -245,8 +243,7 @@ def stage_select(config: ExperimentConfig, out: Path) -> None:
         for budget in config.budgets:
             problem = sel.build_problem(predictor, matrix, candidates, budget)
             result = sel.select_branch_and_bound(problem)
-            write_json(rd / f"selection_B{budget}.json",
-                       {"schema": sel.SELECTION_SCHEMA, **to_json(result)})
+            save(rd / f"selection_B{budget}.json", result)
             with writing(rd / f"selection_B{budget}.txt") as fh:
                 fh.write(sel.format_selection_table(result))
 
@@ -282,70 +279,54 @@ def stage_report(config: ExperimentConfig, out: Path) -> dict:
     suite = _config_suite(config, out)
     n = config.suite.n_tasks
     all_tasks = tuple(range(n))
-    candidates = list(_candidate_universe(config))
-    if all_tasks not in candidates:
-        candidates.append(all_tasks)  # the naive all-in-one baseline
+    universe = _candidate_universe(config)
+    # the naive all-in-one baseline is measured even when the universe caps group sizes
+    candidates = universe if all_tasks in universe else universe + [all_tasks]
     per_budget: dict[int, dict[str, list[float]]] = {
         b: {"selected": [], "naive": [], "optimal": []} for b in config.budgets}
     for rd, seed in zip(run_dirs(config, out), config.seeds):
         tc = _run_train_config(config, seed)
         cache = gn.StlCache(suite)
         measured = _oracle_records(rd, tc, cache)
-        result = gn.measure_gains_batch(
+        records = gn.measure_gains_batch(
             [g for g in candidates if g not in measured], suite, tc, cache=cache)
-        if result.failures:
-            g, err = result.failures[0]
-            raise StageError("report", f"group {g} failed: {err}")
-        measured.update((rec.group, rec) for rec in result.records)
-        records = [measured[g] for g in candidates]
-        gn.save_records(records, rd / "gains_candidates.jsonl")
-        mtl_by_group = {rec.group: rec.mtl_losses for rec in records}
-        stl_losses: dict[int, float] = {}
-        for rec in records:
-            stl_losses.update(rec.stl_losses)
-        if sorted(stl_losses) != list(range(n)):
-            raise StageError("report", "candidate universe does not cover every task")
-        naive = float(sum(mtl_by_group[all_tasks][t] for t in all_tasks))
-        stl_total = float(sum(stl_losses[t] for t in all_tasks))
+        measured.update((rec.group, rec) for rec in records)
+        gn.save_records([measured[g] for g in candidates], rd / "gains_candidates.jsonl")
+        mtl_by_group = {g: measured[g].mtl_losses for g in candidates}
+        # every task is in the all-task group, so the cache holds every baseline
+        stl_losses = {t: cache.get(t, tc).losses["test"][t] for t in all_tasks}
+        naive = sum(mtl_by_group[all_tasks][t] for t in all_tasks)
+        stl_total = sum(stl_losses[t] for t in all_tasks)
         # exhaustive-optimal grouping over the same universe the selector saw:
         # maximizing absolute loss reduction minimizes realized total loss
-        universe = set(_candidate_universe(config))
-        reduction_cands = [
-            (rec.group, {t: stl_losses[t] - rec.mtl_losses[t] for t in rec.group})
-            for rec in records if rec.group in universe
-        ]
+        reduction_cands = tuple(
+            (g, {t: stl_losses[t] - mtl_by_group[g][t] for t in g}) for g in universe)
         for budget in config.budgets:
-            selection = sel.result_from_dict(read_json(rd / f"selection_B{budget}.json"))
+            selection = load(rd / f"selection_B{budget}.json", sel.SelectionResult)
             selected = _realized_loss(selection.assignment, stl_losses, mtl_by_group)
-            optimal_problem = sel.SelectionProblem(
-                n_tasks=n,
-                candidates=tuple((g, dict(v)) for g, v in reduction_cands),
-                budget=budget,
-            )
-            optimal_sel = sel.select_exhaustive(optimal_problem)
+            optimal_sel = sel.select_exhaustive(
+                sel.SelectionProblem(n_tasks=n, candidates=reduction_cands, budget=budget))
             optimal = stl_total - optimal_sel.objective
             write_json(rd / f"realized_B{budget}.json", {
                 "schema": "realized/1",
                 "budget": budget,
-                "selected_total_test_loss": float(selected),
+                "selected_total_test_loss": selected,
                 "naive_total_test_loss": naive,
-                "optimal_total_test_loss": float(optimal),
+                "optimal_total_test_loss": optimal,
                 "stl_total_test_loss": stl_total,
                 "selected_chosen": [list(g) for g in selection.chosen],
                 "optimal_chosen": [list(g) for g in optimal_sel.chosen],
             })
-            per_budget[budget]["selected"].append(float(selected))
+            per_budget[budget]["selected"].append(selected)
             per_budget[budget]["naive"].append(naive)
-            per_budget[budget]["optimal"].append(float(optimal))
+            per_budget[budget]["optimal"].append(optimal)
 
-    evals = {"final": {"r2": [], "pearson": [], "mse": []},
-             "stage1": {"r2": [], "pearson": [], "mse": []}}
-    for rd, _ in zip(run_dirs(config, out), config.seeds):
-        data = read_json(rd / "eval.json")
-        check_schema(data, "eval/1")
-        for kind in ("final", "stage1"):
-            for metric in ("r2", "pearson", "mse"):
-                evals[kind][metric].append(data[kind][metric])
+    evals = {kind: {"r2": [], "pearson": [], "mse": []} for kind in ("final", "stage1")}
+    for rd in run_dirs(config, out):
+        run_eval = load(rd / "eval.json", RunEval)
+        for kind, metrics in evals.items():
+            for metric, values in metrics.items():
+                values.append(getattr(getattr(run_eval, kind), metric))
     report = {
         "schema": "report/1",
         "n_runs": len(config.seeds),

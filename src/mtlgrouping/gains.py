@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import NamedTuple
 
 from .artifacts import from_dict, read_jsonl, to_json, write_csv, write_jsonl
 from .engine import TrainConfig, TrainedModel, train_mtl, train_stl
@@ -31,16 +30,6 @@ class GainRecord:
     seed: int
 
 
-class GainFailure(NamedTuple):
-    group: tuple[int, ...]
-    error: str
-
-
-class BatchGains(NamedTuple):
-    records: list[GainRecord]
-    failures: list[GainFailure]
-
-
 def relative_gain(stl_loss: float, mtl_loss: float) -> float:
     """(stl - mtl) / stl; positive when joint training reduced the loss."""
     if stl_loss <= 0:
@@ -49,27 +38,17 @@ def relative_gain(stl_loss: float, mtl_loss: float) -> float:
 
 
 class StlCache:
-    """Single-task baselines for one suite, trained once per (task, config).
-
-    Training errors are cached too (a retry would fail identically) and
-    re-raised to every later caller of that key.
-    """
+    """Single-task baselines for one suite, trained once per (task, config)."""
 
     def __init__(self, suite):
         self._suite = suite
-        self._entries: dict = {}  # key -> TrainedModel | exception
+        self._entries: dict[tuple[int, TrainConfig], TrainedModel] = {}
 
     def get(self, task: int, config: TrainConfig) -> TrainedModel:
         key = (int(task), config)
         if key not in self._entries:
-            try:
-                self._entries[key] = train_stl(task, self._suite[task], config)
-            except Exception as exc:
-                self._entries[key] = exc
-        entry = self._entries[key]
-        if isinstance(entry, Exception):
-            raise entry
-        return entry
+            self._entries[key] = train_stl(task, self._suite[task], config)
+        return self._entries[key]
 
 
 def _normalize_group(group) -> tuple[int, ...]:
@@ -103,18 +82,18 @@ def measure_gain(group, suite, config: TrainConfig, cache: StlCache | None = Non
 
 
 def measure_gains_batch(groups, suite, config: TrainConfig,
-                        cache: StlCache | None = None) -> BatchGains:
-    """Measure many groups in input order; per-group errors are collected, not raised."""
+                        cache: StlCache | None = None) -> list[GainRecord]:
+    """Measure many groups in input order; the first group that fails stops the batch."""
     groups = [_normalize_group(g) for g in groups]
     if cache is None:
         cache = StlCache(suite)
-    records, failures = [], []
+    records = []
     for group in groups:
         try:
             records.append(measure_gain(group, suite, config, cache=cache))
-        except Exception as exc:  # collected per group
-            failures.append(GainFailure(group, str(exc)))
-    return BatchGains(records=records, failures=failures)
+        except Exception as exc:
+            raise RuntimeError(f"group {group} failed: {exc}") from exc
+    return records
 
 
 def sample_training_groups(n_tasks: int, count: int, size_range=(2, None), seed: int = 0):

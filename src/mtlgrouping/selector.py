@@ -14,14 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from typing import ClassVar
 
 from .affinity import AffinityMatrix
 from .artifacts import from_dict
 from .ensemble import EnsemblePredictor, predict_from_matrix
 
 MAX_EXHAUSTIVE_COMBINATIONS = 10_000_000
-
-SELECTION_SCHEMA = "selection/1"
 
 
 @dataclass(frozen=True)
@@ -51,6 +50,8 @@ class SelectionProblem:
 
 @dataclass(frozen=True)
 class SelectionResult:
+    SCHEMA: ClassVar[str] = "selection/1"
+
     chosen: tuple[tuple[int, ...], ...]  # sorted lexicographically
     objective: float
     assignment: dict[int, tuple[int, ...] | None]  # None marks single-task fallback
@@ -221,7 +222,7 @@ def build_problem(predictor: EnsemblePredictor, matrix: AffinityMatrix,
 
 
 def result_from_dict(data: dict) -> SelectionResult:
-    return from_dict(SelectionResult, data, schema=SELECTION_SCHEMA)
+    return from_dict(SelectionResult, data)
 
 
 def format_selection_table(result: SelectionResult) -> str:

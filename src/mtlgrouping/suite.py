@@ -13,10 +13,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
-from .artifacts import check_schema, from_dict, read_json, to_json, write_csv, write_json
+from .artifacts import load, save, write_csv
 from .seeding import stream
 
 SPLITS = ("train", "val", "test")
@@ -28,11 +29,11 @@ _WEIGHTS = 10
 _DELTA = 11
 _DATA = 12
 
-SUITE_SCHEMA = "suite/1"
-
 
 @dataclass(frozen=True)
 class TaskSuiteSpec:
+    NOUN: ClassVar[str] = "config key"
+
     n_tasks: int
     input_dim: int
     n_clusters: int
@@ -165,6 +166,21 @@ def generate_suite(spec: TaskSuiteSpec) -> TaskSuite:
     return TaskSuite(spec=spec, datasets=datasets, task_weights=weights)
 
 
+@dataclass(frozen=True)
+class _Sidecar:
+    """``spec.json``: the generating spec and the planted weights, one row per task."""
+
+    SCHEMA: ClassVar[str] = "suite/1"
+
+    spec: TaskSuiteSpec
+    task_weights: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        shape = (self.spec.n_tasks, self.spec.input_dim)
+        if len(self.task_weights) != shape[0] or any(w.size != shape[1] for w in self.task_weights):
+            raise ValueError(f"key 'task_weights' must hold {shape[0]} rows of {shape[1]} numbers")
+
+
 def save_suite(suite: TaskSuite, directory) -> None:
     """Write one CSV per task plus a JSON sidecar with the generating spec."""
     directory = Path(directory)
@@ -174,19 +190,13 @@ def save_suite(suite: TaskSuite, directory) -> None:
         write_csv(directory / f"task_{t}.csv", header, (
             [repr(float(v)) for v in row] + [repr(float(target)), split]
             for row, target, split in zip(ds.features, ds.targets, ds.split)))
-    write_json(directory / "spec.json", {
-        "schema": SUITE_SCHEMA,
-        "spec": to_json(suite.spec),
-        "task_weights": to_json(suite.task_weights),
-    })
+    save(directory / "spec.json", _Sidecar(suite.spec, tuple(suite.task_weights)))
 
 
 def load_suite(directory) -> TaskSuite:
     directory = Path(directory)
-    sidecar = read_json(directory / "spec.json")
-    check_schema(sidecar, SUITE_SCHEMA)
-    spec = from_dict(TaskSuiteSpec, sidecar["spec"], "spec", noun="config key")
-    weights = np.asarray(sidecar["task_weights"], dtype=float)
+    sidecar = load(directory / "spec.json", _Sidecar)
+    spec = sidecar.spec
     datasets: dict[int, TaskDataset] = {}
     for t in range(spec.n_tasks):
         features, targets, split = [], [], []
@@ -200,9 +210,9 @@ def load_suite(directory) -> TaskSuite:
                 targets.append(float(row[-2]))
                 split.append(row[-1])
         datasets[t] = TaskDataset(
-            features=np.asarray(features, dtype=float),
-            targets=np.asarray(targets, dtype=float),
+            features=np.array(features),
+            targets=np.array(targets),
             split=np.asarray(split, dtype="<U5"),
             task_type=spec.task_type,
         )
-    return TaskSuite(spec=spec, datasets=datasets, task_weights=weights)
+    return TaskSuite(spec=spec, datasets=datasets, task_weights=np.array(sidecar.task_weights))

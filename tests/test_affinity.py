@@ -5,13 +5,12 @@ from mtlgrouping.affinity import (
     AffinityMatrix,
     group_affinity,
     load_matrix,
-    matrix_from_dict,
     matrix_to_csv,
-    matrix_to_dict,
     pairwise_affinity,
+    save_matrix,
     step_affinity,
 )
-from mtlgrouping.artifacts import write_json
+from mtlgrouping.artifacts import read_json, write_json
 from mtlgrouping.engine import StepTrace
 
 from helpers import random_trace
@@ -246,17 +245,18 @@ class TestSerialization:
         rng = np.random.default_rng(9)
         mat = pairwise_affinity(random_trace(rng, 3, 4, 5), 0.1, 0.5)
         path = tmp_path / "affinity.json"
-        write_json(path, matrix_to_dict(mat))
+        save_matrix(mat, path)
         loaded = load_matrix(path)
         assert np.array_equal(loaded.values, mat.values)
         assert np.array_equal(loaded.steps_used, mat.steps_used)
 
-    def test_dict_schema(self):
+    def test_dict_schema(self, tmp_path):
         mat = AffinityMatrix(values=np.eye(2), steps_used=np.ones((2, 2), dtype=int))
-        data = matrix_to_dict(mat)
+        save_matrix(mat, tmp_path / "affinity.json")
+        data = read_json(tmp_path / "affinity.json")
         assert data["schema"] == "affinity/1"
         assert data["n"] == 2
-        assert matrix_from_dict(data).n == 2
+        assert load_matrix(tmp_path / "affinity.json").n == 2
 
     @pytest.mark.parametrize("key, value, match", [
         ("n", 2.0, "key 'n' must be int, got 2.0"),
@@ -266,7 +266,8 @@ class TestSerialization:
     ])
     def test_wrong_type_rejected(self, tmp_path, key, value, match):
         mat = AffinityMatrix(values=np.eye(2), steps_used=np.full((2, 2), 240))
-        data = matrix_to_dict(mat)
+        save_matrix(mat, tmp_path / "affinity.json")
+        data = read_json(tmp_path / "affinity.json")
         data[key] = value
         write_json(tmp_path / "affinity.json", data)
         with pytest.raises(ValueError, match=match):

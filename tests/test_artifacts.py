@@ -7,20 +7,24 @@ import numpy as np
 import pytest
 
 import mtlgrouping
-from mtlgrouping.affinity import AffinityMatrix, load_matrix, matrix_to_dict
+from mtlgrouping.affinity import AffinityMatrix, load_matrix, save_matrix
 from mtlgrouping.artifacts import (
     from_dict,
+    load,
     read_json,
     read_jsonl,
+    save,
     to_json,
     write_json,
     write_jsonl,
 )
 from mtlgrouping.engine import StepTrace, load_trace, save_trace
-from mtlgrouping.ensemble import PREDICTOR_SCHEMA, EnsemblePredictor, Stage1Model, load_predictor
+from mtlgrouping.ensemble import EnsemblePredictor, Stage1Model, load_predictor
+from mtlgrouping.experiment import RunEval, RunGroups
 from mtlgrouping.gains import GainRecord, load_records, save_records
+from mtlgrouping.metrics import EvalReport
 from mtlgrouping.ridge import RidgeModel
-from mtlgrouping.selector import SELECTION_SCHEMA, SelectionResult, result_from_dict
+from mtlgrouping.selector import SelectionResult, result_from_dict
 from mtlgrouping.splines import fit_knots
 from mtlgrouping.suite import TaskSuiteSpec, generate_suite, load_suite, save_suite
 
@@ -48,14 +52,25 @@ class TestWriting:
 
 def _affinity(directory):
     matrix = AffinityMatrix(values=np.eye(2), steps_used=np.ones((2, 2), dtype=int))
-    write_json(directory / "affinity.json", matrix_to_dict(matrix))
+    save_matrix(matrix, directory / "affinity.json")
     return directory / "affinity.json", load_matrix
 
 
 def _selection(directory):
     result = SelectionResult(chosen=((0, 1),), objective=0.5, assignment={0: (0, 1), 1: (0, 1)})
-    write_json(directory / "selection.json", {"schema": SELECTION_SCHEMA, **to_json(result)})
+    save(directory / "selection.json", result)
     return directory / "selection.json", lambda path: result_from_dict(read_json(path))
+
+
+def _groups(directory):
+    save(directory / "groups.json", RunGroups(train=((0, 1), (1, 2, 3)), heldout=((0, 2),)))
+    return directory / "groups.json", lambda path: load(path, RunGroups)
+
+
+def _eval(directory):
+    report = EvalReport(r2=0.5, pearson=0.75, mse=0.125, n_points=8)
+    save(directory / "eval.json", RunEval(final=report, stage1=report))
+    return directory / "eval.json", lambda path: load(path, RunEval)
 
 
 def _suite(directory):
@@ -65,9 +80,19 @@ def _suite(directory):
     return directory / "suite" / "spec.json", lambda path: load_suite(path.parent)
 
 
+def _predictor(directory):
+    model = RidgeModel(coefficients=np.array([0.5, 2.0]), intercept=0.1, lam=0.1)
+    stage1 = Stage1Model(mapping_kind="affine", model=model, spline=None, z_lo=-1.0, z_hi=1.0)
+    predictor = EnsemblePredictor(stage1=stage1, residual_models={1: model},
+                                  residual_enabled=True, n_tasks=2)
+    save(directory / "predictor.json", predictor)
+    return directory / "predictor.json", load_predictor
+
+
 @pytest.mark.parametrize("make, schema", [
     (_affinity, "affinity/1"), (_selection, "selection/1"), (_suite, "suite/1"),
-], ids=["affinity", "selection", "suite"])
+    (_groups, "groups/1"), (_eval, "eval/1"), (_predictor, "predictor/1"),
+], ids=["affinity", "selection", "suite", "groups", "eval", "predictor"])
 @pytest.mark.parametrize("wrong", ["other/1", None])
 def test_wrong_schema_rejected(tmp_path, make, schema, wrong):
     path, load = make(tmp_path)
@@ -96,15 +121,6 @@ def _trace(directory):
                      velocity_in=np.array([0.0, 0.1]))
     save_trace([step], directory / "trace.jsonl")
     return directory / "trace.jsonl", load_trace
-
-
-def _predictor(directory):
-    model = RidgeModel(coefficients=np.array([0.5, 2.0]), intercept=0.1, lam=0.1)
-    stage1 = Stage1Model(mapping_kind="affine", model=model, spline=None, z_lo=-1.0, z_hi=1.0)
-    predictor = EnsemblePredictor(stage1=stage1, residual_models={1: model},
-                                  residual_enabled=True, n_tasks=2)
-    write_json(directory / "predictor.json", {"schema": PREDICTOR_SCHEMA, **to_json(predictor)})
-    return directory / "predictor.json", load_predictor
 
 
 def _set(data, dotted, value):
@@ -200,8 +216,11 @@ def test_twelve_task_round_trip(value):
 
 # a codec function; the artifact dataclasses go through to_json and from_dict instead
 _CODEC_DEF = re.compile(r"^\s*def (\w+_(?:to|from)_dict)\(", re.MULTILINE)
-_CODECS_KEPT = {"config_to_dict", "config_from_dict", "matrix_to_dict", "matrix_from_dict",
-                "result_from_dict"}
+_CODECS_KEPT = {"config_from_dict", "result_from_dict"}
+
+# a schema constant, or a comparison with a schema value; a dataclass's SCHEMA is checked
+# by from_dict alone
+_SCHEMA_CHECK = re.compile(r"^\s*\w+_SCHEMA\s*[:=]|schema\W*[!=]=|[!=]=.*schema", re.IGNORECASE)
 
 
 def test_no_hand_written_codecs():
@@ -209,6 +228,23 @@ def test_no_hand_written_codecs():
         f"{path.name}:{name}" for path in PACKAGE.glob("*.py")
         for name in _CODEC_DEF.findall(path.read_text()) if name not in _CODECS_KEPT)
     assert defined == []
+    schema_checks = sorted(
+        f"{path.name}:{line.strip()}" for path in PACKAGE.glob("*.py") if path.name != "artifacts.py"
+        for line in path.read_text().splitlines() if _SCHEMA_CHECK.search(line))
+    assert schema_checks == []
+
+
+@pytest.mark.parametrize("line, checks", [
+    ('SUITE_SCHEMA = "suite/1"', True),
+    ("PREDICTOR_SCHEMA: str = 'predictor/1'", True),
+    ('if data.get("schema") != SCHEMA:', True),
+    ('if expected == data["schema"]:', True),
+    ('SCHEMA: ClassVar[str] = "suite/1"', False),
+    ('"schema": "realized/1",', False),
+    ('return from_dict(ExperimentConfig, {"schema": ExperimentConfig.SCHEMA, **data})', False),
+])
+def test_schema_check_pattern(line, checks):
+    assert bool(_SCHEMA_CHECK.search(line)) == checks
 
 
 def test_only_artifacts_module_writes_files():

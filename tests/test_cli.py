@@ -2,8 +2,8 @@ import json
 
 import pytest
 
+from mtlgrouping.artifacts import to_json
 from mtlgrouping.cli import main
-from mtlgrouping.experiment import config_to_dict
 
 from test_experiment import tiny_config
 
@@ -12,7 +12,7 @@ from test_experiment import tiny_config
 def config_file(tmp_path):
     cfg = tiny_config(tmp_path / "out", seeds=(0,))
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config_to_dict(cfg), indent=2))
+    path.write_text(json.dumps(to_json(cfg), indent=2))
     return path, tmp_path / "out"
 
 

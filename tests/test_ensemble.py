@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from mtlgrouping import ridge
-from mtlgrouping.artifacts import to_json, write_json
+from mtlgrouping.artifacts import save, to_json, write_json
 from mtlgrouping.affinity import AffinityMatrix, group_affinity
 from mtlgrouping.ensemble import (
-    PREDICTOR_SCHEMA,
     TrainingPair,
     build_training_pairs,
     encode_group,
@@ -310,7 +309,7 @@ class TestSerialization:
         records = random_records(rng, 5, 12, matrix)
         predictor = fit_predictor(records, matrix, 5, cv=CvConfig(seed=27))
         path = tmp_path / "predictor.json"
-        write_json(path, {"schema": PREDICTOR_SCHEMA, **to_json(predictor)})
+        save(path, predictor)
         loaded = load_predictor(path)
         for group in ((0, 1), (2, 3, 4), (0, 1, 2, 3, 4)):
             a = predict_from_matrix(predictor, group, matrix)
@@ -322,7 +321,7 @@ class TestSerialization:
         matrix = random_matrix(rng, 4)
         records = random_records(rng, 4, 8, matrix)
         predictor = fit_predictor(records, matrix, 4, cv=CvConfig(seed=29))
-        data = {"schema": PREDICTOR_SCHEMA, **to_json(predictor)}
+        data = to_json(predictor)
         assert data["schema"] == "predictor/1"
         data["schema"] = "predictor/999"
         write_json(tmp_path / "predictor.json", data)
@@ -340,7 +339,7 @@ class TestSerialization:
         records = random_records(rng, 4, 8, matrix)
         predictor = fit_predictor(records, matrix, 4, mapping_kind=mapping_kind,
                                   residual_enabled=residual, cv=CvConfig(seed=31))
-        data = {"schema": PREDICTOR_SCHEMA, **to_json(predictor)}
+        data = to_json(predictor)
         data["stage1"].update(stage1)
         write_json(tmp_path / "predictor.json", data)
         with pytest.raises(ValueError, match=match):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from mtlgrouping import gains as gn
+from mtlgrouping.artifacts import to_json
 from mtlgrouping.engine import TrainConfig
 from mtlgrouping.experiment import (
     STAGES,
@@ -15,7 +16,6 @@ from mtlgrouping.experiment import (
     StageError,
     compare_ablations,
     config_from_dict,
-    config_to_dict,
     load_config,
     reference_config,
     resolve_output_dir,
@@ -51,12 +51,12 @@ def all_artifacts(root: Path):
 class TestConfig:
     def test_dict_round_trip(self, tmp_path):
         cfg = tiny_config(tmp_path / "x", mapping_kind="affine", residual_enabled=False)
-        assert config_from_dict(config_to_dict(cfg)) == cfg
+        assert config_from_dict(to_json(cfg)) == cfg
 
     def test_load_from_file(self, tmp_path):
         cfg = tiny_config(tmp_path / "x")
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(config_to_dict(cfg)))
+        path.write_text(json.dumps(to_json(cfg)))
         assert load_config(path) == cfg
 
     def test_env_root_applies_to_relative_paths(self, tmp_path, monkeypatch):
@@ -70,7 +70,7 @@ class TestConfig:
         ("suite", "sed"), ("train", "epoch"),
     ])
     def test_rejects_unknown_key(self, tmp_path, section, key):
-        data = config_to_dict(tiny_config(tmp_path / "x"))
+        data = to_json(tiny_config(tmp_path / "x"))
         (data if section is None else data[section])[key] = 3
         dotted = key if section is None else f"{section}.{key}"
         with pytest.raises(ValueError, match=f"unknown config key '{dotted}'"):
@@ -82,7 +82,7 @@ class TestConfig:
         ("suite", 3), ("n_train_groups", True), ("train.learning_rate", "0.05"),
     ])
     def test_rejects_wrong_type(self, tmp_path, dotted, value):
-        data = config_to_dict(tiny_config(tmp_path / "x"))
+        data = to_json(tiny_config(tmp_path / "x"))
         *sections, key = dotted.split(".")
         node = data
         for section in sections:
@@ -95,7 +95,7 @@ class TestConfig:
         (None, "n_train_groups"), ("suite", "n_tasks"), ("train", "epochs"),
     ])
     def test_rejects_missing_key(self, tmp_path, section, key):
-        data = config_to_dict(tiny_config(tmp_path / "x"))
+        data = to_json(tiny_config(tmp_path / "x"))
         del (data if section is None else data[section])[key]
         dotted = key if section is None else f"{section}.{key}"
         with pytest.raises(ValueError, match=f"missing config key '{dotted}'"):
@@ -122,19 +122,19 @@ class TestConfig:
         for obj in (cfg, cfg.suite, cfg.train):
             for f in fields(obj):
                 assert getattr(obj, f.name) != f.default, f.name
-        assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+        assert config_from_dict(json.loads(json.dumps(to_json(cfg)))) == cfg
 
     def test_integer_float_stays_float(self, tmp_path):
-        data = config_to_dict(tiny_config(tmp_path / "x"))
+        data = to_json(tiny_config(tmp_path / "x"))
         data["train"]["learning_rate"] = 1
         data["suite"]["within_cluster_similarity"] = 1
         cfg = config_from_dict(data)
         assert type(cfg.train.learning_rate) is float and cfg.train.learning_rate == 1.0
-        assert json.dumps(config_to_dict(cfg)["suite"]["within_cluster_similarity"]) == "1.0"
+        assert json.dumps(to_json(cfg)["suite"]["within_cluster_similarity"]) == "1.0"
 
     def test_schema_checked_when_present(self, tmp_path):
         cfg = tiny_config(tmp_path / "x")
-        data = config_to_dict(cfg)
+        data = to_json(cfg)
         del data["schema"]
         assert config_from_dict(data) == cfg
         data["schema"] = "experiment-config/2"
@@ -305,6 +305,25 @@ class TestStageErrors:
                                              f"expected '{schema}'"):
             run_stage(stage, cfg, copy)
 
+    @pytest.mark.parametrize("stage, name, dotted, value, message", [
+        ("fit", "groups.json", "train", [[0, 1.7]], "key 'train' must be int, got 1.7"),
+        ("report", "eval.json", "final.r2", "0.5", "key 'final.r2' must be float, got '0.5'"),
+    ])
+    def test_wrong_type_names_stage(self, finished, tmp_path, stage, name, dotted, value, message):
+        cfg, out, _, _ = finished
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        path = run_dirs(cfg, copy)[1] / name
+        data = json.loads(path.read_text())
+        *parents, key = dotted.split(".")
+        node = data
+        for parent in parents:
+            node = node[parent]
+        node[key] = value
+        path.write_text(json.dumps(data))
+        with pytest.raises(StageError, match=f"stage {stage}: " + re.escape(message)):
+            run_stage(stage, cfg, copy)
+
     @pytest.mark.parametrize("stage", ["train-affinity", "oracle", "report"])
     def test_suite_from_other_spec_rejected(self, tmp_path, stage):
         out = tmp_path / "respec"
@@ -366,7 +385,7 @@ class TestReport:
         expected = tmp_path / "expected.jsonl"
         tc = replace(cfg.train, seed=cfg.seeds[0])
         gn.save_records(
-            gn.measure_gains_batch(candidates, load_suite(out / "suite"), tc).records, expected)
+            gn.measure_gains_batch(candidates, load_suite(out / "suite"), tc), expected)
         assert (rd / "gains_candidates.jsonl").read_bytes() == expected.read_bytes()
 
     def test_rejects_oracle_from_other_config(self, tmp_path):

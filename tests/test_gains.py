@@ -95,7 +95,6 @@ class TestMeasureGain:
 
 
 class TestStlCache:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_trains_each_key_once(self, monkeypatch):
         calls = []
 
@@ -113,40 +112,29 @@ class TestStlCache:
         cache.get(0, quick_config(seed=3))
         assert calls == [(0, config), (1, config), (0, quick_config(seed=3))]
 
-        diverging = quick_config(learning_rate=200.0, epochs=120, batch_size=1000)
-        with pytest.raises(TrainingDiverged) as first_error:
-            cache.get(2, diverging)
-        with pytest.raises(TrainingDiverged) as second_error:
-            cache.get(2, diverging)
-        assert second_error.value is first_error.value
-        assert calls.count((2, diverging)) == 1
-
 
 class TestMeasureGainsBatch:
     def test_duplicate_groups_identical_records(self):
         suite = small_suite()
-        result = measure_gains_batch([(0, 1), (0, 1)], suite, quick_config())
-        assert not result.failures
-        assert result.records[0] == result.records[1]
+        records = measure_gains_batch([(0, 1), (0, 1)], suite, quick_config())
+        assert records[0] == records[1]
 
     def test_empty_list(self):
-        result = measure_gains_batch([], small_suite(), quick_config())
-        assert result.records == [] and result.failures == []
+        assert measure_gains_batch([], small_suite(), quick_config()) == []
 
     def test_order_stable(self):
         suite = small_suite()
         groups = [(2, 3), (0, 1)]
-        result = measure_gains_batch(groups, suite, quick_config())
-        assert [r.group for r in result.records] == [(2, 3), (0, 1)]
+        records = measure_gains_batch(groups, suite, quick_config())
+        assert [r.group for r in records] == [(2, 3), (0, 1)]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_per_group_failure_collected(self):
+    def test_first_failure_raised(self):
         suite = small_suite()
         config = quick_config(learning_rate=200.0, epochs=120, batch_size=1000)
-        result = measure_gains_batch([(0, 1)], suite, config)
-        assert result.records == []
-        assert len(result.failures) == 1
-        assert result.failures[0].group == (0, 1)
+        with pytest.raises(RuntimeError, match=r"^group \(0, 1\) failed: ") as error:
+            measure_gains_batch([(0, 1), (2, 3)], suite, config)
+        assert isinstance(error.value.__cause__, TrainingDiverged)
 
 
 class TestSampleTrainingGroups:

@@ -11,7 +11,6 @@ from mtlgrouping.selector import (
     build_problem,
     enumerate_candidate_groups,
     format_selection_table,
-    SELECTION_SCHEMA,
     result_from_dict,
     select_branch_and_bound,
     select_exhaustive,
@@ -218,7 +217,7 @@ class TestSerialization:
     def test_round_trip(self, tmp_path):
         cands = [((0, 1), {0: 0.1, 1: 0.2}), ((1, 2), {1: 0.0, 2: 0.3})]
         result = select_exhaustive(problem(cands, 3, 2))
-        data = {"schema": SELECTION_SCHEMA, **to_json(result)}
+        data = to_json(result)
         assert data["schema"] == "selection/1"
         back = result_from_dict(data)
         assert back == result

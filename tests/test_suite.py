@@ -135,3 +135,16 @@ class TestRoundTrip:
         write_json(tmp_path / "suite" / "spec.json", sidecar)
         with pytest.raises(ValueError, match=message):
             load_suite(tmp_path / "suite")
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda w: [w[0][:-1] + ["0.5"]] + w[1:], "key 'task_weights' must be a list of numbers"),
+        (lambda w: w[:-1], "key 'task_weights' must hold 6 rows of 5 numbers"),
+        (lambda w: [row[:-1] for row in w], "key 'task_weights' must hold 6 rows of 5 numbers"),
+    ], ids=["string", "missing-row", "short-rows"])
+    def test_load_rejects_bad_task_weights(self, tmp_path, change, message):
+        save_suite(generate_suite(small_spec()), tmp_path / "suite")
+        sidecar = read_json(tmp_path / "suite" / "spec.json")
+        sidecar["task_weights"] = change(sidecar["task_weights"])
+        write_json(tmp_path / "suite" / "spec.json", sidecar)
+        with pytest.raises(ValueError, match=message):
+            load_suite(tmp_path / "suite")
