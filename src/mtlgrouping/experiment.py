@@ -77,11 +77,24 @@ class ExperimentConfig:
             raise ValueError(f"velocity_mode must be one of {aff.VELOCITY_MODES}")
         if not self.budgets or any(b < 1 for b in self.budgets):
             raise ValueError("budgets must be a non-empty list of integers >= 1")
+        if len(set(self.budgets)) != len(self.budgets):
+            raise ValueError("budgets must be distinct")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
-        lo, hi = self.resolved_sizes()
-        if not 2 <= lo <= hi <= self.suite.n_tasks:
-            raise ValueError(f"group size range ({lo}, {hi}) invalid for this suite")
+        # reject a run that cannot finish before any stage trains
+        universe = sel.count_candidate_groups(self.suite.n_tasks, *self.resolved_sizes())
+        if universe > sel.MAX_ENUMERATED_GROUPS:
+            raise ValueError(f"group_sizes allows {universe} groups, more than the "
+                             f"enumeration guard of {sel.MAX_ENUMERATED_GROUPS}")
+        wanted = self.n_train_groups + self.n_heldout_groups
+        if wanted > universe:
+            raise ValueError(f"n_train_groups + n_heldout_groups = {wanted} exceed the "
+                             f"{universe} groups that group_sizes allows")
+        subsets = sel.count_subsets(universe, max(self.budgets))
+        if subsets > sel.MAX_EXHAUSTIVE_COMBINATIONS:
+            raise ValueError(f"max(budgets) = {max(self.budgets)} makes report's exhaustive "
+                             f"optimum visit {subsets} subsets, more than the guard of "
+                             f"{sel.MAX_EXHAUSTIVE_COMBINATIONS}")
 
     def resolved_sizes(self) -> tuple[int, int]:
         lo, hi = self.group_sizes
@@ -168,10 +181,8 @@ def stage_train_affinity(config: ExperimentConfig, out: Path) -> None:
 
 
 def _sampled_groups(config: ExperimentConfig, seed: int) -> RunGroups:
-    lo, hi = config.resolved_sizes()
     count = config.n_train_groups + config.n_heldout_groups
-    sampled = gn.sample_training_groups(
-        config.suite.n_tasks, count, size_range=(lo, hi), seed=seed)
+    sampled = gn.sample_training_groups(config.suite.n_tasks, count, config.resolved_sizes(), seed)
     perm = stream(seed, _SPLIT_GROUPS).permutation(count)
     return RunGroups(train=tuple(sorted(sampled[i] for i in perm[: config.n_train_groups])),
                      heldout=tuple(sorted(sampled[i] for i in perm[config.n_train_groups:])))
@@ -231,8 +242,7 @@ def stage_evaluate(config: ExperimentConfig, out: Path) -> None:
 
 
 def _candidate_universe(config: ExperimentConfig):
-    lo, hi = config.resolved_sizes()
-    return sel.enumerate_candidate_groups(config.suite.n_tasks, min_size=lo, max_size=hi)
+    return sel.enumerate_candidate_groups(config.suite.n_tasks, *config.resolved_sizes())
 
 
 def stage_select(config: ExperimentConfig, out: Path) -> None:

@@ -9,16 +9,13 @@ use and cached per (task, config), so each single-task model trains once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
 
 from .artifacts import from_dict, read_jsonl, to_json, write_csv, write_jsonl
 from .engine import TrainConfig, TrainedModel, train_mtl, train_stl
 from .seeding import stream
+from .selector import enumerate_candidate_groups
 
 _SAMPLER = 30
-
-MAX_ENUMERATED_GROUPS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -98,17 +95,10 @@ def measure_gains_batch(groups, suite, config: TrainConfig,
 
 def sample_training_groups(n_tasks: int, count: int, size_range=(2, None), seed: int = 0):
     """Uniform sample without replacement over all groups with sizes in range."""
-    lo, hi = size_range
-    hi = n_tasks if hi is None else hi
-    if not 2 <= lo <= hi <= n_tasks:
-        raise ValueError(f"size range ({lo}, {hi}) invalid for {n_tasks} tasks")
-    total = sum(comb(n_tasks, k) for k in range(lo, hi + 1))
-    if total > MAX_ENUMERATED_GROUPS:
-        raise ValueError(f"{total} candidate groups exceed the enumeration guard")
-    if not 0 <= count <= total:
-        raise ValueError(f"cannot sample {count} of {total} distinct groups")
-    universe = [g for k in range(lo, hi + 1) for g in combinations(range(n_tasks), k)]
-    idx = stream(seed, _SAMPLER).choice(total, size=count, replace=False)
+    universe = enumerate_candidate_groups(n_tasks, *size_range)
+    if not 0 <= count <= len(universe):
+        raise ValueError(f"cannot sample {count} of {len(universe)} distinct groups")
+    idx = stream(seed, _SAMPLER).choice(len(universe), size=count, replace=False)
     return [universe[i] for i in sorted(idx)]
 
 

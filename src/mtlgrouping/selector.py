@@ -22,6 +22,8 @@ from .ensemble import EnsemblePredictor, predict_from_matrix
 
 MAX_EXHAUSTIVE_COMBINATIONS = 10_000_000
 
+MAX_ENUMERATED_GROUPS = 2_000_000
+
 
 @dataclass(frozen=True)
 class SelectionProblem:
@@ -125,10 +127,15 @@ class _Search:
         return _result(self.problem, [self.cands[i] for i in self.best[2]])
 
 
+def count_subsets(n_candidates: int, budget: int) -> int:
+    """How many subsets of at most ``budget`` candidates ``select_exhaustive`` visits."""
+    return sum(comb(n_candidates, k) for k in range(min(budget, n_candidates) + 1))
+
+
 def select_exhaustive(problem: SelectionProblem) -> SelectionResult:
     """Globally optimal selection by enumerating every subset within budget."""
     search = _Search(problem)
-    total = sum(comb(search.m, k) for k in range(0, search.top + 1))
+    total = count_subsets(search.m, problem.budget)
     if total > MAX_EXHAUSTIVE_COMBINATIONS:
         raise ValueError(f"{total} subsets exceed the exhaustive-search guard")
 
@@ -198,11 +205,20 @@ def select_branch_and_bound(problem: SelectionProblem,
     return search.result()
 
 
-def enumerate_candidate_groups(n_tasks: int, min_size: int = 2, max_size: int | None = None):
-    """All groups with sizes in ``[min_size, max_size]``, smallest first."""
+def count_candidate_groups(n_tasks: int, min_size: int = 2, max_size: int | None = None) -> int:
+    """How many groups ``enumerate_candidate_groups`` returns, counted without listing them."""
     max_size = n_tasks if max_size is None else max_size
     if not 2 <= min_size <= max_size <= n_tasks:
         raise ValueError(f"size range ({min_size}, {max_size}) invalid for {n_tasks} tasks")
+    return sum(comb(n_tasks, k) for k in range(min_size, max_size + 1))
+
+
+def enumerate_candidate_groups(n_tasks: int, min_size: int = 2, max_size: int | None = None):
+    """All groups with sizes in ``[min_size, max_size]``, smallest first."""
+    max_size = n_tasks if max_size is None else max_size
+    total = count_candidate_groups(n_tasks, min_size, max_size)
+    if total > MAX_ENUMERATED_GROUPS:
+        raise ValueError(f"{total} candidate groups exceed the enumeration guard")
     return [g for k in range(min_size, max_size + 1)
             for g in combinations(range(n_tasks), k)]
 

@@ -10,7 +10,6 @@ for which tasks should help which under joint training.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import ClassVar
@@ -194,25 +193,10 @@ def save_suite(suite: TaskSuite, directory) -> None:
 
 
 def load_suite(directory) -> TaskSuite:
-    directory = Path(directory)
-    sidecar = load(directory / "spec.json", _Sidecar)
-    spec = sidecar.spec
-    datasets: dict[int, TaskDataset] = {}
-    for t in range(spec.n_tasks):
-        features, targets, split = [], [], []
-        with open(directory / f"task_{t}.csv", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header[-2:] != ["target", "split"]:
-                raise ValueError(f"unexpected header in task_{t}.csv")
-            for row in reader:
-                features.append([float(v) for v in row[:-2]])
-                targets.append(float(row[-2]))
-                split.append(row[-1])
-        datasets[t] = TaskDataset(
-            features=np.array(features),
-            targets=np.array(targets),
-            split=np.asarray(split, dtype="<U5"),
-            task_type=spec.task_type,
-        )
-    return TaskSuite(spec=spec, datasets=datasets, task_weights=np.array(sidecar.task_weights))
+    """Rebuild the suite from ``spec.json``; the task CSVs are export-only and never read."""
+    sidecar = load(Path(directory) / "spec.json", _Sidecar)
+    suite = generate_suite(sidecar.spec)
+    if not np.array_equal(np.array(sidecar.task_weights), suite.task_weights):
+        raise ValueError(f"task_weights in {directory} differ from those regenerated from its "
+                         "spec; rerun generate")
+    return suite

@@ -264,3 +264,26 @@ def test_only_artifacts_module_writes_files():
 ])
 def test_write_pattern(line, writes):
     assert bool(_WRITE_CALL.search(line)) == writes
+
+
+# a CSV or text-table reader; the CSVs the package writes are export-only
+_TABLE_READ = re.compile(r"\bcsv\.(?:reader|DictReader)\(|\b(?:np|numpy)\.(?:loadtxt|genfromtxt)\(")
+
+
+def test_no_module_reads_csv():
+    readers = sorted(
+        path.name for path in PACKAGE.glob("*.py") if _TABLE_READ.search(path.read_text()))
+    assert readers == []
+
+
+@pytest.mark.parametrize("line, reads", [
+    ("reader = csv.reader(fh)", True),
+    ("for row in csv.DictReader(fh):", True),
+    ("data = np.loadtxt(path, delimiter=',')", True),
+    ("data = numpy.genfromtxt(path)", True),
+    ("writer = csv.writer(fh)", False),
+    ("write_csv(directory / f'task_{t}.csv', header, rows)", False),
+    ("np.savetxt(path, data)", False),
+])
+def test_read_pattern(line, reads):
+    assert bool(_TABLE_READ.search(line)) == reads

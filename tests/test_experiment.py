@@ -149,6 +149,36 @@ class TestConfig:
         with pytest.raises(ValueError, match="size range"):
             tiny_config(tmp_path, group_sizes=(2, 9))
 
+    def test_duplicate_budgets_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="^budgets must be distinct$"):
+            tiny_config(tmp_path, budgets=(2, 3, 2))
+        assert tiny_config(tmp_path, seeds=(0, 0)).seeds == (0, 0)
+
+    def test_more_groups_than_the_universe_rejected(self):
+        with pytest.raises(ValueError, match=r"^n_train_groups \+ n_heldout_groups = 65 exceed "
+                                             r"the 57 groups that group_sizes allows$"):
+            reference_config(n_train_groups=50)
+        assert reference_config(n_train_groups=42).n_train_groups == 42
+
+    @staticmethod
+    def ten_task_config(**overrides):
+        suite = replace(reference_config().suite, n_tasks=10, cluster_assignment=(0,) * 5 + (1,) * 5)
+        return reference_config(suite=suite, seeds=(0,), **overrides)
+
+    @pytest.mark.parametrize("budgets", [(3,), (1, 3)])
+    def test_exhaustive_optimum_over_guard_rejected(self, budgets):
+        with pytest.raises(ValueError, match=r"^max\(budgets\) = 3 makes report's exhaustive "
+                                             r"optimum visit 173252378 subsets, more than the guard of 10000000$"):
+            self.ten_task_config(budgets=budgets)
+        assert self.ten_task_config(budgets=(2,)).budgets == (2,)
+
+    def test_universe_over_enumeration_guard_rejected(self):
+        suite = replace(reference_config().suite, n_tasks=25, cluster_assignment=None)
+        with pytest.raises(ValueError, match="^group_sizes allows 33554406 groups, more than "
+                                             "the enumeration guard of 2000000$"):
+            reference_config(suite=suite)
+        assert reference_config(suite=suite, group_sizes=(2, 2)).resolved_sizes() == (2, 2)
+
 
 @pytest.fixture(scope="module")
 def finished(tmp_path_factory):
@@ -332,6 +362,16 @@ class TestStageErrors:
         other = replace(cfg, suite=replace(cfg.suite, seed=cfg.suite.seed + 1))
         with pytest.raises(StageError, match=f"stage {stage}: suite in .* another suite spec"):
             run_stage(stage, other, out)
+
+    def test_suite_weights_not_regenerated_rejected(self, tmp_path):
+        out = tmp_path / "weights"
+        cfg = tiny_config(out, seeds=(0,))
+        run_stage("generate", cfg, out)
+        sidecar = json.loads((out / "suite" / "spec.json").read_text())
+        sidecar["task_weights"][0][0] += 1.0
+        (out / "suite" / "spec.json").write_text(json.dumps(sidecar))
+        with pytest.raises(StageError, match="stage oracle: task_weights in .* rerun generate"):
+            run_stage("oracle", cfg, out)
 
     def test_overlapping_groups_rejected_at_fit(self, tmp_path):
         out = tmp_path / "overlap"

@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from mtlgrouping import gains
+from mtlgrouping import gains, selector
 from mtlgrouping.artifacts import from_dict, to_json
 from mtlgrouping.engine import TrainConfig, TrainingDiverged, train_stl
 from mtlgrouping.gains import (
@@ -162,6 +162,11 @@ class TestSampleTrainingGroups:
     def test_bad_range(self):
         with pytest.raises(ValueError, match="size range"):
             sample_training_groups(4, 1, size_range=(1, 4), seed=0)
+
+    def test_shares_the_selector_enumeration_guard(self, monkeypatch):
+        monkeypatch.setattr(selector, "MAX_ENUMERATED_GROUPS", 10)
+        with pytest.raises(ValueError, match="exceed the enumeration guard"):
+            sample_training_groups(6, 1, seed=0)
 
 
 class TestSerialization:

@@ -3,12 +3,15 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from mtlgrouping import selector
 from mtlgrouping.artifacts import to_json, write_json
 from mtlgrouping.ensemble import fit_predictor
 from mtlgrouping.ridge import CvConfig
 from mtlgrouping.selector import (
     SelectionProblem,
     build_problem,
+    count_candidate_groups,
+    count_subsets,
     enumerate_candidate_groups,
     format_selection_table,
     result_from_dict,
@@ -181,6 +184,30 @@ class TestProperties:
                 covering = [by_group[g][t] for g in result.chosen if t in g]
                 total += max(covering) if covering else 0.0
             assert abs(total - result.objective) < 1e-12
+
+
+class TestEnumerateCandidateGroups:
+    @pytest.mark.parametrize("n, lo, hi", [(4, 2, 2), (6, 2, None), (8, 3, 5), (5, 5, 5)])
+    def test_count_matches_enumeration(self, n, lo, hi):
+        groups = enumerate_candidate_groups(n, lo, hi)
+        assert count_candidate_groups(n, lo, hi) == len(groups) == len(set(groups))
+        assert all(lo <= len(g) <= (hi or n) for g in groups)
+
+    def test_subset_count_caps_budget_at_candidates(self):
+        assert count_subsets(5, 2) == 1 + 5 + 10
+        assert count_subsets(2, 5) == 4
+
+    def test_enumeration_guard(self, monkeypatch):
+        monkeypatch.setattr(selector, "MAX_ENUMERATED_GROUPS", 10)
+        with pytest.raises(ValueError, match="^57 candidate groups exceed the enumeration guard$"):
+            enumerate_candidate_groups(6)
+        assert len(enumerate_candidate_groups(6, 5)) == 7
+
+    def test_bad_range(self):
+        with pytest.raises(ValueError, match=r"size range \(3, 2\) invalid for 4 tasks"):
+            enumerate_candidate_groups(4, 3, 2)
+        with pytest.raises(ValueError, match="size range"):
+            count_candidate_groups(4, 2, 5)
 
 
 class TestBuildProblem:

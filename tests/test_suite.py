@@ -120,6 +120,30 @@ class TestRoundTrip:
         for name in ["spec.json"] + [f"task_{t}.csv" for t in range(6)]:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_corrupted_csv_is_never_read(self, tmp_path):
+        spec = small_spec()
+        save_suite(generate_suite(spec), tmp_path / "suite")
+        path = tmp_path / "suite" / "task_0.csv"
+        header, first, *rows = path.read_text().splitlines()
+        bad = first.split(",")[:-2] + ["nan", "tset"]
+        # a nan target, an unknown split and two train rows fewer
+        path.write_text("\n".join([header, ",".join(bad)] + rows[2:]) + "\n")
+        loaded, expected = load_suite(tmp_path / "suite"), generate_suite(spec)
+        assert np.array_equal(loaded.task_weights, expected.task_weights)
+        for t in range(6):
+            assert np.array_equal(loaded[t].features, expected[t].features)
+            assert np.array_equal(loaded[t].targets, expected[t].targets)
+            assert np.array_equal(loaded[t].split, expected[t].split)
+
+    def test_weight_one_ulp_off_rejected(self, tmp_path):
+        save_suite(generate_suite(small_spec()), tmp_path / "suite")
+        sidecar = read_json(tmp_path / "suite" / "spec.json")
+        sidecar["task_weights"][2][3] = float(np.nextafter(sidecar["task_weights"][2][3], np.inf))
+        write_json(tmp_path / "suite" / "spec.json", sidecar)
+        with pytest.raises(ValueError, match=r"^task_weights in .*suite differ from those "
+                                             r"regenerated from its spec; rerun generate$"):
+            load_suite(tmp_path / "suite")
+
     def test_spec_dict_round_trip(self):
         spec = small_spec(cluster_assignment=(0, 1, 0, 1, 0, 1))
         assert from_dict(TaskSuiteSpec, json.loads(json.dumps(to_json(spec)))) == spec
