@@ -15,6 +15,16 @@ of the shapes the one-task reference ``_loss_and_grads`` uses, so numpy runs
 the same summation and the same BLAS call per task, and the batched step
 reproduces the per-task loop bit for bit.
 
+The loop allocates no parameter state per step. The shared vector and the
+heads live in one flat buffer, ``[shared | heads row-major]``, and the
+velocity and the update (the mean shared gradient, then the head gradients)
+share its layout. The step writes its gradients into views of these buffers,
+and the momentum update is four in-place operations over the whole vector
+that match ``sgd_momentum_step`` element for element. Each epoch gathers
+its shuffled rows once; a step then reads a contiguous slice of that gather.
+Neither changes what is computed: the products and sums still run on the
+same per-task slices, which is what keeps the step bit-exact.
+
 All randomness (initialization, batch order) is drawn from streams keyed by
 the config seed alone, shared across tasks. Sharing the head-init and batch
 streams between tasks makes training of a single-task group reproduce
@@ -191,7 +201,9 @@ def _encode(layers, X: np.ndarray):
     activations = [X]
     a = X
     for w, b in layers:
-        a = np.tanh(a @ w.T + b)
+        a = a @ w.T
+        a += b
+        np.tanh(a, out=a)
         activations.append(a)
     return a, activations
 
@@ -201,11 +213,17 @@ def _head_out(head: np.ndarray, rep: np.ndarray) -> np.ndarray:
 
 
 def _mean_loss(arch: Architecture, yhat: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Batch-mean loss over the last axis."""
+    """Batch-mean loss over the last axis.
+
+    ``np.add.reduce`` then a division is what ``np.mean`` computes, without
+    its Python wrapper.
+    """
     if arch.loss == "squared":
-        return np.mean((yhat - y) ** 2, axis=-1)
-    # binary cross-entropy on logits: log(1 + e^yhat) - y * yhat
-    return np.mean(np.logaddexp(0.0, yhat) - y * yhat, axis=-1)
+        per_row = (yhat - y) ** 2
+    else:
+        # binary cross-entropy on logits: log(1 + e^yhat) - y * yhat
+        per_row = np.logaddexp(0.0, yhat) - y * yhat
+    return np.add.reduce(per_row, axis=-1) / y.shape[-1]
 
 
 def _dloss_dyhat(arch: Architecture, yhat: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -237,7 +255,9 @@ def forward_loss(params: ModelParams, task: int, batch) -> float:
 def _loss_and_grads(params: ModelParams, task: int, batch):
     """Loss plus analytic gradients of the batch-mean loss (shared, head).
 
-    The one-task reference that ``_batched_step`` reproduces bit for bit.
+    The public one-task reference: ``train_mtl`` never calls it, but its
+    ``_batched_step`` reproduces it bit for bit on every task slice, and the
+    replay tests hold the two to that.
     """
     arch = params.arch
     X, y = _check_batch(arch, batch)
@@ -262,33 +282,34 @@ def _loss_and_grads(params: ModelParams, task: int, batch):
 
 
 def _batched_step(arch: Architecture, layers, heads: np.ndarray, X: np.ndarray,
-                  y: np.ndarray, grads: np.ndarray, head_grads: np.ndarray) -> np.ndarray:
+                  y: np.ndarray, grad_layers, head_grads: np.ndarray) -> np.ndarray:
     """Losses and gradients of all tasks of a group for one batch.
 
     X is ``(T, n, d)``, y ``(T, n)`` and heads ``(T, head_size)``, one slice
-    per task; ``layers`` are the unpacked shared parameters. Fills ``grads``
-    ``(T, shared_size)`` and ``head_grads`` ``(T, head_size)`` in place and
-    returns the ``(T,)`` batch-mean losses. Every product multiplies per-task
-    2-D slices and every sum runs over the batch axis, exactly as
-    ``_loss_and_grads`` does for one task, so each slice matches it bit for bit.
+    per task; ``layers`` are the unpacked shared parameters and
+    ``grad_layers`` the unpacked ``(T, shared_size)`` gradient buffer. Writes
+    the shared gradients through ``grad_layers`` and the head gradients into
+    ``head_grads`` ``(T, head_size)``, and returns the ``(T,)`` batch-mean
+    losses. Every product multiplies per-task 2-D slices and every sum runs
+    over the batch axis, exactly as ``_loss_and_grads`` does for one task, so
+    each slice matches it bit for bit.
     """
     rep, activations = _encode(layers, X)
     yhat = (rep @ heads[:, :-1, None])[..., 0] + heads[:, -1:]
     losses = _mean_loss(arch, yhat, y)
 
     dyhat = _dloss_dyhat(arch, yhat, y)
-    head_grads[:, :-1] = (rep.transpose(0, 2, 1) @ dyhat[..., None])[..., 0]
-    head_grads[:, -1] = dyhat.sum(axis=-1)
+    np.matmul(rep.transpose(0, 2, 1), dyhat[..., None], out=head_grads[:, :-1, None])
+    np.add.reduce(dyhat, axis=-1, out=head_grads[:, -1])
 
     delta = dyhat[..., None] * heads[:, None, :-1]  # dL/d(encoder output)
-    grad_layers = arch.unpack_shared(grads)
     for i in range(len(layers) - 1, -1, -1):
-        w, _ = layers[i]
         g_w, g_b = grad_layers[i]
         ds = delta * (1.0 - activations[i + 1] ** 2)  # tanh'
-        g_w[...] = ds.transpose(0, 2, 1) @ activations[i]
-        g_b[...] = ds.sum(axis=1)
-        delta = ds @ w
+        np.matmul(ds.transpose(0, 2, 1), activations[i], out=g_w)
+        np.add.reduce(ds, axis=1, out=g_b)
+        if i:  # the input layer's delta is never read
+            delta = ds @ layers[i][0]
     return losses
 
 
@@ -299,7 +320,11 @@ def shared_gradient(params: ModelParams, task: int, batch) -> np.ndarray:
 
 def sgd_momentum_step(theta: np.ndarray, velocity: np.ndarray, gradient: np.ndarray,
                       learning_rate: float, momentum: float):
-    """v' = momentum * v - learning_rate * g; theta' = theta + v'."""
+    """v' = momentum * v - learning_rate * g; theta' = theta + v'.
+
+    The public reference update: ``train_mtl`` applies the same operations
+    in place on its flat parameter vector, bit for bit.
+    """
     if not (theta.shape == velocity.shape == gradient.shape):
         raise ValueError("theta, velocity and gradient shapes must agree")
     new_velocity = momentum * velocity - learning_rate * gradient
@@ -350,11 +375,16 @@ def train_mtl(group, datasets, config: TrainConfig, capture_trace: bool = False)
 
     X_all = np.stack([X for X, _ in train]).astype(float, copy=False)  # (T, n, d)
     y_all = np.stack([y for _, y in train]).astype(float, copy=False)  # (T, n)
-    heads = np.stack([params.heads[t] for t in group])
-    v_shared = np.zeros(arch.shared_size)
-    v_heads = np.zeros_like(heads)
-    grads = np.empty((len(group), arch.shared_size))
-    head_grads = np.empty_like(heads)
+    # theta = [shared | heads row-major]; velocity and update share the layout
+    n_shared = arch.shared_size
+    theta = np.concatenate([params.shared] + [params.heads[t] for t in group])
+    velocity = np.zeros_like(theta)
+    update = np.empty_like(theta)  # [mean shared gradient | head gradients]
+    shared, heads = theta[:n_shared], theta[n_shared:].reshape(len(group), arch.head_size)
+    mean_grad, head_grads = update[:n_shared], update[n_shared:].reshape(heads.shape)
+    grads = np.empty((len(group), n_shared))
+    layers = arch.unpack_shared(shared)
+    grad_layers = arch.unpack_shared(grads)
     rng_batches = stream(config.seed, _BATCHES)
     eta, beta = config.learning_rate, config.momentum
 
@@ -362,10 +392,11 @@ def train_mtl(group, datasets, config: TrainConfig, capture_trace: bool = False)
     step = 0
     for _ in range(config.epochs):
         order = rng_batches.permutation(n_train)
+        X_epoch, y_epoch = X_all[:, order], y_all[:, order]
         for start in range(0, n_train, config.batch_size):
-            rows = order[start: start + config.batch_size]
-            losses = _batched_step(arch, arch.unpack_shared(params.shared), heads,
-                                   X_all[:, rows], y_all[:, rows], grads, head_grads)
+            stop = start + config.batch_size
+            losses = _batched_step(arch, layers, heads, X_epoch[:, start:stop],
+                                   y_epoch[:, start:stop], grad_layers, head_grads)
             finite = np.isfinite(losses)
             if not finite.all():
                 raise TrainingDiverged(step, group[int(np.argmin(finite))])
@@ -374,13 +405,18 @@ def train_mtl(group, datasets, config: TrainConfig, capture_trace: bool = False)
                     step=step,
                     losses=dict(zip(group, losses.tolist())),
                     gradients={t: g.copy() for t, g in zip(group, grads)},
-                    velocity_in=v_shared.copy(),
+                    velocity_in=velocity[:n_shared].copy(),
                 ))
-            params.shared, v_shared = sgd_momentum_step(
-                params.shared, v_shared, np.mean(grads, axis=0), eta, beta)
-            heads, v_heads = sgd_momentum_step(heads, v_heads, head_grads, eta, beta)
+            # sgd_momentum_step on the whole vector, in place
+            np.add.reduce(grads, axis=0, out=mean_grad)
+            mean_grad /= len(group)
+            update *= eta
+            velocity *= beta
+            velocity -= update
+            theta += velocity
             step += 1
-    params.heads = dict(zip(group, heads))
+    params.shared = shared.copy()
+    params.heads = {t: h.copy() for t, h in zip(group, heads)}
 
     losses = _eval_losses(params, group, datasets)
     for split_losses in losses.values():

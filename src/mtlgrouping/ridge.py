@@ -166,7 +166,7 @@ def fit_cv(X, y, cv: CvConfig | None = None):
         X_val, y_val = X[fold], y[fold]
         for i, w in enumerate(_solve(gram, rhs, grid)):
             err = X_val @ w + (y_mean - float(x_mean @ w)) - y_val
-            fold_mses[i, f] = np.mean(err ** 2)
+            fold_mses[i, f] = np.add.reduce(err * err) / err.size  # np.mean, unwrapped
     cv_mse: dict[float, float] = {}
     best_lam = None
     best_mse = None

@@ -197,6 +197,14 @@ class TestTrainStl:
         assert err.value.step >= 0
 
 
+def replay_cases(test):
+    """Every loss, encoder depth and group size of the replay tests."""
+    test = pytest.mark.parametrize("loss", ["squared", "logistic"])(test)
+    test = pytest.mark.parametrize("hidden", [(), (1,), (4,), (5, 3)],
+                                   ids=lambda h: "h" + "x".join(map(str, h)))(test)
+    return pytest.mark.parametrize("size", [1, 2, 3, 4], ids=lambda k: f"g{k}")(test)
+
+
 class TestTrainMtl:
     def setup_method(self):
         self.spec = TaskSuiteSpec(
@@ -220,7 +228,7 @@ class TestTrainMtl:
         for prev, nxt in zip(trace, trace[1:]):
             mean_grad = np.mean([prev.gradients[t] for t in (0, 1, 2)], axis=0)
             v_expect = beta * prev.velocity_in - eta * mean_grad
-            assert np.max(np.abs(v_expect - nxt.velocity_in)) < 1e-12
+            assert np.array_equal(v_expect, nxt.velocity_in)
 
     def replay(self, group, datasets, config):
         """Per-task reference loop: ``_loss_and_grads`` task by task, then
@@ -254,14 +262,10 @@ class TestTrainMtl:
                         params.heads[t], v_heads[t], out[t][2], eta, beta)
         return params, steps
 
-    @pytest.mark.parametrize("size", [1, 2, 3, 4], ids=lambda k: f"g{k}")
-    @pytest.mark.parametrize("hidden", [(), (1,), (4,), (5, 3)],
-                             ids=lambda h: "h" + "x".join(map(str, h)))
-    @pytest.mark.parametrize("loss", ["squared", "logistic"])
-    def test_update_identity_replay(self, loss, hidden, size):
+    def check_replay(self, loss, hidden, size, batch_size):
         task_type = "regression" if loss == "squared" else "classification"
         suite = generate_suite(replace(self.spec, task_type=task_type))
-        config = replace(self.config, hidden_dims=hidden)
+        config = replace(self.config, hidden_dims=hidden, batch_size=batch_size)
         group = {1: (2,), 2: (0, 1), 3: (1, 2, 3), 4: (0, 1, 2, 3)}[size]
         model = train_mtl(group, suite, config, capture_trace=True)
         params, steps = self.replay(group, suite, config)
@@ -275,6 +279,17 @@ class TestTrainMtl:
         for t in group:
             assert np.array_equal(model.params.heads[t], params.heads[t])
 
+    @replay_cases
+    def test_update_identity_replay(self, loss, hidden, size):
+        self.check_replay(loss, hidden, size, self.config.batch_size)
+
+    # n_train = 24: batches of 5 leave a ragged last batch of 4, 32 is one
+    # batch; the batch size of 8 is test_update_identity_replay
+    @pytest.mark.parametrize("batch_size", [1, 5, 32], ids=lambda b: f"b{b}")
+    @replay_cases
+    def test_update_identity_replay_batch_shapes(self, loss, hidden, size, batch_size):
+        self.check_replay(loss, hidden, size, batch_size)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_matches_replay(self):
         config = replace(self.config, learning_rate=20.0, epochs=40)
@@ -285,6 +300,29 @@ class TestTrainMtl:
             train_mtl(group, self.suite, config)
         assert want.value.task != group[0]  # not simply the first task checked
         assert (got.value.step, got.value.task) == (want.value.step, want.value.task)
+
+    def test_trained_arrays_share_no_memory(self):
+        model = train_mtl((0, 1, 2), self.suite, self.config, capture_trace=True)
+        params = model.params.copy()
+        trace = [(st.velocity_in.copy(), {t: g.copy() for t, g in st.gradients.items()})
+                 for st in model.trace]
+        train_mtl((1, 2, 3), self.suite, self.config, capture_trace=True)
+        assert np.array_equal(model.params.shared, params.shared)
+        for t in (0, 1, 2):
+            assert np.array_equal(model.params.heads[t], params.heads[t])
+        for st, (velocity_in, gradients) in zip(model.trace, trace):
+            assert np.array_equal(st.velocity_in, velocity_in)
+            for t in (0, 1, 2):
+                assert np.array_equal(st.gradients[t], gradients[t])
+        for head in model.params.heads.values():
+            assert not np.shares_memory(model.params.shared, head)
+        arrays = [a for st in model.trace for a in (st.velocity_in, *st.gradients.values())]
+        # owning its data, no returned array is a view into a training buffer
+        params_arrays = [model.params.shared, *model.params.heads.values()]
+        assert all(a.flags.owndata for a in params_arrays + arrays)
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
 
     def test_first_step_velocity_zero(self):
         model = train_mtl((0, 1), self.suite, self.config, capture_trace=True)
