@@ -21,9 +21,18 @@ velocity and the update (the mean shared gradient, then the head gradients)
 share its layout. The step writes its gradients into views of these buffers,
 and the momentum update is four in-place operations over the whole vector
 that match ``sgd_momentum_step`` element for element. Each epoch gathers
-its shuffled rows once; a step then reads a contiguous slice of that gather.
-Neither changes what is computed: the products and sums still run on the
-same per-task slices, which is what keeps the step bit-exact.
+its shuffled rows once into a buffer; a step then reads a contiguous slice
+of it, a view built once per call. The squared loss forms its residual
+``yhat - y`` once, sums its square and turns it into dL/dyhat in place, and
+the backward pass computes tanh' in place on each activation after its last
+read. None of this changes what is computed: the products and sums still
+run on the same per-task slices, which is what keeps the step bit-exact.
+
+Each step writes its per-task loss sums into one row of a ``(steps per
+epoch, T)`` buffer, and divergence is checked once per epoch on the whole
+buffer. A sum is finite exactly when its mean is, so the first non-finite
+row names the same ``(step, task)`` a check after every step would have
+raised ``TrainingDiverged`` with.
 
 All randomness (initialization, batch order) is drawn from streams keyed by
 the config seed alone, shared across tasks. Sharing the head-init and batch
@@ -212,25 +221,26 @@ def _head_out(head: np.ndarray, rep: np.ndarray) -> np.ndarray:
     return rep @ head[:-1] + head[-1]
 
 
-def _mean_loss(arch: Architecture, yhat: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Batch-mean loss over the last axis.
+def _loss_terms(arch: Architecture, yhat: np.ndarray, y: np.ndarray, out=None):
+    """Loss summed over the last axis, and dL/dyhat of the batch-mean loss.
 
-    ``np.add.reduce`` then a division is what ``np.mean`` computes, without
-    its Python wrapper.
+    The one definition of each loss. The sum goes into ``out`` when given;
+    the mean is the sum divided by the batch size, which is what ``np.mean``
+    computes. On the squared loss the residual ``yhat - y`` is formed once:
+    its square is summed, then it becomes ``2 * r / n`` in place, the same
+    operations as ``2.0 * (yhat - y) / n``.
     """
-    if arch.loss == "squared":
-        per_row = (yhat - y) ** 2
-    else:
-        # binary cross-entropy on logits: log(1 + e^yhat) - y * yhat
-        per_row = np.logaddexp(0.0, yhat) - y * yhat
-    return np.add.reduce(per_row, axis=-1) / y.shape[-1]
-
-
-def _dloss_dyhat(arch: Architecture, yhat: np.ndarray, y: np.ndarray) -> np.ndarray:
     n = y.shape[-1]
     if arch.loss == "squared":
-        return 2.0 * (yhat - y) / n
-    return (1.0 / (1.0 + np.exp(-yhat)) - y) / n
+        dyhat = yhat - y
+        total = np.add.reduce(dyhat * dyhat, axis=-1, out=out)
+        dyhat *= 2.0
+        dyhat /= n
+    else:
+        # binary cross-entropy on logits: log(1 + e^yhat) - y * yhat
+        total = np.add.reduce(np.logaddexp(0.0, yhat) - y * yhat, axis=-1, out=out)
+        dyhat = (1.0 / (1.0 + np.exp(-yhat)) - y) / n
+    return total, dyhat
 
 
 def _check_batch(arch: Architecture, batch):
@@ -248,8 +258,8 @@ def forward_loss(params: ModelParams, task: int, batch) -> float:
     """Mean loss of one task's head on a batch."""
     X, y = _check_batch(params.arch, batch)
     rep, _ = _encode(params.arch.unpack_shared(params.shared), X)
-    yhat = _head_out(params.heads[task], rep)
-    return float(_mean_loss(params.arch, yhat, y))
+    total, _ = _loss_terms(params.arch, _head_out(params.heads[task], rep), y)
+    return float(total / y.size)
 
 
 def _loss_and_grads(params: ModelParams, task: int, batch):
@@ -264,10 +274,8 @@ def _loss_and_grads(params: ModelParams, task: int, batch):
     layers = arch.unpack_shared(params.shared)
     rep, activations = _encode(layers, X)
     head = params.heads[task]
-    yhat = _head_out(head, rep)
-    loss = float(_mean_loss(arch, yhat, y))
-
-    dyhat = _dloss_dyhat(arch, yhat, y)
+    total, dyhat = _loss_terms(arch, _head_out(head, rep), y)
+    loss = float(total / y.size)
     head_grad = np.concatenate([rep.T @ dyhat, [dyhat.sum()]])
 
     delta = np.outer(dyhat, head[:-1])  # dL/d(encoder output)
@@ -281,36 +289,42 @@ def _loss_and_grads(params: ModelParams, task: int, batch):
     return loss, shared_grad, head_grad
 
 
-def _batched_step(arch: Architecture, layers, heads: np.ndarray, X: np.ndarray,
-                  y: np.ndarray, grad_layers, head_grads: np.ndarray) -> np.ndarray:
+def _batched_step(arch: Architecture, layers, heads, X: np.ndarray, y: np.ndarray,
+                  grad_layers, head_grads, loss_sum: np.ndarray) -> None:
     """Losses and gradients of all tasks of a group for one batch.
 
-    X is ``(T, n, d)``, y ``(T, n)`` and heads ``(T, head_size)``, one slice
-    per task; ``layers`` are the unpacked shared parameters and
-    ``grad_layers`` the unpacked ``(T, shared_size)`` gradient buffer. Writes
-    the shared gradients through ``grad_layers`` and the head gradients into
-    ``head_grads`` ``(T, head_size)``, and returns the ``(T,)`` batch-mean
-    losses. Every product multiplies per-task 2-D slices and every sum runs
-    over the batch axis, exactly as ``_loss_and_grads`` does for one task, so
-    each slice matches it bit for bit.
+    X is ``(T, n, d)`` and y ``(T, n)``, one slice per task; ``layers`` are
+    the unpacked shared parameters and ``grad_layers`` the unpacked
+    ``(T, shared_size)`` gradient buffer. ``heads`` holds views of the
+    ``(T, head_size)`` heads: weights ``(T, H, 1)``, biases ``(T, 1)`` and
+    weight rows ``(T, 1, H)``; ``head_grads`` views of their gradient
+    buffer: weights ``(T, H, 1)`` and biases ``(T,)``. Writes the shared and
+    head gradients through those views and the ``(T,)`` loss sums into
+    ``loss_sum``. Every product multiplies per-task 2-D slices and every sum
+    runs over the batch axis, exactly as ``_loss_and_grads`` does for one
+    task, so each slice matches it bit for bit.
     """
+    head_w, head_b, head_rows = heads
+    grad_w, grad_b = head_grads
     rep, activations = _encode(layers, X)
-    yhat = (rep @ heads[:, :-1, None])[..., 0] + heads[:, -1:]
-    losses = _mean_loss(arch, yhat, y)
-
-    dyhat = _dloss_dyhat(arch, yhat, y)
-    np.matmul(rep.transpose(0, 2, 1), dyhat[..., None], out=head_grads[:, :-1, None])
-    np.add.reduce(dyhat, axis=-1, out=head_grads[:, -1])
-
-    delta = dyhat[..., None] * heads[:, None, :-1]  # dL/d(encoder output)
+    _, dyhat = _loss_terms(arch, (rep @ head_w)[..., 0] + head_b, y, out=loss_sum)
+    dyhat_col = dyhat[..., None]
+    np.matmul(rep.transpose(0, 2, 1), dyhat_col, out=grad_w)
+    np.add.reduce(dyhat, axis=-1, out=grad_b)
+    if not layers:
+        return
+    delta = dyhat_col * head_rows  # dL/d(encoder output)
     for i in range(len(layers) - 1, -1, -1):
+        # tanh' = 1 - a^2 in place: a was last read by the head or the layer above
+        a = activations[i + 1]
+        a *= a
+        np.subtract(1.0, a, out=a)
+        delta *= a
         g_w, g_b = grad_layers[i]
-        ds = delta * (1.0 - activations[i + 1] ** 2)  # tanh'
-        np.matmul(ds.transpose(0, 2, 1), activations[i], out=g_w)
-        np.add.reduce(ds, axis=1, out=g_b)
+        np.matmul(delta.transpose(0, 2, 1), activations[i], out=g_w)
+        np.add.reduce(delta, axis=1, out=g_b)
         if i:  # the input layer's delta is never read
-            delta = ds @ layers[i][0]
-    return losses
+            delta = delta @ layers[i][0]
 
 
 def shared_gradient(params: ModelParams, task: int, batch) -> np.ndarray:
@@ -385,36 +399,47 @@ def train_mtl(group, datasets, config: TrainConfig, capture_trace: bool = False)
     grads = np.empty((len(group), n_shared))
     layers = arch.unpack_shared(shared)
     grad_layers = arch.unpack_shared(grads)
+    head_views = (heads[:, :-1, None], heads[:, -1:], heads[:, None, :-1])
+    head_grad_views = (head_grads[:, :-1, None], head_grads[:, -1])
+    # each epoch gathers its shuffled rows into one buffer; a step reads
+    # contiguous views of it, built once, and writes its loss sums into one
+    # row of a (steps per epoch, T) buffer
+    X_epoch, y_epoch = np.empty_like(X_all), np.empty_like(y_all)
+    starts = range(0, n_train, config.batch_size)
+    loss_sums = np.empty((len(starts), len(group)))
+    batches = [(X_epoch[:, start:start + config.batch_size],
+                y_epoch[:, start:start + config.batch_size], loss_sum)
+               for start, loss_sum in zip(starts, loss_sums)]
     rng_batches = stream(config.seed, _BATCHES)
-    eta, beta = config.learning_rate, config.momentum
+    eta, beta, n_tasks = config.learning_rate, config.momentum, len(group)
 
     trace: list[StepTrace] = []
-    step = 0
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
         order = rng_batches.permutation(n_train)
-        X_epoch, y_epoch = X_all[:, order], y_all[:, order]
-        for start in range(0, n_train, config.batch_size):
-            stop = start + config.batch_size
-            losses = _batched_step(arch, layers, heads, X_epoch[:, start:stop],
-                                   y_epoch[:, start:stop], grad_layers, head_grads)
-            finite = np.isfinite(losses)
-            if not finite.all():
-                raise TrainingDiverged(step, group[int(np.argmin(finite))])
+        X_all.take(order, axis=1, out=X_epoch)
+        y_all.take(order, axis=1, out=y_epoch)
+        for k, (X, y, loss_sum) in enumerate(batches):
+            _batched_step(arch, layers, head_views, X, y, grad_layers, head_grad_views, loss_sum)
             if capture_trace:
                 trace.append(StepTrace(
-                    step=step,
-                    losses=dict(zip(group, losses.tolist())),
+                    step=epoch * len(batches) + k,
+                    losses=dict(zip(group, (loss_sum / y.shape[-1]).tolist())),
                     gradients={t: g.copy() for t, g in zip(group, grads)},
                     velocity_in=velocity[:n_shared].copy(),
                 ))
             # sgd_momentum_step on the whole vector, in place
             np.add.reduce(grads, axis=0, out=mean_grad)
-            mean_grad /= len(group)
+            mean_grad /= n_tasks
             update *= eta
             velocity *= beta
             velocity -= update
             theta += velocity
-            step += 1
+        # a sum is finite exactly when its mean is; the first bad row is the
+        # step a per-step check would have stopped at
+        finite = np.isfinite(loss_sums)
+        if not finite.all():
+            k, j = np.argwhere(~finite)[0]
+            raise TrainingDiverged(epoch * len(batches) + int(k), group[j])
     params.shared = shared.copy()
     params.heads = {t: h.copy() for t, h in zip(group, heads)}
 
@@ -422,7 +447,7 @@ def train_mtl(group, datasets, config: TrainConfig, capture_trace: bool = False)
     for split_losses in losses.values():
         for t, value in split_losses.items():
             if not np.isfinite(value):
-                raise TrainingDiverged(step - 1, t)
+                raise TrainingDiverged(config.epochs * len(batches) - 1, t)
     return TrainedModel(
         params=params,
         group=group,

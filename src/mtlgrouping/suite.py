@@ -11,6 +11,7 @@ for which tasks should help which under joint training.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import ClassVar
 
@@ -80,12 +81,16 @@ class TaskDataset:
     split: np.ndarray  # (rows,) of "train"/"val"/"test"
     task_type: str = "regression"
 
+    @cached_property
+    def _split_index(self) -> dict[str, np.ndarray]:
+        return {name: np.flatnonzero(self.split == name) for name in SPLITS}
+
     def rows(self, split_name: str):
-        """(features, targets) restricted to one split."""
+        """Fresh (features, targets) arrays restricted to one split."""
         if split_name not in SPLITS:
             raise ValueError(f"unknown split {split_name!r}")
-        mask = self.split == split_name
-        return self.features[mask], self.targets[mask]
+        index = self._split_index[split_name]
+        return self.features[index], self.targets[index]
 
     @property
     def n_rows(self) -> int:

@@ -19,6 +19,7 @@ from mtlgrouping.engine import (
     train_mtl,
     train_stl,
 )
+from mtlgrouping.experiment import reference_config
 from mtlgrouping.seeding import stream
 from mtlgrouping.suite import TaskDataset, TaskSuiteSpec, generate_suite
 
@@ -262,11 +263,7 @@ class TestTrainMtl:
                         params.heads[t], v_heads[t], out[t][2], eta, beta)
         return params, steps
 
-    def check_replay(self, loss, hidden, size, batch_size):
-        task_type = "regression" if loss == "squared" else "classification"
-        suite = generate_suite(replace(self.spec, task_type=task_type))
-        config = replace(self.config, hidden_dims=hidden, batch_size=batch_size)
-        group = {1: (2,), 2: (0, 1), 3: (1, 2, 3), 4: (0, 1, 2, 3)}[size]
+    def assert_replays(self, group, suite, config):
         model = train_mtl(group, suite, config, capture_trace=True)
         params, steps = self.replay(group, suite, config)
         assert len(model.trace) == len(steps)
@@ -279,6 +276,13 @@ class TestTrainMtl:
         for t in group:
             assert np.array_equal(model.params.heads[t], params.heads[t])
 
+    def check_replay(self, loss, hidden, size, batch_size):
+        task_type = "regression" if loss == "squared" else "classification"
+        suite = generate_suite(replace(self.spec, task_type=task_type))
+        config = replace(self.config, hidden_dims=hidden, batch_size=batch_size)
+        group = {1: (2,), 2: (0, 1), 3: (1, 2, 3), 4: (0, 1, 2, 3)}[size]
+        self.assert_replays(group, suite, config)
+
     @replay_cases
     def test_update_identity_replay(self, loss, hidden, size):
         self.check_replay(loss, hidden, size, self.config.batch_size)
@@ -290,16 +294,59 @@ class TestTrainMtl:
     def test_update_identity_replay_batch_shapes(self, loss, hidden, size, batch_size):
         self.check_replay(loss, hidden, size, batch_size)
 
+    @pytest.mark.parametrize("task_type", ["regression", "classification"])
+    def test_update_identity_replay_reference_shapes(self, task_type):
+        # the shapes the reference experiment trains: all six tasks, one
+        # hidden unit, 64 train rows in four full batches of 16
+        ref = reference_config(seeds=(0,))
+        suite = generate_suite(replace(ref.suite, task_type=task_type))
+        config = replace(ref.train, epochs=3)
+        assert (suite.n_tasks, config.hidden_dims, config.batch_size,
+                ref.suite.samples_per_split[0]) == (6, (1,), 16, 64)
+        self.assert_replays(suite.tasks, suite, config)
+
+    def check_divergence(self, suite, config, capture_trace=False):
+        """train_mtl raises TrainingDiverged at the replay's (step, task)."""
+        group = (0, 1, 2, 3)
+        with pytest.raises(TrainingDiverged) as want:
+            self.replay(group, suite, config)
+        with pytest.raises(TrainingDiverged) as got:
+            train_mtl(group, suite, config, capture_trace=capture_trace)
+        assert (got.value.step, got.value.task) == (want.value.step, want.value.task)
+        return want.value
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_matches_replay(self):
         config = replace(self.config, learning_rate=20.0, epochs=40)
-        group = (0, 1, 2, 3)
-        with pytest.raises(TrainingDiverged) as want:
-            self.replay(group, self.suite, config)
-        with pytest.raises(TrainingDiverged) as got:
-            train_mtl(group, self.suite, config)
-        assert want.value.task != group[0]  # not simply the first task checked
-        assert (got.value.step, got.value.task) == (want.value.step, want.value.task)
+        want = self.check_divergence(self.suite, config)
+        assert want.task != 0  # not simply the first task checked
+
+    # Where in its epoch each case first diverges: "mid" leaves later steps of
+    # the epoch to run before the per-epoch check, "ragged" is the last batch
+    # of 4 rows at batch size 5, "last" the last full batch. Logistic
+    # gradients are bounded and the tanh units saturate, so that loss only
+    # overflows at a learning rate near the float64 range.
+    DIVERGES_AT = {("squared", 1): "mid", ("squared", 5): "ragged", ("squared", 8): "mid",
+                   ("logistic", 1): "mid", ("logistic", 5): "ragged", ("logistic", 8): "last"}
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("capture_trace", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize("batch_size", [1, 5, 8], ids=lambda b: f"b{b}")
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
+    def test_divergence_matches_replay_batch_shapes(self, loss, batch_size, capture_trace):
+        task_type = "regression" if loss == "squared" else "classification"
+        suite = generate_suite(replace(self.spec, task_type=task_type))
+        learning_rate = {"squared": 5.0, "logistic": 1e307}[loss]
+        config = replace(self.config, learning_rate=learning_rate, epochs=40,
+                         batch_size=batch_size)
+        want = self.check_divergence(suite, config, capture_trace)
+        n_train = self.spec.samples_per_split[0]
+        steps_per_epoch = -(-n_train // batch_size)
+        if want.step % steps_per_epoch < steps_per_epoch - 1:
+            where = "mid"
+        else:
+            where = "ragged" if n_train % batch_size else "last"
+        assert where == self.DIVERGES_AT[loss, batch_size]
 
     def test_trained_arrays_share_no_memory(self):
         model = train_mtl((0, 1, 2), self.suite, self.config, capture_trace=True)

@@ -101,6 +101,34 @@ class TestGenerate:
         assert set(values).issubset({0.0, 1.0})
 
 
+class TestRows:
+    def test_unknown_split_rejected(self):
+        ds = generate_suite(small_spec())[0]
+        with pytest.raises(ValueError, match="unknown split 'tset'"):
+            ds.rows("tset")
+
+    def test_split_sizes(self):
+        spec = small_spec()
+        ds = generate_suite(spec)[0]
+        for name, size in zip(("train", "val", "test"), spec.samples_per_split):
+            X, y = ds.rows(name)
+            assert X.shape == (size, spec.input_dim)
+            assert y.shape == (size,)
+            assert np.array_equal(X, ds.features[ds.split == name])
+            assert np.array_equal(y, ds.targets[ds.split == name])
+
+    def test_returned_arrays_are_fresh(self):
+        ds = generate_suite(small_spec())[0]
+        X, y = ds.rows("train")
+        want_X, want_y = X.copy(), y.copy()
+        X[:] = np.nan
+        y[:] = np.nan
+        X_again, y_again = ds.rows("train")
+        assert np.array_equal(X_again, want_X)
+        assert np.array_equal(y_again, want_y)
+        assert not np.shares_memory(X_again, X) and not np.shares_memory(y_again, y)
+
+
 class TestRoundTrip:
     def test_csv_json_round_trip(self, tmp_path):
         suite = generate_suite(small_spec())
