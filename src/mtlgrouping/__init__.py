@@ -18,7 +18,7 @@ from .affinity import (
 from .engine import (
     Architecture,
     ModelParams,
-    StepTrace,
+    Trace,
     TrainConfig,
     TrainedModel,
     TrainingDiverged,

@@ -8,6 +8,14 @@ means the source task's update would have reduced the receiving loss.
 Scores are averaged over every step where the receiving loss is above a
 tiny floor; near-zero losses would make the ratio blow up, so those steps
 are skipped rather than poisoning the mean.
+
+Both reductions work on whole arrays and still round like the one-step and
+one-group formulas. ``pairwise_affinity`` scores every step of a ``Trace``
+with one stacked product and sums the steps in order. ``group_scores``
+gathers, for N groups of one size k, the ``(N, k, k - 1)`` scores toward
+each member from the others and takes ``np.add.reduce(..., axis=-1) /
+(k - 1)``, which sums each member's row just as ``np.mean`` sums its list;
+``group_affinity`` is its one-group case.
 """
 
 from __future__ import annotations
@@ -69,41 +77,52 @@ def step_affinity(g_src, g_dst, loss_dst: float, learning_rate: float,
 
 def pairwise_affinity(trace, learning_rate: float, momentum: float,
                       velocity_mode: str = "joint") -> AffinityMatrix:
-    """Average the step scores of a trace into an n-by-n matrix.
+    """Average the step scores of a ``Trace`` into an n-by-n matrix.
 
     velocity_mode "joint" uses the recorded optimizer velocity; "zero"
     ignores it, which reduces the score to its momentum-free form. The
     diagonal is computed like any other pair and kept for diagnostics.
+
+    One pass over the arrays: ``U = lr * G - momentum * V[:, None]``, then
+    ``U @ G.transpose(0, 2, 1)`` runs the same per-step product as
+    ``updates @ grads.T`` on one step; scores of steps under the loss floor
+    become 0.0, and ``np.add.reduce(..., axis=0)`` adds the steps in order
+    onto 0.0. With two or more tasks every entry has the bits of a
+    step-by-step loop; a one-task trace reduces its steps pairwise instead.
     """
-    trace = list(trace)
-    if not trace:
+    if trace.losses.size == 0:
         raise ValueError("trace is empty")
     if velocity_mode not in VELOCITY_MODES:
         raise ValueError(f"velocity_mode must be one of {VELOCITY_MODES}")
-    tasks = sorted(trace[0].losses.keys())
-    n = len(tasks)
-    if tasks != list(range(n)):
+    n = len(trace.tasks)
+    if trace.tasks != tuple(range(n)):
         raise ValueError("trace tasks must be a dense 0..n-1 range")
-    sums = np.zeros((n, n))
-    counts = np.zeros((n, n), dtype=int)
-    for st in trace:
-        if sorted(st.losses.keys()) != tasks or sorted(st.gradients.keys()) != tasks:
-            raise ValueError(f"step {st.step} does not cover all tasks")
-        grads = np.stack([st.gradients[t] for t in tasks])
-        losses = np.array([st.losses[t] for t in tasks])
-        if velocity_mode == "joint":
-            updates = learning_rate * grads - momentum * st.velocity_in
-        else:
-            updates = learning_rate * grads
-        scores = updates @ grads.T  # [i, j] = update_i . grad_j
-        ok = losses > LOSS_FLOOR
-        scores = scores[:, ok] / losses[ok]
-        sums[:, ok] += scores
-        counts[:, ok] += 1
+    grads, losses = trace.gradients, trace.losses
+    updates = learning_rate * grads
+    if velocity_mode == "joint":
+        updates -= (momentum * trace.velocity_in)[:, None]
+    products = updates @ grads.transpose(0, 2, 1)  # [s, i, j] = update_i . grad_j
+    ok = losses > LOSS_FLOOR
+    scores = np.divide(products, losses[:, None], out=np.zeros_like(products), where=ok[:, None])
+    sums = np.add.reduce(scores, axis=0, initial=0.0)
+    counts = np.tile(np.add.reduce(ok, axis=0), (n, 1))
     if np.any(counts == 0):
         i, j = np.argwhere(counts == 0)[0]
         raise ValueError(f"every step was skipped for pair ({i}, {j}); losses too small")
     return AffinityMatrix(values=sums / counts, steps_used=counts)
+
+
+def group_scores(matrix: AffinityMatrix, groups: np.ndarray) -> np.ndarray:
+    """``(N, k)`` mean scores toward each member of N sorted k-task groups.
+
+    ``groups`` is an ``(N, k)`` int array of distinct, sorted task ids; entry
+    ``[r, i]`` is the mean of ``values[s, groups[r, i]]`` over the other
+    members ``s`` of group r, in task order.
+    """
+    k = groups.shape[1]
+    others = np.array([[j for j in range(k) if j != i] for i in range(k)])
+    toward = matrix.values[groups[:, others], groups[:, :, None]]  # (N, k, k - 1)
+    return np.add.reduce(toward, axis=-1) / (k - 1)
 
 
 def group_affinity(matrix: AffinityMatrix, group) -> GroupAffinity:
@@ -113,11 +132,8 @@ def group_affinity(matrix: AffinityMatrix, group) -> GroupAffinity:
         raise ValueError("group affinity needs at least two tasks")
     if any(not 0 <= t < matrix.n for t in group):
         raise ValueError(f"group members must be task ids below {matrix.n}")
-    scores = {}
-    for t in group:
-        others = [s for s in group if s != t]
-        scores[t] = float(np.mean([matrix.values[s, t] for s in others]))
-    return GroupAffinity(group=group, scores=scores)
+    scores = group_scores(matrix, np.array([group]))[0].tolist()
+    return GroupAffinity(group=group, scores=dict(zip(group, scores)))
 
 
 @dataclass(frozen=True)

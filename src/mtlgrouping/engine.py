@@ -6,8 +6,11 @@ identity, leaving a purely linear (convex) per-task model. Joint training
 moves the shared parameters along the mean of the per-task gradients and
 each head along its own task's gradient. A traced run records, per step,
 every task's loss, its gradient with respect to the shared parameters, and
-the velocity entering the step; downstream affinity scoring consumes exactly
-those signals, so it costs no extra passes.
+the velocity entering the step, into the three preallocated arrays of a
+``Trace``; downstream affinity scoring consumes exactly those signals, so it
+costs no extra passes. ``save_trace`` writes them as ``trace.jsonl``, one
+JSON object per step, and ``load_trace`` reads each line with the typed
+reader back into the arrays.
 
 One training step handles every task of the group at once, over a leading
 task axis. Each reduction and matrix product in it works on per-task slices
@@ -48,7 +51,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .artifacts import from_dict, read_jsonl, to_json, write_jsonl
+from .artifacts import from_dict, read_jsonl, write_jsonl
 from .seeding import stream
 
 # stream purposes
@@ -170,8 +173,32 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
-class StepTrace:
-    """Signals captured before the parameter update of one optimizer step."""
+class Trace:
+    """Signals captured before the parameter update of every optimizer step.
+
+    Row ``s`` of each array is step ``s`` and task axis ``j`` is task
+    ``tasks[j]``: ``losses`` ``(S, T)`` holds each task's mean batch loss,
+    ``gradients`` ``(S, T, P)`` its gradient with respect to the shared
+    parameters, and ``velocity_in`` ``(S, P)`` the shared velocity entering
+    the step (zeros at step 0).
+    """
+
+    tasks: tuple[int, ...]
+    losses: np.ndarray
+    gradients: np.ndarray
+    velocity_in: np.ndarray
+
+    def __post_init__(self):
+        s, t = len(self.losses), len(self.tasks)
+        p = self.velocity_in.shape[-1]
+        if (self.losses.shape, self.gradients.shape, self.velocity_in.shape) != (
+                (s, t), (s, t, p), (s, p)):
+            raise ValueError("trace arrays must have shapes (S, T), (S, T, P) and (S, P)")
+
+
+@dataclass(frozen=True)
+class _TraceLine:
+    """The JSON layout of one line of ``trace.jsonl``: one step's signals, keyed by task."""
 
     step: int
     losses: dict[int, float]
@@ -184,7 +211,7 @@ class TrainedModel:
     params: ModelParams
     group: tuple[int, ...]
     losses: dict[str, dict[int, float]]  # split -> task -> mean loss
-    trace: tuple[StepTrace, ...] | None = None
+    trace: Trace | None = None
 
 
 def init_params(arch: Architecture, seed: int, tasks) -> ModelParams:
@@ -412,21 +439,23 @@ def train_mtl(group, datasets, config: TrainConfig, capture_trace: bool = False)
                for start, loss_sum in zip(starts, loss_sums)]
     rng_batches = stream(config.seed, _BATCHES)
     eta, beta, n_tasks = config.learning_rate, config.momentum, len(group)
+    trace = None
+    if capture_trace:
+        n_steps = config.epochs * len(batches)
+        trace = Trace(group, np.empty((n_steps, n_tasks)),
+                      np.empty((n_steps, n_tasks, n_shared)), np.empty((n_steps, n_shared)))
 
-    trace: list[StepTrace] = []
     for epoch in range(config.epochs):
         order = rng_batches.permutation(n_train)
         X_all.take(order, axis=1, out=X_epoch)
         y_all.take(order, axis=1, out=y_epoch)
         for k, (X, y, loss_sum) in enumerate(batches):
             _batched_step(arch, layers, head_views, X, y, grad_layers, head_grad_views, loss_sum)
-            if capture_trace:
-                trace.append(StepTrace(
-                    step=epoch * len(batches) + k,
-                    losses=dict(zip(group, (loss_sum / y.shape[-1]).tolist())),
-                    gradients={t: g.copy() for t, g in zip(group, grads)},
-                    velocity_in=velocity[:n_shared].copy(),
-                ))
+            if trace is not None:
+                step = epoch * len(batches) + k
+                np.divide(loss_sum, y.shape[-1], out=trace.losses[step])
+                trace.gradients[step] = grads
+                trace.velocity_in[step] = velocity[:n_shared]
             # sgd_momentum_step on the whole vector, in place
             np.add.reduce(grads, axis=0, out=mean_grad)
             mean_grad /= n_tasks
@@ -452,7 +481,7 @@ def train_mtl(group, datasets, config: TrainConfig, capture_trace: bool = False)
         params=params,
         group=group,
         losses=losses,
-        trace=tuple(trace) if capture_trace else None,
+        trace=trace,
     )
 
 
@@ -461,10 +490,39 @@ def train_stl(task: int, dataset, config: TrainConfig) -> TrainedModel:
     return train_mtl((task,), {int(task): dataset}, config, capture_trace=False)
 
 
-def save_trace(trace, path) -> None:
-    """One JSON object per step: losses, shared gradients, incoming velocity."""
-    write_jsonl(path, map(to_json, trace))
+def save_trace(trace: Trace, path) -> None:
+    """One JSON object per step: losses, shared gradients, incoming velocity.
+
+    Each line is ``json.dumps`` of one dict built from the arrays' ``tolist()``
+    rows, keys sorted, with the task ids as string keys.
+    """
+    keys = [str(t) for t in trace.tasks]
+    write_jsonl(path, (
+        {"gradients": dict(zip(keys, grads)), "losses": dict(zip(keys, losses)),
+         "step": step, "velocity_in": velocity_in}
+        for step, (losses, grads, velocity_in) in enumerate(zip(
+            trace.losses.tolist(), trace.gradients.tolist(), trace.velocity_in.tolist()))))
 
 
-def load_trace(path) -> tuple[StepTrace, ...]:
-    return tuple(from_dict(StepTrace, rec) for rec in read_jsonl(path))
+def load_trace(path) -> Trace:
+    """Read ``trace.jsonl`` back into a ``Trace``, each line through the typed reader.
+
+    Lines must hold steps 0, 1, ... in order, every step the same tasks, and
+    every gradient the length of the velocity.
+    """
+    lines = [from_dict(_TraceLine, rec) for rec in read_jsonl(path)]
+    tasks = tuple(sorted(lines[0].losses)) if lines else ()
+    size = lines[0].velocity_in.size if lines else 0
+    trace = Trace(tasks, np.empty((len(lines), len(tasks))),
+                  np.empty((len(lines), len(tasks), size)), np.empty((len(lines), size)))
+    for step, line in enumerate(lines):
+        if line.step != step:
+            raise ValueError(f"line {step + 1} of {path} holds step {line.step}, expected {step}")
+        if sorted(line.losses) != list(tasks) or sorted(line.gradients) != list(tasks):
+            raise ValueError(f"step {step} does not cover the tasks {list(tasks)}")
+        if line.velocity_in.size != size or any(g.size != size for g in line.gradients.values()):
+            raise ValueError(f"step {step} has gradients or a velocity of a length other than {size}")
+        trace.losses[step] = [line.losses[t] for t in tasks]
+        trace.gradients[step] = [line.gradients[t] for t in tasks]
+        trace.velocity_in[step] = line.velocity_in
+    return trace

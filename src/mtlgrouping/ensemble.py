@@ -7,6 +7,15 @@ validation on the training groups. Stage 2 learns, per task, a ridge model
 from the group's multi-hot membership vector to the stage-1 residual, so
 systematic over- or under-prediction for particular task combinations gets
 corrected. The final prediction is the stage-1 value plus the residual term.
+
+Predictions are computed in whole arrays. ``predict_from_matrix`` stacks its
+groups by size k: one ``group_scores`` gather, one design matrix for all
+their members, one ``(N, k, m) @ coef`` stage-1 product, and per task one
+``(N_t, 1, n) @ coef`` residual product over the groups that hold it.
+numpy runs each slice of a stacked product as its own BLAS call, the call
+one group alone makes, so every group gets the bits ``predict`` gives it
+alone; ``predict`` and ``predict_stage1`` are the one-group case of the same
+kernels.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ import numpy as np
 
 from . import ridge
 from .artifacts import load
-from .affinity import AffinityMatrix, GroupAffinity, group_affinity
+from .affinity import AffinityMatrix, GroupAffinity, group_affinity, group_scores
 from .ridge import CvConfig, RidgeModel
 from .splines import SplineSpec, affine_matrix, basis_matrix, fit_knots
 
@@ -58,12 +67,14 @@ class Stage1Model:
             raise ValueError("spline must be null exactly when mapping_kind is 'affine'")
 
     def design(self, zs) -> np.ndarray:
-        zs = np.clip(np.asarray(zs, dtype=float).ravel(), self.z_lo, self.z_hi)
-        if self.mapping_kind == "affine":
-            return affine_matrix(zs)
-        return basis_matrix(zs, self.spline)
+        """One design row per score: scores of shape ``(..., k)`` give ``(..., k, m)``."""
+        zs = np.asarray(zs, dtype=float)
+        flat = np.clip(zs.ravel(), self.z_lo, self.z_hi)
+        rows = affine_matrix(flat) if self.mapping_kind == "affine" else basis_matrix(flat, self.spline)
+        return rows.reshape(zs.shape + rows.shape[-1:])
 
     def apply(self, zs) -> np.ndarray:
+        """Predicted gain of each score in a ``(k,)`` or ``(N, k)`` array."""
         return ridge.predict(self.model, self.design(zs))
 
 
@@ -158,8 +169,7 @@ def fit_stage1(pairs, mapping_kind: str = "spline", cv: CvConfig | None = None,
 def predict_stage1(stage1: Stage1Model, ga: GroupAffinity) -> dict[int, float]:
     """Apply the scalar map to each member's group-affinity score."""
     zs = np.array([ga.scores[t] for t in ga.group])
-    preds = stage1.apply(zs)
-    return {t: float(p) for t, p in zip(ga.group, preds)}
+    return dict(zip(ga.group, stage1.apply(zs).tolist()))
 
 
 def fit_residual(records, stage1: Stage1Model, matrix: AffinityMatrix, n_tasks: int,
@@ -210,6 +220,30 @@ def fit_predictor(records, matrix: AffinityMatrix, n_tasks: int,
     )
 
 
+def _checked_group(group, n_tasks: int) -> tuple[int, ...]:
+    group = tuple(sorted(set(int(t) for t in group)))
+    if len(group) < 2:
+        raise ValueError("predictions are defined for groups of two or more tasks")
+    if any(not 0 <= t < n_tasks for t in group):
+        raise ValueError(f"group members must be task ids below {n_tasks}")
+    return group
+
+
+def _predict_rows(predictor: EnsemblePredictor, groups: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """``(N, k)`` final predictions for N sorted k-task groups with scores ``zs``."""
+    base = predictor.stage1.apply(zs)
+    if not predictor.residual_enabled:
+        return base
+    members = np.zeros((len(groups), predictor.n_tasks))  # multi-hot rows, as encode_group
+    members[np.arange(len(groups))[:, None], groups] = 1.0
+    correction = np.zeros_like(base)  # zero for tasks that never had a model
+    for t, model in predictor.residual_models.items():
+        rows, pos = np.nonzero(groups == t)
+        if rows.size:
+            correction[rows, pos] = ridge.predict(model, members[rows, None, :])[:, 0]
+    return base + correction
+
+
 def predict(predictor: EnsemblePredictor, group, ga: GroupAffinity) -> dict[int, float]:
     """Final per-task gain predictions for one group.
 
@@ -217,28 +251,31 @@ def predict(predictor: EnsemblePredictor, group, ga: GroupAffinity) -> dict[int,
     enabled, each task's residual model contributes an additive term (zero
     for tasks that never had one).
     """
-    group = tuple(sorted(set(int(t) for t in group)))
-    if len(group) < 2:
-        raise ValueError("predictions are defined for groups of two or more tasks")
-    if any(not 0 <= t < predictor.n_tasks for t in group):
-        raise ValueError(f"group members must be task ids below {predictor.n_tasks}")
+    group = _checked_group(group, predictor.n_tasks)
     if tuple(ga.group) != group:
         raise ValueError("group affinity does not match the queried group")
-    base = predict_stage1(predictor.stage1, ga)
-    if not predictor.residual_enabled:
-        return base
-    u = encode_group(group, predictor.n_tasks)[None, :]
-    out = {}
-    for t in group:
-        model = predictor.residual_models.get(t)
-        correction = float(ridge.predict(model, u)[0]) if model is not None else 0.0
-        out[t] = base[t] + correction
+    zs = np.array([[ga.scores[t] for t in group]])
+    return dict(zip(group, _predict_rows(predictor, np.array([group]), zs)[0].tolist()))
+
+
+def predict_from_matrix(predictor: EnsemblePredictor, groups,
+                        matrix: AffinityMatrix) -> list[dict[int, float]]:
+    """Final per-task predictions for each of ``groups``, one dict per group.
+
+    Each dict equals, bit for bit, ``predict(predictor, group,
+    group_affinity(matrix, group))``.
+    """
+    groups = [_checked_group(g, min(predictor.n_tasks, matrix.n)) for g in groups]
+    by_size: dict[int, list[int]] = {}
+    for i, group in enumerate(groups):
+        by_size.setdefault(len(group), []).append(i)
+    out: list = [None] * len(groups)
+    for rows in by_size.values():
+        stacked = np.array([groups[i] for i in rows])
+        preds = _predict_rows(predictor, stacked, group_scores(matrix, stacked))
+        for i, pred in zip(rows, preds.tolist()):
+            out[i] = dict(zip(groups[i], pred))
     return out
-
-
-def predict_from_matrix(predictor: EnsemblePredictor, group,
-                        matrix: AffinityMatrix) -> dict[int, float]:
-    return predict(predictor, group, group_affinity(matrix, group))
 
 
 def load_predictor(path) -> EnsemblePredictor:

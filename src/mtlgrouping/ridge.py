@@ -6,11 +6,15 @@ Coefficients are reported in the original feature units, so predictions are
 simply X @ coefficients + intercept.
 
 Cross-validation does each fold's penalty-independent work once: the mask,
-the centering, Xc'Xc and Xc'yc. It then factors Xc'Xc + lam*I for the whole
-sorted grid with one batched Cholesky and solves each penalty with LAPACK's
-``dpotrs`` (the routine ``scipy.linalg.cho_solve`` calls). ``fit`` runs the
-same solve with a single penalty, so each fold's coefficients, and hence the
-CV errors, are bit-for-bit those of ``fit`` on the fold's training rows.
+the centering, Xc'Xc and Xc'yc. It then factors Xc'Xc + lam*I for every fold
+and the whole sorted grid with one batched Cholesky and solves each (fold,
+penalty) with LAPACK's ``dpotrs`` (the routine ``scipy.linalg.cho_solve``
+calls). ``fit`` runs the same solve with one fold and a single penalty, so
+each fold's coefficients are bit-for-bit those of ``fit`` on the fold's
+training rows. A fold's validation errors for all penalties come from the
+stacked products ``X_val[None] @ W[:, :, None]`` and ``x_mean[None, None, :]
+@ W[:, :, None]``, whose slices are the products ``X_val @ w`` and
+``x_mean @ w`` of one penalty, so the CV errors keep their bits too.
 """
 
 from __future__ import annotations
@@ -62,9 +66,10 @@ def _checked(X, y):
 
 
 def _centered(X, y):
-    """(x_mean, y_mean, Xc'Xc, Xc'yc) of the centered data."""
-    x_mean = X.mean(axis=0)
-    y_mean = float(y.mean())
+    """(x_mean, y_mean, Xc'Xc, Xc'yc) of the centered data; the means are ``np.mean``'s."""
+    n = y.size
+    x_mean = np.add.reduce(X, axis=0) / n
+    y_mean = float(np.add.reduce(y) / n)
     Xc = X - x_mean
     yc = y - y_mean
     return x_mean, y_mean, Xc.T @ Xc, Xc.T @ yc
@@ -75,12 +80,10 @@ def _singular(lam) -> SingularFitError:
     return SingularFitError(f"normal equations are singular at lam={float(lam)!r}; {remedy}")
 
 
-def _solve(gram, rhs, lams) -> np.ndarray:
-    """Row i solves (gram + lams[i]*I) w = rhs; one batched factorization for all lams."""
-    p = rhs.size
-    lhs = gram + lams[:, None, None] * np.eye(p)
+def _factor(lhs, lams) -> np.ndarray:
+    """Cholesky factors of one fold's ``(L, p, p)`` stack; a failure names its first penalty."""
     try:
-        chol = np.linalg.cholesky(lhs)
+        return np.linalg.cholesky(lhs)
     except np.linalg.LinAlgError as exc:
         for lam, a in zip(lams, lhs):  # factor one by one to name the penalty that failed
             try:
@@ -88,23 +91,48 @@ def _solve(gram, rhs, lams) -> np.ndarray:
             except np.linalg.LinAlgError:
                 raise _singular(lam) from exc
         raise
-    coefs = np.empty((lams.size, p))
+
+
+def _solve(gram, rhs, lams) -> np.ndarray:
+    """``coefs[f, i]`` solves ``(gram[f] + lams[i]*I) w = rhs[f]`` for ``(F, p, p)`` grams.
+
+    One batched factorization covers every fold and penalty. A failure is
+    raised as solving the folds one after another would: fold by fold, and
+    within a fold the first penalty that does not factor, then the first
+    whose pivots show a singular matrix, then the first with non-finite
+    coefficients. If the batched factorization fails, the folds are factored
+    one by one to find the first that fails, and the folds before it are
+    solved and checked before its penalty is named.
+    """
+    p = rhs.shape[-1]
+    lhs = gram[:, None] + lams[:, None, None] * np.eye(p)
+    try:
+        chols = np.linalg.cholesky(lhs)
+    except np.linalg.LinAlgError:
+        for f, fold_lhs in enumerate(lhs):
+            try:
+                _factor(fold_lhs, lams)
+            except SingularFitError:
+                _solve(gram[:f], rhs[:f], lams)  # an earlier fold's failure comes first
+                raise
+        raise
     if p == 0:
-        return coefs
+        return np.empty(lhs.shape[:-1])
     # rounding can sneak an exactly singular Gram matrix past the factorization
-    pivots = np.diagonal(chol, axis1=1, axis2=2) ** 2
-    limits = np.diagonal(lhs, axis1=1, axis2=2).max(axis=1) * p * 1e-14
-    singular = pivots.min(axis=1) <= limits
-    if singular.any():
-        raise _singular(lams[np.argmax(singular)])
-    for w, c in zip(coefs, chol):
-        w[:] = dpotrs(c, rhs, lower=1)[0]
-    finite = np.isfinite(coefs).all(axis=1)
-    if not finite.all():
-        raise SingularFitError(
-            "normal equations produced non-finite coefficients at "
-            f"lam={float(lams[np.argmin(finite)])!r}; use a larger lam"
-        )
+    pivots = np.diagonal(chols, axis1=-2, axis2=-1) ** 2
+    limits = np.diagonal(lhs, axis1=-2, axis2=-1).max(axis=-1) * p * 1e-14
+    singular = (pivots.min(axis=-1) <= limits).tolist()
+    coefs = np.array([[dpotrs(c, fold_rhs, lower=1)[0] for c in fold_chols]
+                      for fold_chols, fold_rhs in zip(chols, rhs)]).reshape(lhs.shape[:-1])
+    finite = np.isfinite(coefs).all(axis=-1).tolist()
+    for fold_singular, fold_finite in zip(singular, finite):
+        if True in fold_singular:
+            raise _singular(lams[fold_singular.index(True)])
+        if False in fold_finite:
+            raise SingularFitError(
+                "normal equations produced non-finite coefficients at "
+                f"lam={float(lams[fold_finite.index(False)])!r}; use a larger lam"
+            )
     return coefs
 
 
@@ -114,14 +142,19 @@ def fit(X, y, lam: float) -> RidgeModel:
     if lam < 0:
         raise ValueError("lam must be >= 0")
     x_mean, y_mean, gram, rhs = _centered(X, y)
-    w = _solve(gram, rhs, np.array([lam], dtype=float))[0]
+    w = _solve(gram[None], rhs[None], np.array([lam], dtype=float))[0, 0]
     intercept = y_mean - float(x_mean @ w)
     return RidgeModel(coefficients=w, intercept=intercept, lam=float(lam))
 
 
 def predict(model: RidgeModel, X) -> np.ndarray:
+    """``X @ coefficients + intercept`` for an ``(n, p)`` matrix or a stack ``(..., n, p)``.
+
+    numpy runs each ``(n, p)`` slice of a stack as its own product, so a
+    slice gets the bits it gets alone.
+    """
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != model.feature_dim:
+    if X.ndim < 2 or X.shape[-1] != model.feature_dim:
         raise ValueError(f"X must have shape (n, {model.feature_dim})")
     return X @ model.coefficients + model.intercept
 
@@ -158,24 +191,27 @@ def fit_cv(X, y, cv: CvConfig | None = None):
     order = stream(cv.seed, _CV_STREAM).permutation(n)
     folds = np.array_split(order, cv.folds)
     grid = np.array(sorted(cv.lambda_grid), dtype=float)
-    fold_mses = np.empty((grid.size, len(folds)))  # one contiguous row per lam
-    for f, fold in enumerate(folds):
+    centered = []
+    for fold in folds:
         mask = np.ones(n, dtype=bool)
         mask[fold] = False
-        x_mean, y_mean, gram, rhs = _centered(X[mask], y[mask])
-        X_val, y_val = X[fold], y[fold]
-        for i, w in enumerate(_solve(gram, rhs, grid)):
-            err = X_val @ w + (y_mean - float(x_mean @ w)) - y_val
-            fold_mses[i, f] = np.add.reduce(err * err) / err.size  # np.mean, unwrapped
+        centered.append(_centered(X[mask], y[mask]))
+    x_means, y_means, grams, rhss = (np.array(a) for a in zip(*centered))
+    coefs = _solve(grams, rhss, grid)  # (folds, lams, p)
+    # [f, i] is y_mean - x_mean @ w of fold f and lam i: the intercept the fold's fit has
+    intercepts = y_means[:, None] - (x_means[:, None, None, :] @ coefs[..., None])[..., 0, 0]
+    fold_mses = np.empty((grid.size, len(folds)))  # one contiguous row per lam
+    for f, (fold, W, b) in enumerate(zip(folds, coefs, intercepts)):
+        err = (X[fold][None] @ W[:, :, None])[:, :, 0] + b[:, None] - y[fold]
+        fold_mses[:, f] = np.add.reduce(err * err, axis=-1) / err.shape[-1]  # np.mean per row
     cv_mse: dict[float, float] = {}
     best_lam = None
     best_mse = None
-    for lam, mses in zip(grid, fold_mses):
-        mean_mse = float(np.mean(mses))
-        cv_mse[float(lam)] = mean_mse
+    for lam, mean_mse in zip(grid.tolist(), (np.add.reduce(fold_mses, axis=-1) / len(folds)).tolist()):
+        cv_mse[lam] = mean_mse
         if best_mse is None or mean_mse <= best_mse:
             best_mse = mean_mse
-            best_lam = float(lam)
+            best_lam = lam
     final = fit(X, y, best_lam)
     return final, best_lam, cv_mse
 

@@ -225,14 +225,11 @@ def enumerate_candidate_groups(n_tasks: int, min_size: int = 2, max_size: int | 
 
 def build_problem(predictor: EnsemblePredictor, matrix: AffinityMatrix,
                   candidate_groups, budget: int) -> SelectionProblem:
-    """Fill candidate gains from the predictor over an affinity matrix."""
-    candidates = []
-    for group in candidate_groups:
-        group = tuple(sorted(set(int(t) for t in group)))
-        candidates.append((group, predict_from_matrix(predictor, group, matrix)))
+    """Fill candidate gains from the predictor over an affinity matrix, in one call."""
+    groups = [tuple(sorted(set(int(t) for t in group))) for group in candidate_groups]
     return SelectionProblem(
         n_tasks=predictor.n_tasks,
-        candidates=tuple(candidates),
+        candidates=tuple(zip(groups, predict_from_matrix(predictor, groups, matrix))),
         budget=budget,
     )
 

@@ -132,17 +132,17 @@ def test_03_linearity_equivalence_without_momentum():
         dim = int(rng.integers(2, 40))
         trace = random_trace(rng, n, dim, int(rng.integers(2, 8)))
         eta = float(rng.uniform(0.01, 1.0))
-        for st in trace:
+        for grads, losses in zip(trace.gradients, trace.losses):
             for t in range(n):
                 others = [s for s in range(n) if s != t]
                 mean_pair = np.mean([
-                    aff.step_affinity(st.gradients[s], st.gradients[t], st.losses[t],
+                    aff.step_affinity(grads[s], grads[t], losses[t],
                                       eta, 0.0, np.zeros(dim))
                     for s in others
                 ])
                 of_mean = aff.step_affinity(
-                    np.mean([st.gradients[s] for s in others], axis=0),
-                    st.gradients[t], st.losses[t], eta, 0.0, np.zeros(dim))
+                    np.mean([grads[s] for s in others], axis=0),
+                    grads[t], losses[t], eta, 0.0, np.zeros(dim))
                 worst = max(worst, abs(mean_pair - of_mean) / max(1e-30, abs(of_mean)))
     elapsed = time.monotonic() - t0
     ok = worst < 1e-10 and elapsed < 5.0

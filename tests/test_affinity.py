@@ -1,9 +1,14 @@
+from dataclasses import replace
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from mtlgrouping.affinity import (
+    LOSS_FLOOR,
     AffinityMatrix,
     group_affinity,
+    group_scores,
     load_matrix,
     matrix_to_csv,
     pairwise_affinity,
@@ -11,9 +16,10 @@ from mtlgrouping.affinity import (
     step_affinity,
 )
 from mtlgrouping.artifacts import read_json, write_json
-from mtlgrouping.engine import StepTrace
+from mtlgrouping.engine import Trace, TrainConfig, train_mtl
+from mtlgrouping.suite import TaskSuiteSpec, generate_suite
 
-from helpers import random_trace
+from helpers import mean_loop_group_affinity, random_trace, step_loop_affinity
 
 
 class TestStepAffinity:
@@ -42,18 +48,12 @@ class TestStepAffinity:
 
 
 def trace_from_arrays(losses_per_step, grads_per_step, velocities=None):
-    steps = []
-    for k, (losses, grads) in enumerate(zip(losses_per_step, grads_per_step)):
-        n = len(losses)
-        dim = len(grads[0])
-        v = np.zeros(dim) if velocities is None else np.asarray(velocities[k], dtype=float)
-        steps.append(StepTrace(
-            step=k,
-            losses={t: float(losses[t]) for t in range(n)},
-            gradients={t: np.asarray(grads[t], dtype=float) for t in range(n)},
-            velocity_in=v,
-        ))
-    return steps
+    losses = np.array(losses_per_step, dtype=float)
+    grads = np.array(grads_per_step, dtype=float)
+    if velocities is None:
+        velocities = np.zeros((len(losses), grads.shape[-1]))
+    return Trace(tuple(range(losses.shape[1])), losses, grads,
+                 np.array(velocities, dtype=float))
 
 
 class TestPairwiseAffinity:
@@ -125,8 +125,13 @@ class TestPairwiseAffinity:
         assert not np.allclose(with_momentum.values, zeroed.values)
 
     def test_empty_trace_rejected(self):
+        empty = Trace((), np.empty((0, 0)), np.empty((0, 0, 0)), np.empty((0, 0)))
         with pytest.raises(ValueError, match="empty"):
-            pairwise_affinity([], 0.1, 0.0)
+            pairwise_affinity(empty, 0.1, 0.0)
+
+    def test_mismatched_arrays_rejected(self):
+        with pytest.raises(ValueError, match="shapes"):
+            Trace((0, 1), np.ones((3, 2)), np.ones((3, 2, 4)), np.ones((2, 4)))
 
 
 class TestProperties:
@@ -166,15 +171,8 @@ class TestProperties:
         rng = np.random.default_rng(7)
         trace = random_trace(rng, n_tasks=4, dim=6, steps=5)
         perm = [2, 0, 3, 1]  # relabeled[t] = original[perm[t]]
-        relabeled = [
-            StepTrace(
-                step=st.step,
-                losses={t: st.losses[perm[t]] for t in range(4)},
-                gradients={t: st.gradients[perm[t]] for t in range(4)},
-                velocity_in=st.velocity_in,
-            )
-            for st in trace
-        ]
+        relabeled = replace(trace, losses=trace.losses[:, perm],
+                            gradients=trace.gradients[:, perm])
         a = pairwise_affinity(trace, 0.1, 0.9)
         b = pairwise_affinity(relabeled, 0.1, 0.9)
         p = np.asarray(perm)
@@ -215,9 +213,10 @@ class TestGroupAffinity:
             per_pair = []
             for s in others:
                 vals = []
-                for st in trace:
-                    upd = eta * st.gradients[s] - beta * st.velocity_in
-                    vals.append(float(st.gradients[t] @ upd) / st.losses[t])
+                for grads, losses, velocity in zip(trace.gradients, trace.losses,
+                                                   trace.velocity_in):
+                    upd = eta * grads[s] - beta * velocity
+                    vals.append(float(grads[t] @ upd) / losses[t])
                 per_pair.append(np.mean(vals))
             assert ga.scores[t] == pytest.approx(float(np.mean(per_pair)), abs=1e-10)
 
@@ -238,6 +237,80 @@ class TestGroupAffinity:
             a = group_affinity(loud, group)
             b = group_affinity(quiet, group)
             assert a.scores == b.scores
+
+
+def trained_trace(hidden, loss, n_tasks=4):
+    spec = TaskSuiteSpec(
+        n_tasks=n_tasks, input_dim=5, n_clusters=2, within_cluster_similarity=0.9,
+        label_noise_std=0.1, samples_per_split=(24, 8, 16), seed=21,
+        task_type="regression" if loss == "squared" else "classification")
+    suite = generate_suite(spec)
+    config = TrainConfig(learning_rate=0.05, momentum=0.9, epochs=6, batch_size=8,
+                         hidden_dims=hidden, seed=13)
+    return train_mtl(suite.tasks, suite, config, capture_trace=True).trace
+
+
+class TestOnePassMatchesStepLoop:
+    """The one-pass reduction equals the step-by-step loop bit for bit."""
+
+    @staticmethod
+    def assert_same(trace, eta, beta, velocity_mode):
+        got = pairwise_affinity(trace, eta, beta, velocity_mode=velocity_mode)
+        values, counts = step_loop_affinity(trace, eta, beta, velocity_mode)
+        assert np.array_equal(got.values, values)
+        assert np.array_equal(got.steps_used, counts)
+        assert got.steps_used.dtype == counts.dtype
+
+    @pytest.mark.parametrize("velocity_mode", ["joint", "zero"])
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
+    @pytest.mark.parametrize("hidden", [(), (4,), (5, 3)],
+                             ids=lambda h: "h" + "x".join(map(str, h)))
+    def test_trained_traces(self, hidden, loss, velocity_mode):
+        self.assert_same(trained_trace(hidden, loss), 0.05, 0.9, velocity_mode)
+
+    @pytest.mark.parametrize("velocity_mode", ["joint", "zero"])
+    def test_random_traces(self, velocity_mode):
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            n = int(rng.integers(2, 11))
+            trace = random_trace(rng, n, int(rng.integers(1, 30)), int(rng.integers(1, 40)))
+            eta, beta = float(rng.uniform(0.01, 1.0)), float(rng.uniform(0.0, 0.99))
+            self.assert_same(trace, eta, beta, velocity_mode)
+
+    @pytest.mark.parametrize("velocity_mode", ["joint", "zero"])
+    def test_steps_under_the_floor(self, velocity_mode):
+        rng = np.random.default_rng(32)
+        trace = random_trace(rng, 5, 7, 30)
+        low = rng.random(trace.losses.shape) < 0.3
+        trace.losses[low] = rng.choice([0.0, 1e-15, LOSS_FLOOR], size=int(low.sum()))
+        assert low.any() and not low.all(axis=0).any()
+        self.assert_same(trace, 0.2, 0.7, velocity_mode)
+        got = pairwise_affinity(trace, 0.2, 0.7, velocity_mode=velocity_mode)
+        assert np.array_equal(got.steps_used[0], 30 - low.sum(axis=0))
+
+    def test_zero_gradients_keep_positive_zero(self):
+        trace = trace_from_arrays([[1.0, 2.0]] * 3, [[[0.0, 0.0], [-1.0, 2.0]]] * 3)
+        values, _ = step_loop_affinity(trace, 0.5, 0.0)
+        got = pairwise_affinity(trace, 0.5, 0.0).values
+        assert np.array_equal(np.signbit(got), np.signbit(values))
+
+
+class TestGroupScores:
+    """Stacked group scores equal the per-member ``np.mean`` loop bit for bit."""
+
+    @pytest.mark.parametrize("n", [6, 10])
+    def test_universe_matches_mean_loop(self, n):
+        rng = np.random.default_rng(40 + n)
+        matrix = AffinityMatrix(values=rng.normal(scale=0.3, size=(n, n)),
+                                steps_used=np.ones((n, n), dtype=int))
+        for k in range(2, n + 1):
+            groups = list(combinations(range(n), k))
+            stacked = group_scores(matrix, np.array(groups))
+            assert stacked.shape == (len(groups), k)
+            for group, row in zip(groups, stacked.tolist()):
+                want = mean_loop_group_affinity(matrix, group)
+                assert dict(zip(group, row)) == want
+                assert group_affinity(matrix, group).scores == want
 
 
 class TestSerialization:

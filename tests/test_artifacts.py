@@ -18,7 +18,7 @@ from mtlgrouping.artifacts import (
     write_json,
     write_jsonl,
 )
-from mtlgrouping.engine import StepTrace, load_trace, save_trace
+from mtlgrouping.engine import Trace, _TraceLine, load_trace, save_trace
 from mtlgrouping.ensemble import EnsemblePredictor, Stage1Model, load_predictor
 from mtlgrouping.experiment import RunEval, RunGroups
 from mtlgrouping.gains import GainRecord, load_records, save_records
@@ -116,10 +116,10 @@ def _gains(directory):
 
 
 def _trace(directory):
-    step = StepTrace(step=0, losses={0: 1.0, 1: 2.0},
-                     gradients={0: np.array([0.5, -0.5]), 1: np.array([0.25, 0.0])},
-                     velocity_in=np.array([0.0, 0.1]))
-    save_trace([step], directory / "trace.jsonl")
+    trace = Trace((0, 1), losses=np.array([[1.0, 2.0]]),
+                  gradients=np.array([[[0.5, -0.5], [0.25, 0.0]]]),
+                  velocity_in=np.array([[0.0, 0.1]]))
+    save_trace(trace, directory / "trace.jsonl")
     return directory / "trace.jsonl", load_trace
 
 
@@ -196,9 +196,9 @@ def _twelve_task_artifacts():
         GainRecord(group=(0, 2, 10, 11), gains={t: 0.1 * t - 0.3 for t in (0, 2, 10, 11)},
                    stl_losses={t: 1.0 + t for t in (0, 2, 10, 11)},
                    mtl_losses={t: 0.5 + t for t in (0, 2, 10, 11)}, seed=7),
-        StepTrace(step=239, losses={t: float(rng.random()) for t in tasks},
-                  gradients={t: rng.standard_normal(9) for t in tasks},
-                  velocity_in=rng.standard_normal(9)),
+        _TraceLine(step=239, losses={t: float(rng.random()) for t in tasks},
+                   gradients={t: rng.standard_normal(9) for t in tasks},
+                   velocity_in=rng.standard_normal(9)),
         EnsemblePredictor(stage1=stage1, residual_enabled=True, n_tasks=12, residual_models={
             t: RidgeModel(rng.standard_normal(12), intercept=-0.5, lam=1.0) for t in (0, 10, 11)}),
         SelectionResult(chosen=((0, 10), (2, 3, 11)), objective=1.5,

@@ -23,7 +23,7 @@ from mtlgrouping.experiment import reference_config
 from mtlgrouping.seeding import stream
 from mtlgrouping.suite import TaskDataset, TaskSuiteSpec, generate_suite
 
-from helpers import mlp_forward_by_hand
+from helpers import mlp_forward_by_hand, per_step_trace_text, random_trace
 
 
 def linear_dataset(w, n=24, seed=0, noise=0.0):
@@ -164,7 +164,7 @@ class TestTrainStl:
         config = TrainConfig(learning_rate=1.0 / lam_max, momentum=0.0, epochs=30,
                              batch_size=1000, hidden_dims=(), seed=4)
         model = train_mtl((0,), {0: ds}, config, capture_trace=True)
-        losses = [st.losses[0] for st in model.trace]
+        losses = model.trace.losses[:, 0].tolist()
         for a, b in zip(losses, losses[1:]):
             assert b <= a + 1e-12
 
@@ -176,10 +176,9 @@ class TestTrainStl:
         b = train_mtl((0,), {0: ds}, config, capture_trace=True)
         assert a.losses == b.losses
         assert np.array_equal(a.params.shared, b.params.shared)
-        for sa, sb in zip(a.trace, b.trace):
-            assert sa.losses == sb.losses
-            assert np.array_equal(sa.gradients[0], sb.gradients[0])
-            assert np.array_equal(sa.velocity_in, sb.velocity_in)
+        assert np.array_equal(a.trace.losses, b.trace.losses)
+        assert np.array_equal(a.trace.gradients, b.trace.gradients)
+        assert np.array_equal(a.trace.velocity_in, b.trace.velocity_in)
 
     def test_noiseless_linear_task_reaches_optimum(self):
         ds = linear_dataset([1.5, -0.5], n=40, seed=7, noise=0.0)
@@ -226,10 +225,10 @@ class TestTrainMtl:
         model = train_mtl((0, 1, 2), self.suite, self.config, capture_trace=True)
         eta, beta = self.config.learning_rate, self.config.momentum
         trace = model.trace
-        for prev, nxt in zip(trace, trace[1:]):
-            mean_grad = np.mean([prev.gradients[t] for t in (0, 1, 2)], axis=0)
-            v_expect = beta * prev.velocity_in - eta * mean_grad
-            assert np.array_equal(v_expect, nxt.velocity_in)
+        for k in range(1, len(trace.losses)):
+            mean_grad = np.mean(trace.gradients[k - 1], axis=0)
+            v_expect = beta * trace.velocity_in[k - 1] - eta * mean_grad
+            assert np.array_equal(v_expect, trace.velocity_in[k])
 
     def replay(self, group, datasets, config):
         """Per-task reference loop: ``_loss_and_grads`` task by task, then
@@ -266,12 +265,14 @@ class TestTrainMtl:
     def assert_replays(self, group, suite, config):
         model = train_mtl(group, suite, config, capture_trace=True)
         params, steps = self.replay(group, suite, config)
-        assert len(model.trace) == len(steps)
-        for st, (out, velocity_in) in zip(model.trace, steps):
-            assert np.array_equal(st.velocity_in, velocity_in)
-            assert st.losses == {t: out[t][0] for t in group}
-            for t in group:
-                assert np.array_equal(st.gradients[t], out[t][1])
+        trace = model.trace
+        assert trace.tasks == group
+        assert len(trace.losses) == len(steps)
+        for k, (out, velocity_in) in enumerate(steps):
+            assert np.array_equal(trace.velocity_in[k], velocity_in)
+            assert trace.losses[k].tolist() == [out[t][0] for t in group]
+            for j, t in enumerate(group):
+                assert np.array_equal(trace.gradients[k, j], out[t][1])
         assert np.array_equal(model.params.shared, params.shared)
         for t in group:
             assert np.array_equal(model.params.heads[t], params.heads[t])
@@ -351,19 +352,17 @@ class TestTrainMtl:
     def test_trained_arrays_share_no_memory(self):
         model = train_mtl((0, 1, 2), self.suite, self.config, capture_trace=True)
         params = model.params.copy()
-        trace = [(st.velocity_in.copy(), {t: g.copy() for t, g in st.gradients.items()})
-                 for st in model.trace]
+        trace = model.trace
+        copies = [a.copy() for a in (trace.losses, trace.gradients, trace.velocity_in)]
         train_mtl((1, 2, 3), self.suite, self.config, capture_trace=True)
         assert np.array_equal(model.params.shared, params.shared)
         for t in (0, 1, 2):
             assert np.array_equal(model.params.heads[t], params.heads[t])
-        for st, (velocity_in, gradients) in zip(model.trace, trace):
-            assert np.array_equal(st.velocity_in, velocity_in)
-            for t in (0, 1, 2):
-                assert np.array_equal(st.gradients[t], gradients[t])
+        for a, b in zip((trace.losses, trace.gradients, trace.velocity_in), copies):
+            assert np.array_equal(a, b)
         for head in model.params.heads.values():
             assert not np.shares_memory(model.params.shared, head)
-        arrays = [a for st in model.trace for a in (st.velocity_in, *st.gradients.values())]
+        arrays = [trace.losses, trace.gradients, trace.velocity_in]
         # owning its data, no returned array is a view into a training buffer
         params_arrays = [model.params.shared, *model.params.heads.values()]
         assert all(a.flags.owndata for a in params_arrays + arrays)
@@ -373,7 +372,7 @@ class TestTrainMtl:
 
     def test_first_step_velocity_zero(self):
         model = train_mtl((0, 1), self.suite, self.config, capture_trace=True)
-        assert np.array_equal(model.trace[0].velocity_in, np.zeros_like(model.trace[0].velocity_in))
+        assert np.array_equal(model.trace.velocity_in[0], np.zeros_like(model.trace.velocity_in[0]))
 
     def test_identical_tasks_equal_losses(self):
         ds = self.suite[0]
@@ -381,8 +380,7 @@ class TestTrainMtl:
                                           targets=ds.targets.copy(),
                                           split=ds.split.copy())}
         model = train_mtl((0, 1), datasets, self.config, capture_trace=True)
-        for st in model.trace:
-            assert st.losses[0] == st.losses[1]
+        assert np.array_equal(model.trace.losses[:, 0], model.trace.losses[:, 1])
         assert model.losses["test"][0] == model.losses["test"][1]
 
     def test_trace_round_trip(self, tmp_path):
@@ -390,13 +388,48 @@ class TestTrainMtl:
         path = tmp_path / "trace.jsonl"
         save_trace(model.trace, path)
         loaded = load_trace(path)
-        assert len(loaded) == len(model.trace)
-        for a, b in zip(model.trace, loaded):
-            assert a.step == b.step
-            assert a.losses == b.losses
-            for t in a.gradients:
-                assert np.array_equal(a.gradients[t], b.gradients[t])
-            assert np.array_equal(a.velocity_in, b.velocity_in)
+        assert loaded.tasks == model.trace.tasks
+        for name in ("losses", "gradients", "velocity_in"):
+            a, b = getattr(loaded, name), getattr(model.trace, name)
+            assert a.dtype == np.float64 and a.shape == b.shape and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
+    @pytest.mark.parametrize("hidden", [(), (4,), (5, 3)],
+                             ids=lambda h: "h" + "x".join(map(str, h)))
+    def test_trace_file_bytes_match_per_step_writer(self, tmp_path, hidden, loss):
+        task_type = "regression" if loss == "squared" else "classification"
+        suite = generate_suite(replace(self.spec, task_type=task_type))
+        model = train_mtl((0, 1, 3), suite, replace(self.config, hidden_dims=hidden),
+                          capture_trace=True)
+        save_trace(model.trace, tmp_path / "trace.jsonl")
+        assert (tmp_path / "trace.jsonl").read_text() == per_step_trace_text(model.trace)
+
+    def test_twelve_task_trace_file_bytes(self, tmp_path):
+        # task keys sort as strings, "10" and "11" before "2"
+        trace = random_trace(np.random.default_rng(14), 12, 9, 5)
+        save_trace(trace, tmp_path / "trace.jsonl")
+        text = (tmp_path / "trace.jsonl").read_text()
+        assert text == per_step_trace_text(trace)
+        first = text.splitlines()[0]
+        assert first.index('"1": ') < first.index('"10": ') < first.index('"2": ')
+        loaded = load_trace(tmp_path / "trace.jsonl")
+        assert np.array_equal(loaded.gradients, trace.gradients)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda lines: lines[:1] + lines[2:], "line 2 of .* holds step 2, expected 1"),
+        (lambda lines: [lines[0], lines[1].replace('"1": ', '"4": ')] + lines[2:],
+         r"step 1 does not cover the tasks \[0, 1, 2\]"),
+        (lambda lines: [lines[0].replace('"velocity_in": [0.0, ', '"velocity_in": [')]
+         + lines[1:], "step 0 has gradients or a velocity of a length other than"),
+    ], ids=["step-order", "tasks", "length"])
+    def test_inconsistent_trace_file_rejected(self, tmp_path, edit, match):
+        trace = random_trace(np.random.default_rng(15), 3, 4, 3)
+        path = tmp_path / "trace.jsonl"
+        save_trace(trace, path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(edit(lines)))
+        with pytest.raises(ValueError, match=match):
+            load_trace(path)
 
     def test_mismatched_train_sizes_rejected(self):
         ds = self.suite[0]

@@ -18,8 +18,9 @@ from mtlgrouping.ensemble import (
 )
 from mtlgrouping.gains import GainRecord
 from mtlgrouping.ridge import CvConfig
+from mtlgrouping.selector import build_problem, enumerate_candidate_groups
 
-from helpers import centered_ridge, naive_basis
+from helpers import centered_ridge, mean_loop_group_affinity, naive_basis
 
 
 def pairs_from(zs, ys):
@@ -249,7 +250,7 @@ class TestPredict:
         records = random_records(rng, 4, 8, matrix)
         predictor = fit_predictor(records, matrix, 4, cv=CvConfig(seed=23))
         with pytest.raises(ValueError, match="below"):
-            predict_from_matrix(predictor, (0, 9), matrix)
+            predict_from_matrix(predictor, [(0, 9)], matrix)
 
     def test_end_to_end_matches_straight_line_reimplementation(self):
         # fixed hyperparameters: degree 2, one interior knot, lam, no CV search
@@ -289,7 +290,7 @@ class TestPredict:
             res_models[t] = (wr, br)
 
         held = (0, 1, 3)
-        got = predict_from_matrix(predictor, held, matrix)
+        (got,) = predict_from_matrix(predictor, [held], matrix)
         for t in held:
             others = [s for s in held if s != t]
             z = float(np.clip(np.mean([matrix.values[s, t] for s in others]),
@@ -302,6 +303,83 @@ class TestPredict:
             assert got[t] == pytest.approx(base + corr, abs=1e-8)
 
 
+def one_group_reference(predictor, matrix, group):
+    """One group's predictions as the per-group path computed them: a
+    per-member np.mean of scores, one (k, m) stage-1 product, and one
+    (1, n) residual product per member added as Python floats."""
+    scores = mean_loop_group_affinity(matrix, group)
+    zs = np.array([scores[t] for t in group])
+    base = {t: float(p) for t, p in zip(group, predictor.stage1.design(zs)
+                                        @ predictor.stage1.model.coefficients
+                                        + predictor.stage1.model.intercept)}
+    if not predictor.residual_enabled:
+        return base
+    u = encode_group(group, predictor.n_tasks)[None, :]
+    out = {}
+    for t in group:
+        model = predictor.residual_models.get(t)
+        correction = (float((u @ model.coefficients + model.intercept)[0])
+                      if model is not None else 0.0)
+        out[t] = base[t] + correction
+    return out
+
+
+class TestBatchedScoring:
+    """Scoring many groups in one call gives each the bits it gets alone."""
+
+    @pytest.mark.parametrize("residual", [True, False], ids=["residual", "stage1"])
+    @pytest.mark.parametrize("mapping_kind", ["spline", "affine"])
+    @pytest.mark.parametrize("n", [6, 10])
+    def test_universe_matches_one_group(self, n, mapping_kind, residual):
+        rng = np.random.default_rng(100 + n)
+        universe = enumerate_candidate_groups(n)
+        for trial in range(2):
+            matrix = random_matrix(rng, n)
+            records = random_records(rng, n, 30, matrix)
+            predictor = fit_predictor(records, matrix, n, mapping_kind=mapping_kind,
+                                      residual_enabled=residual, cv=CvConfig(seed=trial))
+            assert bool(predictor.residual_models) == residual
+            batched = predict_from_matrix(predictor, universe, matrix)
+            assert len(batched) == len(universe)
+            for group, got in zip(universe, batched):
+                ga = group_affinity(matrix, group)
+                assert got == predict(predictor, group, ga)
+                assert got == one_group_reference(predictor, matrix, group)
+                if not residual:
+                    assert got == predict_stage1(predictor.stage1, ga)
+
+    def test_order_and_repeats_do_not_matter(self):
+        rng = np.random.default_rng(110)
+        matrix = random_matrix(rng, 6)
+        predictor = fit_predictor(random_records(rng, 6, 15, matrix), matrix, 6,
+                                  cv=CvConfig(seed=1))
+        groups = [(5, 0, 2), (1, 3), (0, 2, 5), (4, 1, 1), (0, 1, 2, 3, 4, 5), (1, 3)]
+        batched = predict_from_matrix(predictor, groups, matrix)
+        for group, got in zip(groups, batched):
+            assert got == predict_from_matrix(predictor, [group], matrix)[0]
+            assert list(got) == sorted(set(group))
+        assert predict_from_matrix(predictor, [], matrix) == []
+
+    def test_build_problem_matches_one_group(self):
+        rng = np.random.default_rng(111)
+        matrix = random_matrix(rng, 6)
+        predictor = fit_predictor(random_records(rng, 6, 15, matrix), matrix, 6,
+                                  cv=CvConfig(seed=2))
+        problem = build_problem(predictor, matrix, enumerate_candidate_groups(6), budget=2)
+        for group, gains in problem.candidates:
+            assert gains == one_group_reference(predictor, matrix, group)
+
+    def test_bad_group_in_batch_rejected(self):
+        rng = np.random.default_rng(112)
+        matrix = random_matrix(rng, 4)
+        predictor = fit_predictor(random_records(rng, 4, 8, matrix), matrix, 4,
+                                  cv=CvConfig(seed=3))
+        with pytest.raises(ValueError, match="two or more"):
+            predict_from_matrix(predictor, [(0, 1), (2, 2)], matrix)
+        with pytest.raises(ValueError, match="below 4"):
+            predict_from_matrix(predictor, [(0, 1), (1, 4)], matrix)
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(26)
@@ -311,10 +389,9 @@ class TestSerialization:
         path = tmp_path / "predictor.json"
         save(path, predictor)
         loaded = load_predictor(path)
-        for group in ((0, 1), (2, 3, 4), (0, 1, 2, 3, 4)):
-            a = predict_from_matrix(predictor, group, matrix)
-            b = predict_from_matrix(loaded, group, matrix)
-            assert a == b
+        groups = [(0, 1), (2, 3, 4), (0, 1, 2, 3, 4)]
+        assert predict_from_matrix(predictor, groups, matrix) == predict_from_matrix(
+            loaded, groups, matrix)
 
     def test_schema_checked(self, tmp_path):
         rng = np.random.default_rng(28)

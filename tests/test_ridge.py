@@ -11,7 +11,7 @@ from mtlgrouping.ridge import CvConfig, SingularFitError
 from mtlgrouping.seeding import stream
 from mtlgrouping.splines import affine_matrix, basis_matrix, fit_knots
 
-from helpers import centered_ridge, cholesky_ridge, fold_loop_cv
+from helpers import centered_ridge, cholesky_ridge, fold_loop_cv, per_fold_cv_error
 
 
 class TestFit:
@@ -247,6 +247,18 @@ class TestMatchesPerFitOracle:
             y = rng.standard_normal(2)
             self._assert_same(X, y, CvConfig(folds=2, seed=5))
 
+    def test_random_designs(self):
+        rng = np.random.default_rng(20)
+        for _ in range(300):
+            p = int(rng.integers(1, 9))
+            n = int(rng.integers(max(p + 2, 5), 60))
+            X = rng.standard_normal((n, p)) * rng.uniform(0.01, 100.0, p)
+            if rng.random() < 0.3:  # shifted columns, as spline bases have
+                X += rng.uniform(-5.0, 5.0, p)
+            self._assert_same(X, rng.standard_normal(n),
+                              CvConfig(folds=int(rng.integers(2, min(n, 10) + 1)),
+                                       seed=int(rng.integers(0, 1000))))
+
     def test_leave_one_out_custom_grid(self):
         rng = np.random.default_rng(19)
         X = rng.standard_normal((7, 4))
@@ -267,6 +279,98 @@ class TestMatchesPerFitOracle:
         w, b = cholesky_ridge(X, y, lam)
         assert np.array_equal(model.coefficients, w)
         assert model.intercept == b
+
+
+def _fold_rows(n, cv):
+    return np.array_split(stream(cv.seed, 41).permutation(n), cv.folds)
+
+
+def _collinear_on_fold(rng, n, cv, fold, scale):
+    """Two columns equal on every row outside ``fold`` and apart on its rows:
+    collinear on that fold's training rows only."""
+    x = rng.standard_normal(n) * scale
+    apart = np.zeros(n)
+    rows = _fold_rows(n, cv)[fold]
+    apart[rows] = rng.uniform(1.0, 2.0, rows.size) * scale * 1e-4
+    return np.column_stack([x, x + apart])
+
+
+class TestFoldFailures:
+    """fit_cv raises what solving fold after fold raises, with the batched factorization.
+
+    Whether a collinear pair fails the factorization or only the pivot check
+    depends on rounding; at these seeds the 1e5 scale fails the pivot check
+    and the 1e9 and 1e11 scales the factorization, which the reference loop
+    confirms case by case.
+    """
+
+    CV = CvConfig(seed=0)
+
+    @pytest.mark.parametrize("scale, check", [(1e5, "pivot"), (1e9, "factor")])
+    @pytest.mark.parametrize("fold", range(5))
+    def test_singular_on_one_fold(self, fold, scale, check):
+        rng = np.random.default_rng(60 + fold)
+        X = np.column_stack([_collinear_on_fold(rng, 20, self.CV, fold, scale),
+                             rng.standard_normal(20) * scale])
+        y = rng.standard_normal(20)
+        want = per_fold_cv_error(X, y, self.CV)
+        assert want[:2] == (fold, check)
+        with pytest.raises(SingularFitError) as info:
+            ridge.fit_cv(X, y, self.CV)
+        assert str(info.value) == want[2]
+        assert "lam=0.001; " in want[2]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+    @pytest.mark.parametrize("scale, check", [(1e5, "pivot"), (1e11, "factor")])
+    @pytest.mark.parametrize("singular_fold, huge_fold", [(2, 4), (0, 1), (3, 0), (1, 0)])
+    def test_folds_fail_in_order(self, singular_fold, huge_fold, scale, check):
+        # a huge target on one row overflows Xc'yc, and so the coefficients, on
+        # every fold that trains on that row; a fold's factorization and pivots
+        # are checked before it is solved, and each fold before the next one
+        rng = np.random.default_rng(70)
+        X = np.column_stack([_collinear_on_fold(rng, 20, self.CV, singular_fold, scale),
+                             rng.standard_normal(20) * scale])
+        y = rng.standard_normal(20)
+        y[_fold_rows(20, self.CV)[huge_fold][0]] = 1e308
+        first_nonfinite = 1 if huge_fold == 0 else 0
+        want = per_fold_cv_error(X, y, self.CV)
+        if singular_fold <= first_nonfinite:
+            assert want[:2] == (singular_fold, check)
+        else:
+            assert want[:2] == (first_nonfinite, "finite")
+        with pytest.raises(SingularFitError) as info:
+            ridge.fit_cv(X, y, self.CV)
+        assert str(info.value) == want[2]
+
+    def test_factor_failure_names_the_failing_lam(self):
+        # fold 2's Gram matrix does not factor at lam = 0.001 but does at 1e22
+        rng = np.random.default_rng(80)
+        X = np.column_stack([_collinear_on_fold(rng, 20, self.CV, 2, 1e9),
+                             rng.standard_normal(20) * 1e9])
+        y = rng.standard_normal(20)
+        cv = CvConfig(lambda_grid=(1e22, 1e-3, 1e23), seed=0)
+        assert per_fold_cv_error(X, y, cv)[:2] == (2, "factor")
+        with pytest.raises(SingularFitError, match=r"singular at lam=0\.001; "):
+            ridge.fit_cv(X, y, cv)
+        ridge.fit_cv(X, y, CvConfig(lambda_grid=(1e22, 1e23), seed=0))
+
+
+class TestStackedPredict:
+    def test_slices_match_one_call_each(self):
+        rng = np.random.default_rng(100)
+        for _ in range(50):
+            n, k, p = (int(v) for v in rng.integers(1, 12, 3))
+            model = ridge.RidgeModel(rng.standard_normal(p), float(rng.standard_normal()), 0.1)
+            X = rng.standard_normal((n, k, p))
+            stacked = ridge.predict(model, X)
+            assert stacked.shape == (n, k)
+            for row, x in zip(stacked, X):
+                assert np.array_equal(row, ridge.predict(model, x))
+
+    def test_vector_rejected(self):
+        model = ridge.RidgeModel(np.ones(2), 0.0, 0.1)
+        with pytest.raises(ValueError, match="shape"):
+            ridge.predict(model, [1.0, 2.0])
 
 
 class TestSerialization:
