@@ -517,7 +517,7 @@ def load_trace(path) -> Trace:
                   np.empty((len(lines), len(tasks), size)), np.empty((len(lines), size)))
     for step, line in enumerate(lines):
         if line.step != step:
-            raise ValueError(f"line {step + 1} of {path} holds step {line.step}, expected {step}")
+            raise ValueError(f"{path} holds step {line.step} where step {step} belongs")
         if sorted(line.losses) != list(tasks) or sorted(line.gradients) != list(tasks):
             raise ValueError(f"step {step} does not cover the tasks {list(tasks)}")
         if line.velocity_in.size != size or any(g.size != size for g in line.gradients.values()):

@@ -68,7 +68,7 @@ class Stage1Model:
 
     def design(self, zs) -> np.ndarray:
         """One design row per score: scores of shape ``(..., k)`` give ``(..., k, m)``."""
-        zs = np.asarray(zs, dtype=float)
+        zs = np.atleast_1d(np.asarray(zs, dtype=float))
         flat = np.clip(zs.ravel(), self.z_lo, self.z_hi)
         rows = affine_matrix(flat) if self.mapping_kind == "affine" else basis_matrix(flat, self.spline)
         return rows.reshape(zs.shape + rows.shape[-1:])

@@ -11,10 +11,11 @@ and the whole sorted grid with one batched Cholesky and solves each (fold,
 penalty) with LAPACK's ``dpotrs`` (the routine ``scipy.linalg.cho_solve``
 calls). ``fit`` runs the same solve with one fold and a single penalty, so
 each fold's coefficients are bit-for-bit those of ``fit`` on the fold's
-training rows. A fold's validation errors for all penalties come from the
-stacked products ``X_val[None] @ W[:, :, None]`` and ``x_mean[None, None, :]
-@ W[:, :, None]``, whose slices are the products ``X_val @ w`` and
-``x_mean @ w`` of one penalty, so the CV errors keep their bits too.
+training rows. The validation errors come from stacked products whose
+slices are the products of one fold and penalty: ``X_val[None] @ W[:, :,
+None]`` gives a fold's ``X_val @ w`` for every penalty, and ``x_means[:,
+None, None, :] @ coefs[..., None]`` every fold's ``x_mean @ w``. So the CV
+errors keep their bits too.
 """
 
 from __future__ import annotations
@@ -122,6 +123,7 @@ def _solve(gram, rhs, lams) -> np.ndarray:
     pivots = np.diagonal(chols, axis1=-2, axis2=-1) ** 2
     limits = np.diagonal(lhs, axis1=-2, axis2=-1).max(axis=-1) * p * 1e-14
     singular = (pivots.min(axis=-1) <= limits).tolist()
+    # the reshape only matters for no folds at all, where np.array gives shape (0,)
     coefs = np.array([[dpotrs(c, fold_rhs, lower=1)[0] for c in fold_chols]
                       for fold_chols, fold_rhs in zip(chols, rhs)]).reshape(lhs.shape[:-1])
     finite = np.isfinite(coefs).all(axis=-1).tolist()
@@ -207,7 +209,8 @@ def fit_cv(X, y, cv: CvConfig | None = None):
     cv_mse: dict[float, float] = {}
     best_lam = None
     best_mse = None
-    for lam, mean_mse in zip(grid.tolist(), (np.add.reduce(fold_mses, axis=-1) / len(folds)).tolist()):
+    mean_mses = np.add.reduce(fold_mses, axis=-1) / len(folds)  # np.mean per row
+    for lam, mean_mse in zip(grid.tolist(), mean_mses.tolist()):
         cv_mse[lam] = mean_mse
         if best_mse is None or mean_mse <= best_mse:
             best_mse = mean_mse

@@ -288,10 +288,13 @@ class TestOnePassMatchesStepLoop:
         got = pairwise_affinity(trace, 0.2, 0.7, velocity_mode=velocity_mode)
         assert np.array_equal(got.steps_used[0], 30 - low.sum(axis=0))
 
-    def test_zero_gradients_keep_positive_zero(self):
-        trace = trace_from_arrays([[1.0, 2.0]] * 3, [[[0.0, 0.0], [-1.0, 2.0]]] * 3)
-        values, _ = step_loop_affinity(trace, 0.5, 0.0)
-        got = pairwise_affinity(trace, 0.5, 0.0).values
+    def test_scores_that_underflow_keep_positive_zero(self):
+        # -2.2e-162 * 2.2e-162 is the smallest negative subnormal, and a
+        # quarter of it rounds to -0.0; the loop adds it onto 0.0
+        trace = trace_from_arrays([[4.0, 4.0]] * 3, [[[-2.2e-162], [2.2e-162]]] * 3)
+        values, _ = step_loop_affinity(trace, 1.0, 0.0)
+        got = pairwise_affinity(trace, 1.0, 0.0).values
+        assert got[0, 1] == 0.0 and not np.signbit(values[0, 1])
         assert np.array_equal(np.signbit(got), np.signbit(values))
 
 
