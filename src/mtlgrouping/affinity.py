@@ -125,13 +125,26 @@ def group_scores(matrix: AffinityMatrix, groups: np.ndarray) -> np.ndarray:
     return np.add.reduce(toward, axis=-1) / (k - 1)
 
 
+def task_group(group, n_tasks: int) -> tuple[int, ...]:
+    """Sorted distinct ids of a task group: two or more integers below n_tasks (1.7 is no id)."""
+    ids = tuple(group)
+    ints = all(type(t) is int or isinstance(t, np.integer) for t in ids)  # not bool, not 1.0
+    out = tuple(sorted(set(map(int, ids)))) if ints else ()
+    if len(out) < 2 or out[0] < 0 or out[-1] >= n_tasks:
+        raise ValueError(f"a task group needs at least two tasks: two or more distinct "
+                         f"integer ids below {n_tasks}, got {ids!r}")
+    return out
+
+
+def check_stored_group(group) -> None:
+    """Reject a stored group that is not two or more strictly increasing task ids."""
+    if len(group) < 2 or group[0] < 0 or any(a >= b for a, b in zip(group, group[1:])):
+        raise ValueError(f"group {list(group)} must be two or more strictly increasing task ids")
+
+
 def group_affinity(matrix: AffinityMatrix, group) -> GroupAffinity:
     """Mean pairwise score from the other members toward each member."""
-    group = tuple(sorted(set(int(t) for t in group)))
-    if len(group) < 2:
-        raise ValueError("group affinity needs at least two tasks")
-    if any(not 0 <= t < matrix.n for t in group):
-        raise ValueError(f"group members must be task ids below {matrix.n}")
+    group = task_group(group, matrix.n)
     scores = group_scores(matrix, np.array([group]))[0].tolist()
     return GroupAffinity(group=group, scores=dict(zip(group, scores)))
 

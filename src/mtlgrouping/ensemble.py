@@ -21,15 +21,15 @@ kernels.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import ClassVar
 
 import numpy as np
 
 from . import ridge
 from .artifacts import load
-from .affinity import AffinityMatrix, GroupAffinity, group_affinity, group_scores
+from .affinity import AffinityMatrix, GroupAffinity, group_affinity, group_scores, task_group
 from .ridge import CvConfig, RidgeModel
 from .splines import SplineSpec, affine_matrix, basis_matrix, fit_knots
 
@@ -86,6 +86,12 @@ class EnsemblePredictor:
     residual_models: dict[int, RidgeModel]
     residual_enabled: bool
     n_tasks: int
+
+    def __post_init__(self):
+        for t, model in self.residual_models.items():
+            if not 0 <= t < self.n_tasks or model.feature_dim != self.n_tasks:
+                raise ValueError(f"residual model {t} must be a task id below {self.n_tasks} "
+                                 f"with {self.n_tasks} coefficients")
 
     @property
     def mapping_kind(self) -> str:
@@ -172,32 +178,28 @@ def predict_stage1(stage1: Stage1Model, ga: GroupAffinity) -> dict[int, float]:
     return dict(zip(ga.group, stage1.apply(zs).tolist()))
 
 
-def fit_residual(records, stage1: Stage1Model, matrix: AffinityMatrix, n_tasks: int,
+def fit_residual(pairs, stage1: Stage1Model, n_tasks: int,
                  cv: CvConfig | None = None) -> dict[int, RidgeModel]:
-    """Per-task ridge models from multi-hot group encodings to stage-1 errors."""
+    """Per-task ridge models from multi-hot group encodings to stage-1 errors.
+
+    ``pairs`` come from ``build_training_pairs``: a run per record, scored by one ``stage1.apply``.
+    """
     base_cv = cv if cv is not None else CvConfig()
     rows: dict[int, list] = {}
-    for rec in records:
-        ga = group_affinity(matrix, rec.group)
-        preds = predict_stage1(stage1, ga)
-        u = encode_group(rec.group, n_tasks)
-        for t in rec.group:
-            rows.setdefault(t, []).append((u, rec.gains[t] - preds[t]))
+    pairs = iter(pairs)
+    for first in pairs:
+        run = [first, *islice(pairs, len(first.group) - 1)]
+        if tuple(p.task for p in run) != first.group:
+            raise ValueError(f"pairs of group {first.group} must be one run of its members")
+        u = encode_group(first.group, n_tasks)
+        for p, pred in zip(run, stage1.apply([p.affinity for p in run]).tolist()):
+            rows.setdefault(p.task, []).append((u, p.gain - pred))
     models: dict[int, RidgeModel] = {}
     for t, data in sorted(rows.items()):
         if len(data) < MIN_RESIDUAL_GROUPS:
             continue
-        X = np.stack([u for u, _ in data])
-        e = np.array([r for _, r in data])
-        model, _, _ = ridge.fit_cv(X, e, _cv_for(base_cv, len(data)))
-        # CV can pick a heavily shrunk penalty; correcting should still not
-        # hurt on the training groups themselves
-        corrected = e - ridge.predict(model, X)
-        if float(np.mean(corrected ** 2)) > float(np.mean(e ** 2)) + 1e-9:
-            warnings.warn(
-                f"residual model for task {t} increases training error",
-                RuntimeWarning, stacklevel=2)
-        models[t] = model
+        us, es = zip(*data)
+        models[t], _, _ = ridge.fit_cv(np.stack(us), np.array(es), _cv_for(base_cv, len(data)))
     return models
 
 
@@ -211,22 +213,13 @@ def fit_predictor(records, matrix: AffinityMatrix, n_tasks: int,
                         degrees=degrees, interior_counts=interior_counts)
     residual_models: dict[int, RidgeModel] = {}
     if residual_enabled:
-        residual_models = fit_residual(records, stage1, matrix, n_tasks, cv=cv)
+        residual_models = fit_residual(pairs, stage1, n_tasks, cv=cv)
     return EnsemblePredictor(
         stage1=stage1,
         residual_models=residual_models,
         residual_enabled=residual_enabled,
         n_tasks=n_tasks,
     )
-
-
-def _checked_group(group, n_tasks: int) -> tuple[int, ...]:
-    group = tuple(sorted(set(int(t) for t in group)))
-    if len(group) < 2:
-        raise ValueError("predictions are defined for groups of two or more tasks")
-    if any(not 0 <= t < n_tasks for t in group):
-        raise ValueError(f"group members must be task ids below {n_tasks}")
-    return group
 
 
 def _predict_rows(predictor: EnsemblePredictor, groups: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -251,7 +244,7 @@ def predict(predictor: EnsemblePredictor, group, ga: GroupAffinity) -> dict[int,
     enabled, each task's residual model contributes an additive term (zero
     for tasks that never had one).
     """
-    group = _checked_group(group, predictor.n_tasks)
+    group = task_group(group, predictor.n_tasks)
     if tuple(ga.group) != group:
         raise ValueError("group affinity does not match the queried group")
     zs = np.array([[ga.scores[t] for t in group]])
@@ -265,7 +258,7 @@ def predict_from_matrix(predictor: EnsemblePredictor, groups,
     Each dict equals, bit for bit, ``predict(predictor, group,
     group_affinity(matrix, group))``.
     """
-    groups = [_checked_group(g, min(predictor.n_tasks, matrix.n)) for g in groups]
+    groups = [task_group(g, min(predictor.n_tasks, matrix.n)) for g in groups]
     by_size: dict[int, list[int]] = {}
     for i, group in enumerate(groups):
         by_size.setdefault(len(group), []).append(i)

@@ -110,6 +110,10 @@ class RunGroups:
     train: tuple[tuple[int, ...], ...]
     heldout: tuple[tuple[int, ...], ...]
 
+    def __post_init__(self):
+        for group in self.train + self.heldout:
+            aff.check_stored_group(group)
+
 
 @dataclass(frozen=True)
 class RunEval:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .affinity import check_stored_group, task_group
 from .artifacts import from_dict, read_jsonl, to_json, write_csv, write_jsonl
 from .engine import TrainConfig, TrainedModel, train_mtl, train_stl
 from .seeding import stream
@@ -25,6 +26,12 @@ class GainRecord:
     stl_losses: dict[int, float]
     mtl_losses: dict[int, float]
     seed: int
+
+    def __post_init__(self):
+        check_stored_group(self.group)
+        for name in ("gains", "stl_losses", "mtl_losses"):
+            if sorted(getattr(self, name)) != list(self.group):
+                raise ValueError(f"{name} of group {list(self.group)} must be keyed by its members")
 
 
 def relative_gain(stl_loss: float, mtl_loss: float) -> float:
@@ -48,16 +55,9 @@ class StlCache:
         return self._entries[key]
 
 
-def _normalize_group(group) -> tuple[int, ...]:
-    out = tuple(sorted(set(int(t) for t in group)))
-    if len(out) < 2:
-        raise ValueError("gain is defined only for groups of two or more tasks")
-    return out
-
-
 def measure_gain(group, suite, config: TrainConfig, cache: StlCache | None = None) -> GainRecord:
     """Train the group jointly and compare per-task test losses to baselines."""
-    group = _normalize_group(group)
+    group = task_group(group, suite.n_tasks)
     if cache is None:
         cache = StlCache(suite)
     stl_losses = {}
@@ -81,7 +81,7 @@ def measure_gain(group, suite, config: TrainConfig, cache: StlCache | None = Non
 def measure_gains_batch(groups, suite, config: TrainConfig,
                         cache: StlCache | None = None) -> list[GainRecord]:
     """Measure many groups in input order; the first group that fails stops the batch."""
-    groups = [_normalize_group(g) for g in groups]
+    groups = [task_group(g, suite.n_tasks) for g in groups]
     if cache is None:
         cache = StlCache(suite)
     records = []

@@ -81,19 +81,6 @@ def _singular(lam) -> SingularFitError:
     return SingularFitError(f"normal equations are singular at lam={float(lam)!r}; {remedy}")
 
 
-def _factor(lhs, lams) -> np.ndarray:
-    """Cholesky factors of one fold's ``(L, p, p)`` stack; a failure names its first penalty."""
-    try:
-        return np.linalg.cholesky(lhs)
-    except np.linalg.LinAlgError as exc:
-        for lam, a in zip(lams, lhs):  # factor one by one to name the penalty that failed
-            try:
-                np.linalg.cholesky(a)
-            except np.linalg.LinAlgError:
-                raise _singular(lam) from exc
-        raise
-
-
 def _solve(gram, rhs, lams) -> np.ndarray:
     """``coefs[f, i]`` solves ``(gram[f] + lams[i]*I) w = rhs[f]`` for ``(F, p, p)`` grams.
 
@@ -101,21 +88,23 @@ def _solve(gram, rhs, lams) -> np.ndarray:
     raised as solving the folds one after another would: fold by fold, and
     within a fold the first penalty that does not factor, then the first
     whose pivots show a singular matrix, then the first with non-finite
-    coefficients. If the batched factorization fails, the folds are factored
-    one by one to find the first that fails, and the folds before it are
-    solved and checked before its penalty is named.
+    coefficients. If the batched factorization fails, the folds are solved
+    again one at a time, each as a one-fold stack, and a one-fold stack that
+    does not factor names its first penalty that does not.
     """
     p = rhs.shape[-1]
     lhs = gram[:, None] + lams[:, None, None] * np.eye(p)
     try:
         chols = np.linalg.cholesky(lhs)
-    except np.linalg.LinAlgError:
-        for f, fold_lhs in enumerate(lhs):
+    except np.linalg.LinAlgError as exc:
+        if len(lhs) > 1:  # fold by fold: the first fold that fails raises
+            for f in range(len(lhs)):
+                _solve(gram[f:f + 1], rhs[f:f + 1], lams)
+        for lam, a in zip(lams, lhs[0]):  # one fold: name its first penalty that does not factor
             try:
-                _factor(fold_lhs, lams)
-            except SingularFitError:
-                _solve(gram[:f], rhs[:f], lams)  # an earlier fold's failure comes first
-                raise
+                np.linalg.cholesky(a)
+            except np.linalg.LinAlgError:
+                raise _singular(lam) from exc
         raise
     if p == 0:
         return np.empty(lhs.shape[:-1])

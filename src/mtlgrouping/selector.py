@@ -16,7 +16,7 @@ from itertools import combinations
 from math import comb
 from typing import ClassVar
 
-from .affinity import AffinityMatrix
+from .affinity import AffinityMatrix, task_group
 from .artifacts import from_dict
 from .ensemble import EnsemblePredictor, predict_from_matrix
 
@@ -42,10 +42,8 @@ class SelectionProblem:
             if group in seen:
                 raise ValueError(f"duplicate candidate group {group}")
             seen.add(group)
-            if tuple(sorted(set(group))) != group:
+            if task_group(group, self.n_tasks) != group:
                 raise ValueError(f"candidate group {group} must be sorted and distinct")
-            if any(not 0 <= t < self.n_tasks for t in group):
-                raise ValueError(f"candidate group {group} has out-of-range tasks")
             if sorted(gains.keys()) != list(group):
                 raise ValueError(f"gains for {group} must be keyed exactly by its members")
 
@@ -226,7 +224,7 @@ def enumerate_candidate_groups(n_tasks: int, min_size: int = 2, max_size: int | 
 def build_problem(predictor: EnsemblePredictor, matrix: AffinityMatrix,
                   candidate_groups, budget: int) -> SelectionProblem:
     """Fill candidate gains from the predictor over an affinity matrix, in one call."""
-    groups = [tuple(sorted(set(int(t) for t in group))) for group in candidate_groups]
+    groups = [task_group(group, predictor.n_tasks) for group in candidate_groups]
     return SelectionProblem(
         n_tasks=predictor.n_tasks,
         candidates=tuple(zip(groups, predict_from_matrix(predictor, groups, matrix))),

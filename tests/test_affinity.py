@@ -14,6 +14,7 @@ from mtlgrouping.affinity import (
     pairwise_affinity,
     save_matrix,
     step_affinity,
+    task_group,
 )
 from mtlgrouping.artifacts import read_json, write_json
 from mtlgrouping.engine import Trace, TrainConfig, train_mtl
@@ -177,6 +178,19 @@ class TestProperties:
         b = pairwise_affinity(relabeled, 0.1, 0.9)
         p = np.asarray(perm)
         assert np.allclose(b.values, a.values[np.ix_(p, p)], atol=0)
+
+
+class TestTaskGroup:
+    def test_normal_form(self):
+        assert task_group([3, 1, 3, np.int64(0)], 4) == (0, 1, 3)
+        assert all(type(t) is int for t in task_group(np.array([2, 0]), 4))
+
+    @pytest.mark.parametrize("group", [
+        (0, 1.7), (0, 1.0), (0, True), (0, "1"), (1,), (2, 2), (), (-1, 0), (0, 4),
+    ])
+    def test_rejected(self, group):
+        with pytest.raises(ValueError, match="two or more distinct integer ids below 4"):
+            task_group(group, 4)
 
 
 class TestGroupAffinity:

@@ -287,3 +287,25 @@ def test_no_module_reads_csv():
 ])
 def test_read_pattern(line, reads):
     assert bool(_TABLE_READ.search(line)) == reads
+
+
+# a task group is normalized by affinity.task_group; engine keeps its one-task form
+_GROUP_NORMALIZE = re.compile(r"\bsorted\(\s*set\(")
+
+
+def test_groups_normalized_in_one_place():
+    normalizers = sorted(
+        path.name for path in PACKAGE.glob("*.py") if _GROUP_NORMALIZE.search(path.read_text()))
+    assert normalizers == ["affinity.py", "engine.py"]
+
+
+@pytest.mark.parametrize("line, normalizes", [
+    ("group = tuple(sorted(set(int(t) for t in group)))", True),
+    ("out = tuple(sorted(set(ids)))", True),
+    ("missing = sorted( set(expected) - fired)", True),
+    ("if sorted(gains.keys()) != list(group):", False),
+    ("chosen=tuple(sorted(g for g, _ in chosen_candidates)),", False),
+    ("interior_counts = set(sorted(counts))", False),
+])
+def test_group_normalize_pattern(line, normalizes):
+    assert bool(_GROUP_NORMALIZE.search(line)) == normalizes

@@ -149,7 +149,7 @@ class TestFitResidual:
         pairs = build_training_pairs(records, matrix)
         cv = CvConfig(lambda_grid=(1e-8,), folds=3, seed=11)
         stage1 = fit_stage1(pairs, "affine", cv)
-        models = fit_residual(records, stage1, matrix, 5, cv)
+        models = fit_residual(pairs, stage1, 5, cv)
         u = encode_group((0, 1), 5)[None, :]
         for t, model in models.items():
             assert abs(float(ridge.predict(model, u)[0])) < 1e-6
@@ -164,7 +164,7 @@ class TestFitResidual:
                               mtl_losses={0: 1, 1: .9, 2: .8}, seed=0)]
         pairs = build_training_pairs(records, matrix)
         stage1 = fit_stage1(pairs, "affine", CvConfig(folds=2, seed=13))
-        models = fit_residual(records, stage1, matrix, 4, CvConfig(folds=2, seed=13))
+        models = fit_residual(pairs, stage1, 4, CvConfig(folds=2, seed=13))
         assert 3 not in models  # never appears
         assert 2 not in models  # appears once, below the minimum
         predictor = fit_predictor(records, matrix, 4, mapping_kind="affine",
@@ -173,6 +173,35 @@ class TestFitResidual:
         base = predict_stage1(predictor.stage1, ga)
         final = predict(predictor, (2, 3), ga)
         assert final == base  # residual term is zero for both tasks
+
+    def test_rows_match_scoring_each_record_alone(self):
+        rng = np.random.default_rng(14)
+        matrix = random_matrix(rng, 6)
+        records = random_records(rng, 6, 20, matrix)
+        pairs = build_training_pairs(records, matrix)
+        cv = CvConfig(seed=15)
+        stage1 = fit_stage1(pairs, "spline", cv)
+        rows = {}
+        for rec in records:
+            preds = predict_stage1(stage1, group_affinity(matrix, rec.group))
+            for t in rec.group:
+                rows.setdefault(t, []).append((encode_group(rec.group, 6), rec.gains[t] - preds[t]))
+        models = fit_residual(pairs, stage1, 6, cv)
+        assert sorted(models) == sorted(t for t, data in rows.items() if len(data) >= 2)
+        for t, model in models.items():
+            X = np.stack([u for u, _ in rows[t]])
+            e = np.array([r for _, r in rows[t]])
+            want, _, _ = ridge.fit_cv(X, e, CvConfig(folds=min(5, len(e)), seed=15))
+            assert np.array_equal(model.coefficients, want.coefficients)
+            assert model.intercept == want.intercept
+
+    def test_pairs_out_of_record_runs_rejected(self):
+        rng = np.random.default_rng(16)
+        matrix = random_matrix(rng, 4)
+        pairs = build_training_pairs(random_records(rng, 4, 6, matrix), matrix)
+        stage1 = fit_stage1(pairs, "affine", CvConfig(folds=2, seed=17))
+        with pytest.raises(ValueError, match="one run of its members"):
+            fit_residual(pairs[1:], stage1, 4)
 
     def test_planted_task_bias_recovered(self):
         # +0.1 added to task 3's gain in every training group; the recovered
@@ -378,6 +407,8 @@ class TestBatchedScoring:
             predict_from_matrix(predictor, [(0, 1), (2, 2)], matrix)
         with pytest.raises(ValueError, match="below 4"):
             predict_from_matrix(predictor, [(0, 1), (1, 4)], matrix)
+        with pytest.raises(ValueError, match="integer ids"):  # not truncated to (0, 1)
+            predict_from_matrix(predictor, [(0, 1.7)], matrix)
 
 
 class TestSerialization:
@@ -403,6 +434,22 @@ class TestSerialization:
         data["schema"] = "predictor/999"
         write_json(tmp_path / "predictor.json", data)
         with pytest.raises(ValueError, match="schema"):
+            load_predictor(tmp_path / "predictor.json")
+
+    @pytest.mark.parametrize("edit", ["rename", "widen"])
+    def test_residual_task_ids_checked(self, tmp_path, edit):
+        rng = np.random.default_rng(32)
+        matrix = random_matrix(rng, 6)
+        predictor = fit_predictor(random_records(rng, 6, 14, matrix), matrix, 6,
+                                  cv=CvConfig(seed=33))
+        data = to_json(predictor)
+        models = data["residual_models"]
+        if edit == "rename":  # a task id outside 0..5 would silently drop task 0's correction
+            models["6"] = models.pop("0")
+        else:
+            models["0"]["coefficients"].append(0.0)
+        write_json(tmp_path / "predictor.json", data)
+        with pytest.raises(ValueError, match="must be a task id below 6 with 6 coefficients"):
             load_predictor(tmp_path / "predictor.json")
 
     @pytest.mark.parametrize("mapping_kind, residual, stage1, match", [

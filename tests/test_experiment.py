@@ -385,6 +385,32 @@ class TestStageErrors:
         with pytest.raises(StageError, match="overlap"):
             run_stage("fit", cfg, Path(out))
 
+    def test_gain_record_with_repeated_member_rejected_at_fit(self, finished, tmp_path):
+        cfg, out, _, _ = finished
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        path = run_dirs(cfg, copy)[0] / "gains_train.jsonl"
+        first, *rest = path.read_text().splitlines(keepends=True)
+        record = json.loads(first)
+        record["group"].insert(0, record["group"][0])
+        path.write_text(json.dumps(record) + "\n" + "".join(rest))
+        with pytest.raises(StageError, match=re.escape(
+                f"stage fit: group {record['group']} must be two or more strictly increasing")):
+            run_stage("fit", cfg, copy)
+
+    def test_reversed_training_group_rejected_at_fit(self, finished, tmp_path):
+        # reversed, a held-out group would pass the overlap check
+        cfg, out, _, _ = finished
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        path = run_dirs(cfg, copy)[0] / "groups.json"
+        groups = json.loads(path.read_text())
+        groups["train"][0] = groups["heldout"][0][::-1]
+        path.write_text(json.dumps(groups))
+        with pytest.raises(StageError, match=re.escape(
+                f"stage fit: group {groups['train'][0]} must be two or more strictly increasing")):
+            run_stage("fit", cfg, copy)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_unexpected_errors_tagged(self, tmp_path):
         out = tmp_path / "diverge"

@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 
 import numpy as np
@@ -178,6 +179,22 @@ class TestSerialization:
     def test_dict_round_trip(self):
         rec = self.record()
         assert from_dict(GainRecord, to_json(rec)) == rec
+
+    @pytest.mark.parametrize("group", [[0, 0, 2], [2, 0], [2]])
+    def test_group_not_strictly_increasing_rejected(self, group):
+        data = to_json(self.record())
+        data["group"] = group
+        with pytest.raises(ValueError, match=re.escape(f"group {group} must be two or more "
+                                                       "strictly increasing task ids")):
+            from_dict(GainRecord, data)
+
+    @pytest.mark.parametrize("name", ["gains", "stl_losses", "mtl_losses"])
+    @pytest.mark.parametrize("keys", [{"0": 0.5}, {"0": 0.5, "2": 0.5, "3": 0.5}])
+    def test_maps_keyed_by_other_tasks_rejected(self, name, keys):
+        data = to_json(self.record())
+        data[name] = keys
+        with pytest.raises(ValueError, match=f"{name} of group \\[0, 2\\] must be keyed by"):
+            from_dict(GainRecord, data)
 
     def test_jsonl_round_trip(self, tmp_path):
         records = [self.record(), GainRecord(group=(1, 2, 3),

@@ -355,6 +355,38 @@ class TestFoldFailures:
         ridge.fit_cv(X, y, CvConfig(lambda_grid=(1e22, 1e23), seed=0))
 
 
+class TestNeverRaisesTrainingError:
+    """The unpenalized intercept makes w = 0, b = mean(e) a feasible fit, so the
+    chosen model's training MSE is at most mean((e - mean(e))**2) <= mean(e**2).
+    Residual models rely on this; only rounding may exceed it."""
+
+    @staticmethod
+    def _assert_no_rise(X, e, folds, seed):
+        model, _, _ = ridge.fit_cv(X, e, CvConfig(folds=folds, seed=seed))
+        corrected = e - ridge.predict(model, X)
+        assert np.mean(corrected ** 2) <= np.mean(e ** 2) * (1 + 1e-12)
+
+    def test_multi_hot_designs(self):
+        rng = np.random.default_rng(120)
+        for case in range(200):
+            n_tasks = int(rng.integers(3, 9))
+            n = int(rng.integers(5, 30))
+            X = (rng.random((n, n_tasks)) < 0.5).astype(float)
+            X[:, case % n_tasks] = 1.0  # every row holds the task, as in its residual design
+            if case % 2:  # two tasks that always appear together
+                i, j = rng.choice(n_tasks, size=2, replace=False)
+                X[:, j] = X[:, i]
+            e = rng.normal(rng.uniform(-1.0, 1.0), rng.uniform(0.01, 1.0), n)
+            self._assert_no_rise(X, e, int(rng.integers(2, 6)), case)
+
+    def test_spline_designs(self):
+        rng = np.random.default_rng(121)
+        for case in range(4):
+            for X, _ in _spline_designs(rng):
+                e = rng.normal(rng.uniform(-1.0, 1.0), rng.uniform(0.01, 1.0), len(X))
+                self._assert_no_rise(X, e, 2 + case, case)
+
+
 class TestStackedPredict:
     def test_slices_match_one_call_each(self):
         rng = np.random.default_rng(100)
