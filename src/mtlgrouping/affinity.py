@@ -125,11 +125,15 @@ def group_scores(matrix: AffinityMatrix, groups: np.ndarray) -> np.ndarray:
     return np.add.reduce(toward, axis=-1) / (k - 1)
 
 
+def is_task_id(t) -> bool:
+    """A task id is an ``int`` or a numpy integer: not a bool, and not 1.0 or 1.7."""
+    return type(t) is int or isinstance(t, np.integer)
+
+
 def task_group(group, n_tasks: int) -> tuple[int, ...]:
     """Sorted distinct ids of a task group: two or more integers below n_tasks (1.7 is no id)."""
     ids = tuple(group)
-    ints = all(type(t) is int or isinstance(t, np.integer) for t in ids)  # not bool, not 1.0
-    out = tuple(sorted(set(map(int, ids)))) if ints else ()
+    out = tuple(sorted(set(map(int, ids)))) if all(map(is_task_id, ids)) else ()
     if len(out) < 2 or out[0] < 0 or out[-1] >= n_tasks:
         raise ValueError(f"a task group needs at least two tasks: two or more distinct "
                          f"integer ids below {n_tasks}, got {ids!r}")

@@ -51,6 +51,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .affinity import is_task_id
 from .artifacts import from_dict, read_jsonl, write_jsonl
 from .seeding import stream
 
@@ -393,16 +394,22 @@ def train_mtl(group, datasets, config: TrainConfig, capture_trace: bool = False)
     updated with the gradient of the mean task loss; each head with its own
     task's gradient.
     """
-    group = tuple(sorted(set(int(t) for t in group)))
+    ids = tuple(group)
+    for t in ids:
+        if not is_task_id(t):
+            raise ValueError(f"task id {t!r} is not an integer")
+    group = tuple(sorted(set(map(int, ids))))
     if len(group) < 1:
         raise ValueError("group must contain at least one task")
-    first = datasets[group[0]]
-    input_dim = first.input_dim
-    task_type = first.task_type
-    train = [datasets[t].rows("train") for t in group]
+    try:
+        members = [datasets[t] for t in group]
+    except KeyError as exc:
+        raise ValueError(f"task {exc.args[0]} is not in the suite") from None
+    input_dim = members[0].input_dim
+    task_type = members[0].task_type
+    train = [ds.rows("train") for ds in members]
     n_train = train[0][1].size
-    for t, (_, y) in zip(group, train):
-        ds = datasets[t]
+    for ds, (_, y) in zip(members, train):
         if ds.input_dim != input_dim or ds.task_type != task_type:
             raise ValueError("all tasks in a group must share input dim and task type")
         if y.size != n_train:
@@ -487,7 +494,7 @@ def train_mtl(group, datasets, config: TrainConfig, capture_trace: bool = False)
 
 def train_stl(task: int, dataset, config: TrainConfig) -> TrainedModel:
     """Train a single-task model; identical trajectory to a one-task group."""
-    return train_mtl((task,), {int(task): dataset}, config, capture_trace=False)
+    return train_mtl((task,), {task: dataset}, config, capture_trace=False)
 
 
 def save_trace(trace: Trace, path) -> None:

@@ -162,13 +162,14 @@ def fit_stage1(pairs, mapping_kind: str = "spline", cv: CvConfig | None = None,
             if spec not in specs:
                 specs.append(spec)
     best = None
-    for spec in specs:
-        model, lam, cv_mse = ridge.fit_cv(basis_matrix(z, spec), y, cv)
+    for spec in specs:  # scored by CV error alone; only the winner is refit
+        design = basis_matrix(z, spec)
+        lam, cv_mse = ridge.cv_score(design, y, cv)
         key = (cv_mse[lam], spec.basis_count, spec.degree)
         if best is None or key < best[0]:
-            best = (key, spec, model)
-    _, spec, model = best
-    return Stage1Model(mapping_kind="spline", model=model, spline=spec,
+            best = (key, spec, design, lam)
+    _, spec, design, lam = best
+    return Stage1Model(mapping_kind="spline", model=ridge.fit(design, y, lam), spline=spec,
                        z_lo=z_lo, z_hi=z_hi)
 
 

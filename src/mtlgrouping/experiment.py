@@ -205,13 +205,23 @@ def stage_oracle(config: ExperimentConfig, out: Path) -> None:
             gn.records_to_csv(records, rd / f"gains_{name}.csv")
 
 
+def _run_records(stage: str, rd: Path, split: str, groups: RunGroups) -> list:
+    """The oracle's records of ``split``, which must be that split's groups in order."""
+    path = rd / f"gains_{split}.jsonl"
+    records = gn.load_records(path)
+    if [rec.group for rec in records] != list(getattr(groups, split)):
+        raise StageError(stage, f"the groups of {path} are not the {split} groups of "
+                                f"{rd / 'groups.json'}; rerun oracle")
+    return records
+
+
 def stage_fit(config: ExperimentConfig, out: Path) -> None:
     for rd, seed in zip(run_dirs(config, out), config.seeds):
         groups = load(rd / "groups.json", RunGroups)
         if set(groups.train) & set(groups.heldout):
             raise StageError("fit", "training and held-out groups overlap")
         matrix = aff.load_matrix(rd / "affinity.json")
-        records = gn.load_records(rd / "gains_train.jsonl")
+        records = _run_records("fit", rd, "train", groups)
         predictor = ens.fit_predictor(
             records, matrix, config.suite.n_tasks,
             mapping_kind=config.mapping_kind,
@@ -239,7 +249,7 @@ def stage_evaluate(config: ExperimentConfig, out: Path) -> None:
     for rd, _ in zip(run_dirs(config, out), config.seeds):
         predictor = ens.load_predictor(rd / "predictor.json")
         matrix = aff.load_matrix(rd / "affinity.json")
-        records = gn.load_records(rd / "gains_heldout.jsonl")
+        records = _run_records("evaluate", rd, "heldout", load(rd / "groups.json", RunGroups))
         actual, final, stage1 = _heldout_points(predictor, matrix, records)
         save(rd / "eval.json", RunEval(final=met.evaluate(actual, final),
                                        stage1=met.evaluate(actual, stage1)))

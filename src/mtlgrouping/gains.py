@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .affinity import check_stored_group, task_group
+from .affinity import check_stored_group, is_task_id, task_group
 from .artifacts import from_dict, read_jsonl, to_json, write_csv, write_jsonl
 from .engine import TrainConfig, TrainedModel, train_mtl, train_stl
 from .seeding import stream
@@ -49,6 +49,9 @@ class StlCache:
         self._entries: dict[tuple[int, TrainConfig], TrainedModel] = {}
 
     def get(self, task: int, config: TrainConfig) -> TrainedModel:
+        if not is_task_id(task) or not 0 <= task < self._suite.n_tasks:
+            raise ValueError(f"task id {task!r} is not a task of the suite "
+                             f"(0..{self._suite.n_tasks - 1})")
         key = (int(task), config)
         if key not in self._entries:
             self._entries[key] = train_stl(task, self._suite[task], config)

@@ -15,15 +15,21 @@ training rows. The validation errors come from stacked products whose
 slices are the products of one fold and penalty: ``X_val[None] @ W[:, :,
 None]`` gives a fold's ``X_val @ w`` for every penalty, and ``x_means[:,
 None, None, :] @ coefs[..., None]`` every fold's ``x_mean @ w``. So the CV
-errors keep their bits too.
+errors keep their bits too. ``cv_score`` is the selection without the
+final refit, and each ``(seed, n)`` row permutation is drawn once per process.
+
+``dpotrs`` is imported at the first solve, not with the package. Importing
+``scipy.linalg`` takes about 0.3 s, half of a fresh process's start-up, and
+only the fit stage solves; every other stage runs in a process of its own
+and never needs it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
 
 from .seeding import stream
 
@@ -108,6 +114,9 @@ def _solve(gram, rhs, lams) -> np.ndarray:
         raise
     if p == 0:
         return np.empty(lhs.shape[:-1])
+    # imported here so that only a process that solves pays scipy.linalg's import
+    from scipy.linalg.lapack import dpotrs
+
     # rounding can sneak an exactly singular Gram matrix past the factorization
     pivots = np.diagonal(chols, axis1=-2, axis2=-1) ** 2
     limits = np.diagonal(lhs, axis1=-2, axis2=-1).max(axis=-1) * p * 1e-14
@@ -167,11 +176,19 @@ class CvConfig:
             raise ValueError("folds must be >= 2")
 
 
-def fit_cv(X, y, cv: CvConfig | None = None):
-    """Pick lam by k-fold CV, ties to the larger lam, then refit on all rows.
+@lru_cache(maxsize=256)
+def _row_order(seed, n: int) -> np.ndarray:
+    """The CV shuffle of n rows under ``seed``, drawn once and kept read-only."""
+    order = stream(seed, _CV_STREAM).permutation(n)
+    order.flags.writeable = False
+    return order
 
-    Returns (model, chosen_lam, cv_mse) where cv_mse maps each grid value to
-    its mean per-fold validation MSE.
+
+def cv_score(X, y, cv: CvConfig | None = None):
+    """Pick lam by k-fold CV, ties to the larger lam, without refitting.
+
+    Returns (chosen_lam, cv_mse) where cv_mse maps each grid value to its
+    mean per-fold validation MSE.
     """
     if cv is None:
         cv = CvConfig()
@@ -179,8 +196,7 @@ def fit_cv(X, y, cv: CvConfig | None = None):
     n = y.size
     if cv.folds > n:
         raise ValueError(f"{cv.folds} folds but only {n} samples")
-    order = stream(cv.seed, _CV_STREAM).permutation(n)
-    folds = np.array_split(order, cv.folds)
+    folds = np.array_split(_row_order(cv.seed, n), cv.folds)
     grid = np.array(sorted(cv.lambda_grid), dtype=float)
     centered = []
     for fold in folds:
@@ -204,6 +220,13 @@ def fit_cv(X, y, cv: CvConfig | None = None):
         if best_mse is None or mean_mse <= best_mse:
             best_mse = mean_mse
             best_lam = lam
-    final = fit(X, y, best_lam)
-    return final, best_lam, cv_mse
+    return best_lam, cv_mse
 
+
+def fit_cv(X, y, cv: CvConfig | None = None):
+    """``cv_score``, then refit on all rows at the chosen lam.
+
+    Returns (model, chosen_lam, cv_mse).
+    """
+    lam, cv_mse = cv_score(X, y, cv)
+    return fit(X, y, lam), lam, cv_mse

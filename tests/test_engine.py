@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -437,3 +438,23 @@ class TestTrainMtl:
                             split=ds.split[:12])
         with pytest.raises(ValueError, match="equally sized"):
             train_mtl((0, 1), {0: ds, 1: short}, self.config)
+
+    @pytest.mark.parametrize("group", [(0, 1.7), (0, True), (0, 1.0), (np.float64(2.0),)])
+    def test_non_integer_id_rejected(self, group):
+        bad = group[-1]
+        with pytest.raises(ValueError, match=re.escape(f"task id {bad!r} is not an integer")):
+            train_mtl(group, self.suite, self.config)
+
+    @pytest.mark.parametrize("group, bad", [((0, 4), 4), ((-1, 2), -1), ((7,), 7)])
+    def test_id_outside_suite_rejected(self, group, bad):
+        with pytest.raises(ValueError, match=f"task {bad} is not in the suite"):
+            train_mtl(group, self.suite, self.config)
+
+    def test_numpy_integer_ids_accepted(self):
+        model = train_mtl((np.int64(0), np.int32(1)), self.suite, self.config)
+        assert model.group == (0, 1) and all(type(t) is int for t in model.group)
+
+    @pytest.mark.parametrize("task", [1.7, True, 1.0])
+    def test_stl_non_integer_id_rejected(self, task):
+        with pytest.raises(ValueError, match=re.escape(f"task id {task!r} is not an integer")):
+            train_stl(task, self.suite[1], self.config)

@@ -5,6 +5,7 @@ from mtlgrouping import ridge
 from mtlgrouping.artifacts import save, to_json, write_json
 from mtlgrouping.affinity import AffinityMatrix, group_affinity
 from mtlgrouping.ensemble import (
+    DEFAULT_DEGREES,
     TrainingPair,
     build_training_pairs,
     encode_group,
@@ -19,6 +20,7 @@ from mtlgrouping.ensemble import (
 from mtlgrouping.gains import GainRecord
 from mtlgrouping.ridge import CvConfig
 from mtlgrouping.selector import build_problem, enumerate_candidate_groups
+from mtlgrouping.splines import basis_matrix, fit_knots
 
 from helpers import centered_ridge, mean_loop_group_affinity, naive_basis
 
@@ -97,6 +99,44 @@ class TestFitStage1:
     def test_too_few_pairs(self):
         with pytest.raises(ValueError, match="three"):
             fit_stage1(pairs_from([0.0, 1.0], [0.0, 1.0]), "affine")
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_refits_only_the_winning_spec(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        zs = rng.uniform(-1.0, 1.0, size=30)
+        ys = np.sin(3.0 * zs) + rng.normal(scale=0.1, size=30)
+        cv = CvConfig(seed=seed)
+        # the old selection: fit_cv per spec, refit included, keep the best key
+        best = None
+        for degree in DEFAULT_DEGREES:
+            for count in range(2):  # three distinct groups cap the interior count at 1
+                spec = fit_knots(zs, degree, count)
+                model, lam, cv_mse = ridge.fit_cv(basis_matrix(zs, spec), ys, cv)
+                key = (cv_mse[lam], spec.basis_count, spec.degree)
+                if best is None or key < best[0]:
+                    best = (key, spec, model)
+        fits = []
+        real_fit = ridge.fit
+        monkeypatch.setattr(ridge, "fit", lambda *args: fits.append(args) or real_fit(*args))
+        stage1 = fit_stage1(pairs_from(zs, ys), "spline", cv)
+        assert len(fits) == 1
+        assert stage1.spline == best[1]
+        assert to_json(stage1.model) == to_json(best[2])
+
+    def test_each_fold_permutation_drawn_once(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        matrix = random_matrix(rng, 6)
+        records = random_records(rng, 6, 14, matrix)
+        draws, scored = [], []
+        real_stream, real_score = ridge.stream, ridge.cv_score
+        monkeypatch.setattr(ridge, "stream", lambda *keys: draws.append(keys) or real_stream(*keys))
+        monkeypatch.setattr(ridge, "cv_score", lambda X, y, cv=None: scored.append(
+            (cv.seed, len(y))) or real_score(X, y, cv))
+        ridge._row_order.cache_clear()
+        for seed in (3, 4, 3):
+            fit_predictor(records, matrix, 6, cv=CvConfig(seed=seed))
+        assert len(scored) > 3 * len(set(scored))
+        assert len(draws) == len(set(scored))
 
 
 class TestPredictStage1:

@@ -411,6 +411,22 @@ class TestStageErrors:
                 f"stage fit: group {groups['train'][0]} must be two or more strictly increasing")):
             run_stage("fit", cfg, copy)
 
+    @pytest.mark.parametrize("stage, split, other", [
+        ("fit", "train", "heldout"), ("evaluate", "heldout", "train"),
+    ])
+    def test_records_of_the_other_split_rejected(self, finished, tmp_path, stage, split, other):
+        # fit on held-out records, or evaluate on training records, would score
+        # the predictor on the groups it was fit to
+        cfg, out, _, _ = finished
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        rd = run_dirs(cfg, copy)[0]
+        shutil.copyfile(rd / f"gains_{other}.jsonl", rd / f"gains_{split}.jsonl")
+        with pytest.raises(StageError, match=re.escape(
+                f"stage {stage}: the groups of {rd / f'gains_{split}.jsonl'} are not the "
+                f"{split} groups of {rd / 'groups.json'}; rerun oracle")):
+            run_stage(stage, cfg, copy)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_unexpected_errors_tagged(self, tmp_path):
         out = tmp_path / "diverge"

@@ -113,6 +113,19 @@ class TestStlCache:
         cache.get(0, quick_config(seed=3))
         assert calls == [(0, config), (1, config), (0, quick_config(seed=3))]
 
+    @pytest.mark.parametrize("task", [1.7, True, 1.0, -1, 4, np.int64(4)])
+    def test_bad_task_id_rejected(self, monkeypatch, task):
+        calls = []
+        monkeypatch.setattr(gains, "train_stl", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=re.escape(f"task id {task!r} is not a task of "
+                                                       "the suite (0..3)")):
+            StlCache(small_suite()).get(task, quick_config())
+        assert calls == []
+
+    def test_numpy_integer_id_shares_the_int_entry(self):
+        cache = StlCache(small_suite())
+        assert cache.get(np.int64(2), quick_config()) is cache.get(2, quick_config())
+
 
 class TestMeasureGainsBatch:
     def test_duplicate_groups_identical_records(self):
