@@ -71,6 +71,9 @@ class TrainingDiverged(RuntimeError):
         self.step = step
         self.task = task
 
+    def __reduce__(self):  # pickled with its own arguments, so it survives a worker
+        return type(self), (self.step, self.task)
+
 
 @dataclass(frozen=True)
 class Architecture:

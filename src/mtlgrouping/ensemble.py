@@ -31,7 +31,7 @@ from . import ridge
 from .artifacts import load
 from .affinity import AffinityMatrix, GroupAffinity, group_affinity, group_scores, task_group
 from .ridge import CvConfig, RidgeModel
-from .splines import SplineSpec, affine_matrix, basis_matrix, fit_knots
+from .splines import SplineSpec, affine_matrix, basis_matrix, fit_knot_grid
 
 MAPPING_KINDS = ("spline", "affine")
 
@@ -155,14 +155,9 @@ def fit_stage1(pairs, mapping_kind: str = "spline", cv: CvConfig | None = None,
         # tuning grid capped at sqrt(#distinct training groups)
         cap = math.isqrt(len(set(p.group for p in pairs)))
         interior_counts = range(cap + 1)
-    specs = []
-    for d in degrees:
-        for m in interior_counts:
-            spec = fit_knots(z, d, m)
-            if spec not in specs:
-                specs.append(spec)
     best = None
-    for spec in specs:  # scored by CV error alone; only the winner is refit
+    # scored by CV error alone; only the winner is refit
+    for spec in fit_knot_grid(z, degrees, interior_counts):
         design = basis_matrix(z, spec)
         lam, cv_mse = ridge.cv_score(design, y, cv)
         key = (cv_mse[lam], spec.basis_count, spec.degree)

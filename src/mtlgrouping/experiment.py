@@ -8,6 +8,14 @@ test loss of the selected groupings against the single all-task model and
 the exhaustive-optimal grouping. Every stage reads only persisted upstream
 artifacts and writes its own, so any stage can be rerun in isolation and
 reruns are byte-identical.
+
+Oracle and report train a model per group, which makes them most of a run.
+Their seeds are independent and each reproduces bit for bit, so ``_per_run``
+hands them to forked worker processes, one per usable CPU and at most one
+per seed. A single worker means no pool: one seed, or one CPU, runs inline.
+The other stages do 10-70 ms of work per seed, less than a pool's start-up
+and round trips are worth, and run their seeds in order in this process.
+No option controls this; the artifacts are the same bytes either way.
 """
 
 from __future__ import annotations
@@ -49,6 +57,10 @@ class StageError(RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"stage {stage}: {message}")
         self.stage = stage
+        self.message = message
+
+    def __reduce__(self):  # a worker's error reaches the parent pickled
+        return type(self), (self.stage, self.message)
 
 
 @dataclass(frozen=True)
@@ -155,6 +167,33 @@ def _mean_std(values: list[float]) -> dict:
     return {"mean": float(np.mean(values)), "std": std, "values": values}
 
 
+def _per_run(func, config: ExperimentConfig, out: Path, *args) -> list:
+    """``func(config, rd, seed, *args)`` for every run of ``config``, in seed order.
+
+    Workers are forked, not spawned, so each inherits the imported package
+    instead of importing it again. The first run to fail, in seed order,
+    raises its own error, after the pending runs are cancelled and the
+    workers have exited.
+    """
+    runs = list(zip(run_dirs(config, out), config.seeds))
+    # no sched_getaffinity means Windows (no fork) or macOS (fork is unsafe): run inline
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(runs), cpus)
+    if workers == 1:
+        return [func(config, rd, seed, *args) for rd, seed in runs]
+    # imported here so that a one-seed stage and the package import never load them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [pool.submit(func, config, rd, seed, *args) for rd, seed in runs]
+        try:
+            return [future.result() for future in futures]
+        except BaseException:
+            pool.shutdown(wait=True, cancel_futures=True)
+            raise
+
+
 # ---------------------------------------------------------------- stages
 
 def stage_generate(config: ExperimentConfig, out: Path) -> None:
@@ -192,17 +231,19 @@ def _sampled_groups(config: ExperimentConfig, seed: int) -> RunGroups:
                      heldout=tuple(sorted(sampled[i] for i in perm[config.n_train_groups:])))
 
 
+def _oracle_run(config: ExperimentConfig, rd: Path, seed: int, suite) -> None:
+    groups = _sampled_groups(config, seed)
+    save(rd / "groups.json", groups)
+    tc = _run_train_config(config, seed)
+    cache = gn.StlCache(suite)
+    for name in ("train", "heldout"):
+        records = gn.measure_gains_batch(getattr(groups, name), suite, tc, cache=cache)
+        gn.save_records(records, rd / f"gains_{name}.jsonl")
+        gn.records_to_csv(records, rd / f"gains_{name}.csv")
+
+
 def stage_oracle(config: ExperimentConfig, out: Path) -> None:
-    suite = _config_suite(config, out)
-    for rd, seed in zip(run_dirs(config, out), config.seeds):
-        groups = _sampled_groups(config, seed)
-        save(rd / "groups.json", groups)
-        tc = _run_train_config(config, seed)
-        cache = gn.StlCache(suite)
-        for name in ("train", "heldout"):
-            records = gn.measure_gains_batch(getattr(groups, name), suite, tc, cache=cache)
-            gn.save_records(records, rd / f"gains_{name}.jsonl")
-            gn.records_to_csv(records, rd / f"gains_{name}.csv")
+    _per_run(_oracle_run, config, out, _config_suite(config, out))
 
 
 def _run_records(stage: str, rd: Path, split: str, groups: RunGroups) -> list:
@@ -299,52 +340,52 @@ def _oracle_records(rd: Path, tc: TrainConfig, cache: gn.StlCache) -> dict:
     return records
 
 
-def stage_report(config: ExperimentConfig, out: Path) -> dict:
-    suite = _config_suite(config, out)
+def _report_run(config: ExperimentConfig, rd: Path, seed: int, suite) -> dict:
+    """Write one run's realized losses; return them as budget -> name -> loss."""
     n = config.suite.n_tasks
     all_tasks = tuple(range(n))
     universe = _candidate_universe(config)
     # the naive all-in-one baseline is measured even when the universe caps group sizes
     candidates = universe if all_tasks in universe else universe + [all_tasks]
-    per_budget: dict[int, dict[str, list[float]]] = {
-        b: {"selected": [], "naive": [], "optimal": []} for b in config.budgets}
-    for rd, seed in zip(run_dirs(config, out), config.seeds):
-        tc = _run_train_config(config, seed)
-        cache = gn.StlCache(suite)
-        measured = _oracle_records(rd, tc, cache)
-        records = gn.measure_gains_batch(
-            [g for g in candidates if g not in measured], suite, tc, cache=cache)
-        measured.update((rec.group, rec) for rec in records)
-        gn.save_records([measured[g] for g in candidates], rd / "gains_candidates.jsonl")
-        mtl_by_group = {g: measured[g].mtl_losses for g in candidates}
-        # every task is in the all-task group, so the cache holds every baseline
-        stl_losses = {t: cache.get(t, tc).losses["test"][t] for t in all_tasks}
-        naive = sum(mtl_by_group[all_tasks][t] for t in all_tasks)
-        stl_total = sum(stl_losses[t] for t in all_tasks)
-        # exhaustive-optimal grouping over the same universe the selector saw:
-        # maximizing absolute loss reduction minimizes realized total loss
-        reduction_cands = tuple(
-            (g, {t: stl_losses[t] - mtl_by_group[g][t] for t in g}) for g in universe)
-        for budget in config.budgets:
-            selection = load(rd / f"selection_B{budget}.json", sel.SelectionResult)
-            selected = _realized_loss(selection.assignment, stl_losses, mtl_by_group)
-            optimal_sel = sel.select_exhaustive(
-                sel.SelectionProblem(n_tasks=n, candidates=reduction_cands, budget=budget))
-            optimal = stl_total - optimal_sel.objective
-            write_json(rd / f"realized_B{budget}.json", {
-                "schema": "realized/1",
-                "budget": budget,
-                "selected_total_test_loss": selected,
-                "naive_total_test_loss": naive,
-                "optimal_total_test_loss": optimal,
-                "stl_total_test_loss": stl_total,
-                "selected_chosen": [list(g) for g in selection.chosen],
-                "optimal_chosen": [list(g) for g in optimal_sel.chosen],
-            })
-            per_budget[budget]["selected"].append(selected)
-            per_budget[budget]["naive"].append(naive)
-            per_budget[budget]["optimal"].append(optimal)
+    tc = _run_train_config(config, seed)
+    cache = gn.StlCache(suite)
+    measured = _oracle_records(rd, tc, cache)
+    records = gn.measure_gains_batch(
+        [g for g in candidates if g not in measured], suite, tc, cache=cache)
+    measured.update((rec.group, rec) for rec in records)
+    gn.save_records([measured[g] for g in candidates], rd / "gains_candidates.jsonl")
+    mtl_by_group = {g: measured[g].mtl_losses for g in candidates}
+    # every task is in the all-task group, so the cache holds every baseline
+    stl_losses = {t: cache.get(t, tc).losses["test"][t] for t in all_tasks}
+    naive = sum(mtl_by_group[all_tasks][t] for t in all_tasks)
+    stl_total = sum(stl_losses[t] for t in all_tasks)
+    # exhaustive-optimal grouping over the same universe the selector saw:
+    # maximizing absolute loss reduction minimizes realized total loss
+    reduction_cands = tuple(
+        (g, {t: stl_losses[t] - mtl_by_group[g][t] for t in g}) for g in universe)
+    realized = {}
+    for budget in config.budgets:
+        selection = load(rd / f"selection_B{budget}.json", sel.SelectionResult)
+        selected = _realized_loss(selection.assignment, stl_losses, mtl_by_group)
+        optimal_sel = sel.select_exhaustive(
+            sel.SelectionProblem(n_tasks=n, candidates=reduction_cands, budget=budget))
+        optimal = stl_total - optimal_sel.objective
+        write_json(rd / f"realized_B{budget}.json", {
+            "schema": "realized/1",
+            "budget": budget,
+            "selected_total_test_loss": selected,
+            "naive_total_test_loss": naive,
+            "optimal_total_test_loss": optimal,
+            "stl_total_test_loss": stl_total,
+            "selected_chosen": [list(g) for g in selection.chosen],
+            "optimal_chosen": [list(g) for g in optimal_sel.chosen],
+        })
+        realized[budget] = {"selected": selected, "naive": naive, "optimal": optimal}
+    return realized
 
+
+def stage_report(config: ExperimentConfig, out: Path) -> dict:
+    realized = _per_run(_report_run, config, out, _config_suite(config, out))
     evals = {kind: {"r2": [], "pearson": [], "mse": []} for kind in ("final", "stage1")}
     for rd in run_dirs(config, out):
         run_eval = load(rd / "eval.json", RunEval)
@@ -359,8 +400,9 @@ def stage_report(config: ExperimentConfig, out: Path) -> dict:
             for kind, metrics in evals.items()
         },
         "realized": {
-            str(b): {name: _mean_std(vals) for name, vals in results.items()}
-            for b, results in per_budget.items()
+            str(b): {name: _mean_std([run[b][name] for run in realized])
+                     for name in ("selected", "naive", "optimal")}
+            for b in config.budgets
         },
     }
     write_json(out / "report.json", report)

@@ -71,24 +71,42 @@ def fit_knots(training_scores, degree: int, interior_knot_count: int = 0) -> Spl
     Knots that collide with each other or with a boundary are merged away, so
     the realized interior count can be smaller than requested.
     """
+    return fit_knot_grid(training_scores, (degree,), (interior_knot_count,))[0]
+
+
+def fit_knot_grid(training_scores, degrees, interior_counts) -> list[SplineSpec]:
+    """``fit_knots`` for every degree, then every interior count, without repeats.
+
+    Each count's quantiles are computed once and shared by all degrees.
+    """
     scores = np.asarray(training_scores, dtype=float).ravel()
     if scores.size < 2:
         raise ValueError("need at least two training scores")
     if not np.all(np.isfinite(scores)):
         raise ValueError("training scores must be finite")
-    if interior_knot_count < 0:
-        raise ValueError("interior_knot_count must be >= 0")
     lo, hi = float(scores.min()), float(scores.max())
+    interiors: dict[int, tuple[float, ...]] = {}
+    specs: list[SplineSpec] = []
+    for degree in degrees:
+        for m in interior_counts:
+            if m not in interiors:
+                interiors[m] = _interior_knots(scores, lo, hi, m)
+            spec = SplineSpec(degree=degree,
+                              knots=(lo,) * (degree + 1) + interiors[m] + (hi,) * (degree + 1))
+            if spec not in specs:
+                specs.append(spec)
+    return specs
+
+
+def _interior_knots(scores: np.ndarray, lo: float, hi: float, count: int) -> tuple[float, ...]:
+    if count < 0:
+        raise ValueError("interior_knot_count must be >= 0")
     if lo == hi:
         raise ValueError("all training scores identical; basis domain is degenerate")
-    interior: list[float] = []
-    if interior_knot_count > 0:
-        qs = np.arange(1, interior_knot_count + 1) / (interior_knot_count + 1)
-        for v in np.unique(np.quantile(scores, qs)):
-            if lo < v < hi:
-                interior.append(float(v))
-    knots = [lo] * (degree + 1) + interior + [hi] * (degree + 1)
-    return SplineSpec(degree=degree, knots=tuple(knots))
+    if count == 0:
+        return ()
+    qs = np.arange(1, count + 1) / (count + 1)
+    return tuple(float(v) for v in np.unique(np.quantile(scores, qs)) if lo < v < hi)
 
 
 def basis_matrix(zs, spec: SplineSpec) -> np.ndarray:

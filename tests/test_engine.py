@@ -1,3 +1,4 @@
+import pickle
 import re
 from dataclasses import replace
 
@@ -196,6 +197,12 @@ class TestTrainStl:
         with pytest.raises(TrainingDiverged) as err:
             train_stl(0, ds, config)
         assert err.value.step >= 0
+
+    def test_divergence_survives_pickle(self):
+        # a stage's worker process hands its error to the parent pickled
+        err = pickle.loads(pickle.dumps(TrainingDiverged(3, 1)))
+        assert type(err) is TrainingDiverged
+        assert (str(err), err.step, err.task) == ("non-finite loss for task 1 at step 3", 3, 1)
 
 
 def replay_cases(test):

@@ -123,6 +123,18 @@ class TestFitStage1:
         assert stage1.spline == best[1]
         assert to_json(stage1.model) == to_json(best[2])
 
+    def test_knot_quantiles_computed_once_per_count(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        # 30 distinct groups cap the interior count at 5: counts 0..5 over 5 degrees
+        pairs = [TrainingPair(group=(0, i + 1), task=0, affinity=float(z), gain=float(y))
+                 for i, (z, y) in enumerate(zip(rng.uniform(size=30), rng.normal(size=30)))]
+        calls = []
+        real_quantile = np.quantile
+        monkeypatch.setattr(np, "quantile", lambda scores, qs, **kw: calls.append(len(qs))
+                            or real_quantile(scores, qs, **kw))
+        fit_stage1(pairs, "spline")
+        assert sorted(calls) == [1, 2, 3, 4, 5]
+
     def test_each_fold_permutation_drawn_once(self, monkeypatch):
         rng = np.random.default_rng(8)
         matrix = random_matrix(rng, 6)

@@ -1,4 +1,7 @@
 import json
+import multiprocessing
+import os
+import pickle
 import re
 import shutil
 import time
@@ -427,6 +430,12 @@ class TestStageErrors:
                 f"{split} groups of {rd / 'groups.json'}; rerun oracle")):
             run_stage(stage, cfg, copy)
 
+    def test_stage_error_survives_pickle(self):
+        # a stage's worker process hands its error to the parent pickled
+        err = pickle.loads(pickle.dumps(StageError("report", "x")))
+        assert type(err) is StageError
+        assert (str(err), err.stage) == ("stage report: x", "report")
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_unexpected_errors_tagged(self, tmp_path):
         out = tmp_path / "diverge"
@@ -504,6 +513,95 @@ class TestAblations:
         compare_ablations(cfg)
         groups = json.loads((run_dirs(cfg, Path(out))[0] / "groups.json").read_text())
         assert len(groups["heldout"]) == 5
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPUs a stage sees: one runs its seeds inline, more fork workers."""
+    def use(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    return use
+
+
+def files_under(root: Path) -> dict:
+    return {path: (root / path).read_bytes() for path in all_artifacts(root)}
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("seeds", [(0, 1, 2), (1, 1)])
+    def test_pooled_runs_write_the_one_seed_bytes(self, tmp_path, cpus, seeds):
+        cpus(2)
+        cfg = tiny_config(tmp_path / "pooled", seeds=seeds)
+        run_experiment(cfg)
+        assert multiprocessing.active_children() == []
+        for rd, seed in zip(run_dirs(cfg, tmp_path / "pooled"), seeds):
+            alone = tiny_config(tmp_path / f"alone{seed}", seeds=(seed,))
+            if not (tmp_path / f"alone{seed}").exists():
+                run_experiment(alone)
+            assert files_under(rd) == files_under(run_dirs(alone, tmp_path / f"alone{seed}")[0])
+
+    def test_report_equals_one_cpu(self, tmp_path, cpus):
+        cfg = tiny_config(tmp_path / "pooled")
+        cpus(2)
+        pooled = run_experiment(cfg)
+        cpus(1)
+        inline = run_experiment(replace(cfg, output_dir=str(tmp_path / "inline")))
+        assert pooled == inline
+        assert (tmp_path / "pooled" / "report.json").read_bytes() == \
+            (tmp_path / "inline" / "report.json").read_bytes()
+
+    def test_no_sched_getaffinity_runs_inline(self, tmp_path, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(multiprocessing, "get_context", lambda *args: pytest.fail("forked"))
+        cfg = tiny_config(tmp_path / "inline")
+        for stage in ("generate", "oracle"):
+            run_stage(stage, cfg, tmp_path / "inline")
+
+    @staticmethod
+    def inline_then_pooled_error(cpus, stage, cfg, out) -> list[str]:
+        texts = []
+        for count in (1, 2):
+            cpus(count)
+            with pytest.raises(StageError) as err:
+                run_stage(stage, cfg, out)
+            assert multiprocessing.active_children() == []
+            texts.append(str(err.value))
+        return texts
+
+    def test_stale_oracle_names_the_first_seed(self, tmp_path, cpus):
+        out = tmp_path / "stale"
+        cfg = tiny_config(out)
+        for stage in STAGES[:-1]:
+            run_stage(stage, cfg, out)
+        stale = replace(cfg, train=replace(cfg.train, epochs=cfg.train.epochs + 1))
+        inline, pooled = self.inline_then_pooled_error(cpus, "report", stale, out)
+        assert pooled == inline
+        assert pooled.startswith("stage report: oracle record of group ")
+        assert str(run_dirs(cfg, out)[0]) in pooled
+
+    def test_later_seed_failing_alone_is_raised(self, tmp_path, cpus):
+        out = tmp_path / "missing"
+        cfg = tiny_config(out)
+        for stage in STAGES[:-1]:
+            run_stage(stage, cfg, out)
+        missing = run_dirs(cfg, out)[1] / "selection_B2.json"
+        missing.unlink()
+        inline, pooled = self.inline_then_pooled_error(cpus, "report", cfg, out)
+        assert pooled == inline == f"stage report: missing upstream artifact {missing}"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_oracle_names_the_first_seed(self, tmp_path, cpus):
+        out = tmp_path / "diverge"
+        cfg = tiny_config(out)
+        run_stage("generate", cfg, out)
+        diverging = replace(cfg, train=replace(cfg.train, learning_rate=1e4))
+        inline, pooled = self.inline_then_pooled_error(cpus, "oracle", diverging, out)
+        assert pooled == inline
+        assert re.fullmatch(r"stage oracle: group \(0, 1\) failed: non-finite loss "
+                            r"for task 0 at step \d+", pooled)
+        # seed 1 alone fails on another group, so the text tells the seeds apart
+        with pytest.raises(StageError, match=re.escape("group (0, 1, 2) failed")):
+            run_stage("oracle", replace(diverging, seeds=(1,)), out)
 
 
 class TestReferenceConfig:

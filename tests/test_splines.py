@@ -6,6 +6,7 @@ from mtlgrouping.splines import (
     affine_matrix,
     basis_expand,
     basis_matrix,
+    fit_knot_grid,
     fit_knots,
 )
 
@@ -47,6 +48,29 @@ class TestFitKnots:
     def test_identical_scores_rejected(self):
         with pytest.raises(ValueError, match="identical"):
             fit_knots([0.7, 0.7, 0.7], degree=2, interior_knot_count=1)
+
+    @pytest.mark.parametrize("scores", [
+        np.linspace(-1.0, 1.0, 30),
+        [0.0] + [0.5] * 50 + [1.0],  # quantiles collide, so specs repeat across counts
+        np.random.default_rng(5).normal(size=40),
+    ])
+    def test_grid_equals_fit_knots_per_degree_and_count(self, scores):
+        degrees, counts = (2, 3, 4, 5, 6), range(5)
+        expected = []
+        for degree in degrees:
+            for count in counts:
+                spec = fit_knots(scores, degree, count)
+                if spec not in expected:
+                    expected.append(spec)
+        assert fit_knot_grid(scores, degrees, counts) == expected
+
+    @pytest.mark.parametrize("degrees, counts, message", [
+        ((2, 3), (0, -1), "interior_knot_count must be >= 0"),
+        ((7, 2), (0, 1), "degree must be in"),
+    ])
+    def test_grid_validates_like_fit_knots(self, degrees, counts, message):
+        with pytest.raises(ValueError, match=message):
+            fit_knot_grid(np.linspace(0.0, 1.0, 9), degrees, counts)
 
     def test_boundary_multiplicity_validated(self):
         with pytest.raises(ValueError, match="boundary"):

@@ -1,8 +1,10 @@
-"""Only a process that fits a predictor imports scipy.linalg.
+"""Start-up stays small: only fit imports scipy.linalg, and no one-seed stage imports a pool.
 
 Each CLI stage runs in its own process, and importing ``scipy.linalg`` takes
-about half of a fresh process's start-up. Other tests import it in this
-process, so each group of stages runs here in a fresh interpreter.
+about half of a fresh process's start-up. Oracle and report import
+``concurrent.futures`` and ``multiprocessing`` only when they fork workers for
+more than one seed. Other tests import these modules in this process, so each
+group of stages runs here in a fresh interpreter.
 """
 
 import json
@@ -11,6 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import mtlgrouping
 from mtlgrouping.artifacts import save
 
@@ -18,19 +22,23 @@ from test_experiment import tiny_config
 
 SRC = Path(mtlgrouping.__file__).resolve().parent.parent
 
-# prints whether scipy.linalg is loaded after the import, then after each stage
-PROBE = """
+WATCHED = ("scipy.linalg", "concurrent.futures", "multiprocessing")
+
+# prints which watched modules are loaded after the import, then after each stage
+PROBE = f"""
 import json, sys
 import mtlgrouping, mtlgrouping.cli
-loaded = ["scipy.linalg" in sys.modules]
+def loaded():
+    return [name for name in {WATCHED!r} if name in sys.modules]
+seen = [loaded()]
 for stage in sys.argv[2:]:
     assert mtlgrouping.cli.main([stage, "--config", sys.argv[1]]) == 0, stage
-    loaded.append("scipy.linalg" in sys.modules)
-print(json.dumps(loaded))
+    seen.append(loaded())
+print(json.dumps(seen))
 """
 
 
-def loaded_after(config_path, *stages) -> list[bool]:
+def loaded_after(config_path, *stages) -> list[list[str]]:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     done = subprocess.run([sys.executable, "-c", PROBE, str(config_path), *stages],
@@ -39,9 +47,26 @@ def loaded_after(config_path, *stages) -> list[bool]:
     return json.loads(done.stdout)
 
 
-def test_only_fit_imports_scipy_linalg(tmp_path):
+@pytest.fixture(scope="module")
+def one_seed(tmp_path_factory):
+    """Watched modules after the import and each one-seed stage, in three processes."""
+    tmp_path = tmp_path_factory.mktemp("startup")
     config_path = tmp_path / "config.json"
     save(config_path, tiny_config(tmp_path / "out", seeds=(0,)))
-    assert loaded_after(config_path, "generate", "train-affinity", "oracle") == [False] * 4
-    assert loaded_after(config_path, "fit") == [False, True]
-    assert loaded_after(config_path, "evaluate", "select", "report") == [False] * 4
+    return (loaded_after(config_path, "generate", "train-affinity", "oracle"),
+            loaded_after(config_path, "fit"),
+            loaded_after(config_path, "evaluate", "select", "report"))
+
+
+def test_only_fit_imports_scipy_linalg(one_seed):
+    upstream, fit, downstream = one_seed
+    assert ["scipy.linalg" in seen for seen in upstream] == [False] * 4
+    assert ["scipy.linalg" in seen for seen in fit] == [False, True]
+    assert ["scipy.linalg" in seen for seen in downstream] == [False] * 4
+
+
+def test_one_seed_stages_import_no_pool(one_seed):
+    upstream, fit, downstream = one_seed
+    assert upstream == downstream == [[]] * 4
+    # scipy.linalg (1.17) imports concurrent.futures itself; fit forks no workers
+    assert fit[0] == [] and "multiprocessing" not in fit[1]
