@@ -26,6 +26,7 @@ from .engine import (
     init_params,
     sgd_momentum_step,
     shared_gradient,
+    train_groups,
     train_mtl,
     train_stl,
 )

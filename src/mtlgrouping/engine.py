@@ -12,30 +12,40 @@ costs no extra passes. ``save_trace`` writes them as ``trace.jsonl``, one
 JSON object per step, and ``load_trace`` reads each line with the typed
 reader back into the arrays.
 
-One training step handles every task of the group at once, over a leading
-task axis. Each reduction and matrix product in it works on per-task slices
-of the shapes the one-task reference ``_loss_and_grads`` uses, so numpy runs
-the same summation and the same BLAS call per task, and the batched step
-reproduces the per-task loop bit for bit.
+One training step handles every task of every stacked group at once, over
+a leading group axis and a task axis. Each reduction and matrix product in
+it works on per-task slices of the shapes the one-task reference
+``_loss_and_grads`` uses, so numpy runs the same summation and the same BLAS
+call per task, and the batched step reproduces the per-task loop bit for
+bit.
 
-The loop allocates no parameter state per step. The shared vector and the
-heads live in one flat buffer, ``[shared | heads row-major]``, and the
-velocity and the update (the mean shared gradient, then the head gradients)
-share its layout. The step writes its gradients into views of these buffers,
-and the momentum update is four in-place operations over the whole vector
-that match ``sgd_momentum_step`` element for element. Each epoch gathers
-its shuffled rows once into a buffer; a step then reads a contiguous slice
-of it, a view built once per call. The squared loss forms its residual
+``train_groups`` trains many groups: it buckets them by size and trains each
+bucket in one loop, with no padding, since every group of a config starts
+from the same parameters and reads the same batch rows. ``train_mtl`` is the
+one-group case of that loop, and the only one that captures a trace. Report
+trains its candidates this way; the oracle still calls ``train_mtl`` once
+per group, because perfbench counts the oracle's training at those calls
+(see ``gains``).
+
+The loop allocates no parameter state per step. Each group's shared vector
+and heads live in one row of a flat buffer, ``[shared | heads row-major]``,
+and the velocity and the update (the mean shared gradient, then the head
+gradients) share its layout. The step writes its gradients into views of
+these buffers, and the momentum update is four in-place operations over the
+whole buffer that match ``sgd_momentum_step`` element for element. Each
+epoch gathers its shuffled rows once into a buffer; a step then reads a
+contiguous slice of it, a view built once per call. The squared loss forms its residual
 ``yhat - y`` once, sums its square and turns it into dL/dyhat in place, and
 the backward pass computes tanh' in place on each activation after its last
 read. None of this changes what is computed: the products and sums still
 run on the same per-task slices, which is what keeps the step bit-exact.
 
 Each step writes its per-task loss sums into one row of a ``(steps per
-epoch, T)`` buffer, and divergence is checked once per epoch on the whole
-buffer. A sum is finite exactly when its mean is, so the first non-finite
-row names the same ``(step, task)`` a check after every step would have
-raised ``TrainingDiverged`` with.
+epoch, G, T)`` buffer, and divergence is checked once per epoch on the whole
+buffer. A sum is finite exactly when its mean is, so a group's first
+non-finite row names the same ``(step, task)`` a check after every step
+would have raised ``TrainingDiverged`` with. A diverged group's row is
+zeroed and left out of the results; the other groups train on unchanged.
 
 All randomness (initialization, batch order) is drawn from streams keyed by
 the config seed alone, shared across tasks. Sharing the head-init and batch
@@ -236,12 +246,14 @@ def init_params(arch: Architecture, seed: int, tasks) -> ModelParams:
 def _encode(layers, X: np.ndarray):
     """Forward through the encoder, keeping activations for backprop.
 
-    X may carry a leading task axis, ``(T, n, d)``; the layers are shared.
+    ``layers`` holds ``(weight transposed to (in, out), bias)`` pairs. X may
+    carry leading axes, ``(G, T, n, d)`` in training, broadcast against the
+    layers' own.
     """
     activations = [X]
     a = X
-    for w, b in layers:
-        a = a @ w.T
+    for w_t, b in layers:
+        a = a @ w_t
         a += b
         np.tanh(a, out=a)
         activations.append(a)
@@ -288,7 +300,7 @@ def _check_batch(arch: Architecture, batch):
 def forward_loss(params: ModelParams, task: int, batch) -> float:
     """Mean loss of one task's head on a batch."""
     X, y = _check_batch(params.arch, batch)
-    rep, _ = _encode(params.arch.unpack_shared(params.shared), X)
+    rep, _ = _encode([(w.T, b) for w, b in params.arch.unpack_shared(params.shared)], X)
     total, _ = _loss_terms(params.arch, _head_out(params.heads[task], rep), y)
     return float(total / y.size)
 
@@ -303,7 +315,7 @@ def _loss_and_grads(params: ModelParams, task: int, batch):
     arch = params.arch
     X, y = _check_batch(arch, batch)
     layers = arch.unpack_shared(params.shared)
-    rep, activations = _encode(layers, X)
+    rep, activations = _encode([(w.T, b) for w, b in layers], X)
     head = params.heads[task]
     total, dyhat = _loss_terms(arch, _head_out(head, rep), y)
     loss = float(total / y.size)
@@ -320,27 +332,30 @@ def _loss_and_grads(params: ModelParams, task: int, batch):
     return loss, shared_grad, head_grad
 
 
-def _batched_step(arch: Architecture, layers, heads, X: np.ndarray, y: np.ndarray,
+def _batched_step(arch: Architecture, layers, weights, heads, X: np.ndarray, y: np.ndarray,
                   grad_layers, head_grads, loss_sum: np.ndarray) -> None:
-    """Losses and gradients of all tasks of a group for one batch.
+    """Losses and gradients of every task of every stacked group for one batch.
 
-    X is ``(T, n, d)`` and y ``(T, n)``, one slice per task; ``layers`` are
-    the unpacked shared parameters and ``grad_layers`` the unpacked
-    ``(T, shared_size)`` gradient buffer. ``heads`` holds views of the
-    ``(T, head_size)`` heads: weights ``(T, H, 1)``, biases ``(T, 1)`` and
-    weight rows ``(T, 1, H)``; ``head_grads`` views of their gradient
-    buffer: weights ``(T, H, 1)`` and biases ``(T,)``. Writes the shared and
-    head gradients through those views and the ``(T,)`` loss sums into
-    ``loss_sum``. Every product multiplies per-task 2-D slices and every sum
-    runs over the batch axis, exactly as ``_loss_and_grads`` does for one
-    task, so each slice matches it bit for bit.
+    X is ``(G, T, n, d)`` and y ``(G, T, n)``, one slice per group and task.
+    ``layers`` are the encoder's ``(weight transposed, bias)`` pairs, shaped
+    ``(G, 1, in, out)`` and ``(G, 1, 1, out)`` to broadcast over the tasks,
+    and ``weights`` the ``(G, 1, out, in)`` weights; ``grad_layers`` are the
+    unpacked ``(G, T, shared_size)`` gradient buffer. ``heads`` holds views
+    of the ``(G, T, head_size)`` heads: weights ``(G, T, H, 1)``, biases
+    ``(G, T, 1)`` and weight rows ``(G, T, 1, H)``; ``head_grads`` views of
+    their gradient buffer: weights ``(G, T, H, 1)`` and biases ``(G, T)``.
+    Writes the shared and head gradients through those views and the
+    ``(G, T)`` loss sums into ``loss_sum``. Every product multiplies
+    per-task 2-D slices and every sum runs over the batch axis, exactly as
+    ``_loss_and_grads`` does for one task, so each slice matches it bit for
+    bit.
     """
     head_w, head_b, head_rows = heads
     grad_w, grad_b = head_grads
     rep, activations = _encode(layers, X)
     _, dyhat = _loss_terms(arch, (rep @ head_w)[..., 0] + head_b, y, out=loss_sum)
     dyhat_col = dyhat[..., None]
-    np.matmul(rep.transpose(0, 2, 1), dyhat_col, out=grad_w)
+    np.matmul(rep.swapaxes(-1, -2), dyhat_col, out=grad_w)
     np.add.reduce(dyhat, axis=-1, out=grad_b)
     if not layers:
         return
@@ -352,10 +367,10 @@ def _batched_step(arch: Architecture, layers, heads, X: np.ndarray, y: np.ndarra
         np.subtract(1.0, a, out=a)
         delta *= a
         g_w, g_b = grad_layers[i]
-        np.matmul(delta.transpose(0, 2, 1), activations[i], out=g_w)
-        np.add.reduce(delta, axis=1, out=g_b)
+        np.matmul(delta.swapaxes(-1, -2), activations[i], out=g_w)
+        np.add.reduce(delta, axis=-2, out=g_b)
         if i:  # the input layer's delta is never read
-            delta = delta @ layers[i][0]
+            delta = delta @ weights[i]
 
 
 def shared_gradient(params: ModelParams, task: int, batch) -> np.ndarray:
@@ -389,13 +404,10 @@ def _eval_losses(params: ModelParams, group, datasets) -> dict[str, dict[int, fl
     return out
 
 
-def train_mtl(group, datasets, config: TrainConfig, capture_trace: bool = False) -> TrainedModel:
-    """Jointly train one model for a group of tasks.
+def _group_rows(group, datasets, config: TrainConfig):
+    """The sorted group, its architecture and its members' train rows.
 
-    Each step draws the same row permutation slice from every task's train
-    split, so tasks contribute one batch per step. The shared parameters are
-    updated with the gradient of the mean task loss; each head with its own
-    task's gradient.
+    Raises ``ValueError`` for a group that cannot be trained jointly.
     """
     ids = tuple(group)
     for t in ids:
@@ -419,80 +431,157 @@ def train_mtl(group, datasets, config: TrainConfig, capture_trace: bool = False)
             raise ValueError("all tasks in a group must have equally sized train splits")
     if n_train == 0:
         raise ValueError("empty train split")
-
     loss_kind = "squared" if task_type == "regression" else "logistic"
     arch = Architecture(input_dim=input_dim, hidden_dims=tuple(config.hidden_dims), loss=loss_kind)
-    params = init_params(arch, config.seed, group)
+    return group, arch, train
 
-    X_all = np.stack([X for X, _ in train]).astype(float, copy=False)  # (T, n, d)
-    y_all = np.stack([y for _, y in train]).astype(float, copy=False)  # (T, n)
-    # theta = [shared | heads row-major]; velocity and update share the layout
+
+def _train_stack(arch: Architecture, groups, trains, datasets, config: TrainConfig,
+                 capture_trace: bool = False) -> list[TrainedModel | TrainingDiverged]:
+    """Train groups of one size, architecture and train length in one loop.
+
+    ``trains[g]`` holds the train rows of the tasks of ``groups[g]``. Every
+    group starts from the same parameters and reads the same batch rows,
+    both drawn from the config seed alone, so the stack shares one
+    initialization and one permutation per epoch. Returns, per group, its
+    model or the ``TrainingDiverged`` it stopped at; a diverging group
+    neither stops nor changes the others. Only a lone group, the one
+    ``train_mtl`` trains, can capture its trace.
+    """
+    n_groups, n_tasks = len(groups), len(groups[0])
+    n_train = trains[0][0][1].size
+    # the state carries a leading group axis only for two or more groups:
+    # every axis adds to numpy's cost per call, and a lone group (train_mtl)
+    # is what train-affinity and the oracle train
+    stack = (n_groups,) if n_groups > 1 else ()
+    rows_shape = stack + (n_tasks, n_train)
+    X_all = np.array([[X for X, _ in train] for train in trains], dtype=float).reshape(
+        rows_shape + (arch.input_dim,))  # ([G,] T, n, d)
+    y_all = np.array([[y for _, y in train] for train in trains], dtype=float).reshape(
+        rows_shape)  # ([G,] T, n)
+    # theta = [shared | heads row-major], one row per group; velocity and
+    # update share the layout
+    init = init_params(arch, config.seed, groups[0])
     n_shared = arch.shared_size
-    theta = np.concatenate([params.shared] + [params.heads[t] for t in group])
+    theta = np.tile(np.concatenate([init.shared, *init.heads.values()]), stack + (1,))
     velocity = np.zeros_like(theta)
     update = np.empty_like(theta)  # [mean shared gradient | head gradients]
-    shared, heads = theta[:n_shared], theta[n_shared:].reshape(len(group), arch.head_size)
-    mean_grad, head_grads = update[:n_shared], update[n_shared:].reshape(heads.shape)
-    grads = np.empty((len(group), n_shared))
-    layers = arch.unpack_shared(shared)
+    head_shape = stack + (n_tasks, arch.head_size)
+    shared, heads = theta[..., :n_shared], theta[..., n_shared:].reshape(head_shape)
+    mean_grad, head_grads = update[..., :n_shared], update[..., n_shared:].reshape(head_shape)
+    grads = np.empty(stack + (n_tasks, n_shared))
+    # the shared layers broadcast over the task axis, after a stack's group axis
+    lift = (slice(None), None) if stack else ()
+    unpacked = arch.unpack_shared(shared)
+    layers = [(w.swapaxes(-1, -2)[lift], b[lift][..., None, :]) for w, b in unpacked]
+    weights = [w[lift] for w, _ in unpacked]
     grad_layers = arch.unpack_shared(grads)
-    head_views = (heads[:, :-1, None], heads[:, -1:], heads[:, None, :-1])
-    head_grad_views = (head_grads[:, :-1, None], head_grads[:, -1])
+    head_views = (heads[..., :-1, None], heads[..., -1:], heads[..., None, :-1])
+    head_grad_views = (head_grads[..., :-1, None], head_grads[..., -1])
     # each epoch gathers its shuffled rows into one buffer; a step reads
     # contiguous views of it, built once, and writes its loss sums into one
-    # row of a (steps per epoch, T) buffer
+    # row of a (steps per epoch, [G,] T) buffer
     X_epoch, y_epoch = np.empty_like(X_all), np.empty_like(y_all)
     starts = range(0, n_train, config.batch_size)
-    loss_sums = np.empty((len(starts), len(group)))
-    batches = [(X_epoch[:, start:start + config.batch_size],
-                y_epoch[:, start:start + config.batch_size], loss_sum)
+    loss_sums = np.empty((len(starts),) + stack + (n_tasks,))
+    batches = [(X_epoch[..., start:start + config.batch_size, :],
+                y_epoch[..., start:start + config.batch_size], loss_sum)
                for start, loss_sum in zip(starts, loss_sums)]
+    # the state one group per row, with or without its group axis
+    group_theta, group_velocity = theta.reshape(n_groups, -1), velocity.reshape(n_groups, -1)
+    group_loss_sums = loss_sums.reshape(len(starts), n_groups, n_tasks)
     rng_batches = stream(config.seed, _BATCHES)
-    eta, beta, n_tasks = config.learning_rate, config.momentum, len(group)
+    eta, beta = config.learning_rate, config.momentum
+    n_steps = config.epochs * len(batches)
     trace = None
     if capture_trace:
-        n_steps = config.epochs * len(batches)
-        trace = Trace(group, np.empty((n_steps, n_tasks)),
+        trace = Trace(groups[0], np.empty((n_steps, n_tasks)),
                       np.empty((n_steps, n_tasks, n_shared)), np.empty((n_steps, n_shared)))
+    outcomes: list = [None] * n_groups
 
     for epoch in range(config.epochs):
         order = rng_batches.permutation(n_train)
-        X_all.take(order, axis=1, out=X_epoch)
-        y_all.take(order, axis=1, out=y_epoch)
+        X_all.take(order, axis=-2, out=X_epoch)
+        y_all.take(order, axis=-1, out=y_epoch)
         for k, (X, y, loss_sum) in enumerate(batches):
-            _batched_step(arch, layers, head_views, X, y, grad_layers, head_grad_views, loss_sum)
+            _batched_step(arch, layers, weights, head_views, X, y, grad_layers, head_grad_views,
+                          loss_sum)
             if trace is not None:
                 step = epoch * len(batches) + k
                 np.divide(loss_sum, y.shape[-1], out=trace.losses[step])
                 trace.gradients[step] = grads
                 trace.velocity_in[step] = velocity[:n_shared]
-            # sgd_momentum_step on the whole vector, in place
-            np.add.reduce(grads, axis=0, out=mean_grad)
+            # sgd_momentum_step on every group's whole vector, in place
+            np.add.reduce(grads, axis=-2, out=mean_grad)
             mean_grad /= n_tasks
             update *= eta
             velocity *= beta
             velocity -= update
             theta += velocity
-        # a sum is finite exactly when its mean is; the first bad row is the
-        # step a per-step check would have stopped at
-        finite = np.isfinite(loss_sums)
+        # a sum is finite exactly when its mean is; a group's first bad row
+        # is the step a per-step check would have stopped it at
+        finite = np.isfinite(group_loss_sums)
         if not finite.all():
-            k, j = np.argwhere(~finite)[0]
-            raise TrainingDiverged(epoch * len(batches) + int(k), group[j])
-    params.shared = shared.copy()
-    params.heads = {t: h.copy() for t, h in zip(group, heads)}
+            for g in np.flatnonzero(~finite.all(axis=(0, 2))):
+                if outcomes[g] is None:
+                    k, j = np.argwhere(~finite[:, g])[0]
+                    outcomes[g] = TrainingDiverged(epoch * len(batches) + int(k), groups[g][j])
+                    # a zero row stays finite, so a dead group warns no more
+                    group_theta[g] = group_velocity[g] = 0.0
+            if all(outcomes):
+                break
 
-    losses = _eval_losses(params, group, datasets)
-    for split_losses in losses.values():
-        for t, value in split_losses.items():
-            if not np.isfinite(value):
-                raise TrainingDiverged(config.epochs * len(batches) - 1, t)
-    return TrainedModel(
-        params=params,
-        group=group,
-        losses=losses,
-        trace=trace,
-    )
+    for g, (group, row) in enumerate(zip(groups, group_theta)):
+        if outcomes[g] is not None:
+            continue
+        params = ModelParams(arch=arch, shared=row[:n_shared].copy(), heads={
+            t: h.copy() for t, h in zip(group, row[n_shared:].reshape(n_tasks, -1))})
+        losses = _eval_losses(params, group, datasets)
+        bad = [t for split_losses in losses.values()
+               for t, value in split_losses.items() if not np.isfinite(value)]
+        outcomes[g] = (TrainingDiverged(n_steps - 1, bad[0]) if bad else TrainedModel(
+            params=params, group=group, losses=losses, trace=trace))
+    return outcomes
+
+
+def train_mtl(group, datasets, config: TrainConfig, capture_trace: bool = False) -> TrainedModel:
+    """Jointly train one model for a group of tasks.
+
+    Each step draws the same row permutation slice from every task's train
+    split, so tasks contribute one batch per step. The shared parameters are
+    updated with the gradient of the mean task loss; each head with its own
+    task's gradient. This is the one-group case of ``train_groups``.
+    """
+    group, arch, train = _group_rows(group, datasets, config)
+    (outcome,) = _train_stack(arch, [group], [train], datasets, config, capture_trace)
+    if isinstance(outcome, TrainingDiverged):
+        raise outcome
+    return outcome
+
+
+def train_groups(groups, datasets, config: TrainConfig) -> list[TrainedModel | Exception]:
+    """Jointly train one model per group, each as ``train_mtl`` would, bit for bit.
+
+    Groups of one size (and architecture and train length) train stacked in
+    one loop, with no padding. The result is in input order: each group's
+    ``TrainedModel``, or in its place the ``ValueError`` or
+    ``TrainingDiverged`` that ``train_mtl`` raises for it. A group that
+    fails neither stops the others nor changes their bits.
+    """
+    outcomes: list = [None] * len(groups)
+    buckets: dict = {}
+    for i, group in enumerate(groups):
+        try:
+            group, arch, train = _group_rows(group, datasets, config)
+        except ValueError as exc:
+            outcomes[i] = exc
+            continue
+        buckets.setdefault((len(group), arch, train[0][1].size), []).append((i, group, train))
+    for (_, arch, _), members in buckets.items():
+        index, stack, trains = zip(*members)
+        for i, outcome in zip(index, _train_stack(arch, stack, trains, datasets, config)):
+            outcomes[i] = outcome
+    return outcomes
 
 
 def train_stl(task: int, dataset, config: TrainConfig) -> TrainedModel:

@@ -10,11 +10,16 @@ artifacts and writes its own, so any stage can be rerun in isolation and
 reruns are byte-identical.
 
 Oracle and report train a model per group, which makes them most of a run.
-Their seeds are independent and each reproduces bit for bit, so ``_per_run``
-hands them to forked worker processes, one per usable CPU and at most one
-per seed. A single worker means no pool: one seed, or one CPU, runs inline.
-The other stages do 10-70 ms of work per seed, less than a pool's start-up
-and round trips are worth, and run their seeds in order in this process.
+Report trains its candidates stacked by group size, in a few wide loops per
+seed (``gains.measure_gains_batch``). The oracle does not yet: it trains one
+group at a time, because perfbench counts its training at each
+``gains.train_mtl`` call until telemetry counts stacked rows (ROADMAP item
+1). The seeds of both stages are independent and each reproduces bit for
+bit, so ``_per_run`` hands them to forked worker processes, one per usable
+CPU and at most one per seed. A single worker means no pool: one seed, or
+one CPU, runs inline. The other stages do 10-70 ms of work per seed, less
+than a pool's start-up and round trips are worth, and run their seeds in
+order in this process.
 No option controls this; the artifacts are the same bytes either way.
 """
 
@@ -237,7 +242,15 @@ def _oracle_run(config: ExperimentConfig, rd: Path, seed: int, suite) -> None:
     tc = _run_train_config(config, seed)
     cache = gn.StlCache(suite)
     for name in ("train", "heldout"):
-        records = gn.measure_gains_batch(getattr(groups, name), suite, tc, cache=cache)
+        # one group at a time, not measure_gains_batch: perfbench counts the
+        # oracle's training at gains.train_mtl until telemetry counts stacked
+        # rows (ROADMAP item 1)
+        records = []
+        for group in getattr(groups, name):
+            try:
+                records.append(gn.measure_gain(group, suite, tc, cache=cache))
+            except Exception as exc:
+                raise RuntimeError(f"group {group} failed: {exc}") from exc
         gn.save_records(records, rd / f"gains_{name}.jsonl")
         gn.records_to_csv(records, rd / f"gains_{name}.csv")
 

@@ -1,9 +1,16 @@
 """Ground-truth gain measurement: train alone, train jointly, compare test losses.
 
 The gain of a task inside a group is the relative reduction of its test loss
-under joint training versus its own single-task baseline. A batch measures
-its groups one after another in input order; baselines are trained on first
-use and cached per (task, config), so each single-task model trains once.
+under joint training versus its own single-task baseline. Baselines are
+trained on first use and cached per (task, config), so each single-task
+model trains once.
+
+``measure_gains_batch`` trains its joint models in one ``train_groups``
+call, stacked by group size, so report's candidates train in a few wide
+loops. The oracle still measures one group at a time through
+``measure_gain`` and ``train_mtl``: perfbench counts trained groups and task
+steps at the ``gains.train_mtl`` call, which a stacked oracle would never
+make, until that telemetry counts stacked rows (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from dataclasses import dataclass
 
 from .affinity import check_stored_group, is_task_id, task_group
 from .artifacts import from_dict, read_jsonl, to_json, write_csv, write_jsonl
-from .engine import TrainConfig, TrainedModel, train_mtl, train_stl
+from .engine import TrainConfig, TrainedModel, train_groups, train_mtl, train_stl
 from .seeding import stream
 from .selector import enumerate_candidate_groups
 
@@ -58,42 +65,61 @@ class StlCache:
         return self._entries[key]
 
 
-def measure_gain(group, suite, config: TrainConfig, cache: StlCache | None = None) -> GainRecord:
-    """Train the group jointly and compare per-task test losses to baselines."""
-    group = task_group(group, suite.n_tasks)
-    if cache is None:
-        cache = StlCache(suite)
+def _baseline_losses(group, cache: StlCache, config: TrainConfig) -> dict[int, float]:
     stl_losses = {}
     for t in group:
         loss = cache.get(t, config).losses["test"][t]
         if loss <= 0:
             raise ValueError(f"task {t} has non-positive single-task test loss {loss}")
         stl_losses[t] = loss
-    mtl = train_mtl(group, suite, config)
+    return stl_losses
+
+
+def _record(group, stl_losses: dict[int, float], mtl: TrainedModel, seed: int) -> GainRecord:
     mtl_losses = {t: mtl.losses["test"][t] for t in group}
-    gains = {t: relative_gain(stl_losses[t], mtl_losses[t]) for t in group}
     return GainRecord(
         group=group,
-        gains=gains,
+        gains={t: relative_gain(stl_losses[t], mtl_losses[t]) for t in group},
         stl_losses=stl_losses,
         mtl_losses=mtl_losses,
-        seed=config.seed,
+        seed=seed,
     )
+
+
+def measure_gain(group, suite, config: TrainConfig, cache: StlCache | None = None) -> GainRecord:
+    """Train the group jointly and compare per-task test losses to baselines."""
+    group = task_group(group, suite.n_tasks)
+    if cache is None:
+        cache = StlCache(suite)
+    stl_losses = _baseline_losses(group, cache, config)
+    return _record(group, stl_losses, train_mtl(group, suite, config), config.seed)
 
 
 def measure_gains_batch(groups, suite, config: TrainConfig,
                         cache: StlCache | None = None) -> list[GainRecord]:
-    """Measure many groups in input order; the first group that fails stops the batch."""
+    """Measure many groups, in input order; the first group that fails stops the batch.
+
+    Baselines train first, in input order, up to the first group whose
+    baseline fails. The joint models of the groups before it then train in
+    one ``train_groups`` call, stacked by group size. The first group in
+    input order that failed, at a baseline or at its joint model, raises.
+    """
     groups = [task_group(g, suite.n_tasks) for g in groups]
     if cache is None:
         cache = StlCache(suite)
-    records = []
+    baselines, failure = [], []
     for group in groups:
         try:
-            records.append(measure_gain(group, suite, config, cache=cache))
+            baselines.append(_baseline_losses(group, cache, config))
         except Exception as exc:
-            raise RuntimeError(f"group {group} failed: {exc}") from exc
-    return records
+            failure.append(exc)
+            break
+    outcomes = train_groups(groups[:len(baselines)], suite, config) + failure
+    for group, outcome in zip(groups, outcomes):
+        if isinstance(outcome, Exception):
+            raise RuntimeError(f"group {group} failed: {outcome}") from outcome
+    return [_record(group, stl_losses, mtl, config.seed)
+            for group, stl_losses, mtl in zip(groups, baselines, outcomes)]
 
 
 def sample_training_groups(n_tasks: int, count: int, size_range=(2, None), seed: int = 0):

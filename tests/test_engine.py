@@ -18,6 +18,7 @@ from mtlgrouping.engine import (
     save_trace,
     sgd_momentum_step,
     shared_gradient,
+    train_groups,
     train_mtl,
     train_stl,
 )
@@ -356,6 +357,36 @@ class TestTrainMtl:
         else:
             where = "ragged" if n_train % batch_size else "last"
         assert where == self.DIVERGES_AT[loss, batch_size]
+
+    # one train_groups call: sizes 1-4 in mixed input order, two groups of
+    # each size, unsorted groups, and a group that cannot train, which fails
+    # in its place
+    STACKED = [(1, 2, 3), (2,), (0, 1), (0, 1, 2, 3), (3, 1), (0, 7), (1,), (0, 2, 3),
+               (3, 2, 1, 0)]
+
+    @pytest.mark.parametrize("batch_size", [1, 5, 8, 32], ids=lambda b: f"b{b}")
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
+    @pytest.mark.parametrize("hidden", [(), (4,), (5, 3)],
+                             ids=lambda h: "h" + "x".join(map(str, h)))
+    def test_train_groups_equals_train_mtl(self, hidden, loss, batch_size):
+        task_type = "regression" if loss == "squared" else "classification"
+        suite = generate_suite(replace(self.spec, task_type=task_type))
+        config = replace(self.config, hidden_dims=hidden, batch_size=batch_size)
+        outcomes = train_groups(self.STACKED, suite, config)
+        assert len(outcomes) == len(self.STACKED)
+        for group, got in zip(self.STACKED, outcomes):
+            if 7 in group:
+                assert isinstance(got, ValueError)
+                with pytest.raises(ValueError, match=f"^{re.escape(str(got))}$"):
+                    train_mtl(group, suite, config)
+                continue
+            want = train_mtl(group, suite, config)
+            assert (got.group, got.trace) == (want.group, None)
+            assert got.losses == want.losses
+            assert np.array_equal(got.params.shared, want.params.shared)
+            assert got.params.heads.keys() == want.params.heads.keys()
+            for t in want.group:
+                assert np.array_equal(got.params.heads[t], want.params.heads[t])
 
     def test_trained_arrays_share_no_memory(self):
         model = train_mtl((0, 1, 2), self.suite, self.config, capture_trace=True)

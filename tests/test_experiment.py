@@ -458,13 +458,13 @@ class TestReport:
         out = tmp_path / "reuse"
         cfg = self.through_select(out)
         trained = []
-        train_mtl = gn.train_mtl
+        train_groups = gn.train_groups
 
-        def counting_train_mtl(group, *args, **kwargs):
-            trained.append(tuple(group))
-            return train_mtl(group, *args, **kwargs)
+        def counting_train_groups(groups, *args, **kwargs):
+            trained.extend(map(tuple, groups))
+            return train_groups(groups, *args, **kwargs)
 
-        monkeypatch.setattr(gn, "train_mtl", counting_train_mtl)
+        monkeypatch.setattr(gn, "train_groups", counting_train_groups)
         run_stage("report", cfg, out)
         monkeypatch.undo()
         rd = run_dirs(cfg, out)[0]

@@ -6,7 +6,8 @@ import pytest
 
 from mtlgrouping import gains, selector
 from mtlgrouping.artifacts import from_dict, to_json
-from mtlgrouping.engine import TrainConfig, TrainingDiverged, train_stl
+from mtlgrouping.engine import TrainConfig, TrainingDiverged, train_groups, train_mtl, train_stl
+from mtlgrouping.experiment import reference_config
 from mtlgrouping.gains import (
     GainRecord,
     StlCache,
@@ -149,6 +150,43 @@ class TestMeasureGainsBatch:
         with pytest.raises(RuntimeError, match=r"^group \(0, 1\) failed: ") as error:
             measure_gains_batch([(0, 1), (2, 3)], suite, config)
         assert isinstance(error.value.__cause__, TrainingDiverged)
+
+    def test_equals_one_group_at_a_time_over_reference_universe(self):
+        ref = reference_config(seeds=(0,))
+        suite = generate_suite(ref.suite)
+        universe = selector.enumerate_candidate_groups(suite.n_tasks)
+        cache = StlCache(suite)
+        want = [measure_gain(g, suite, ref.train, cache=cache) for g in universe]
+        assert measure_gains_batch(universe, suite, ref.train, cache=cache) == want
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_group_names_the_first_in_input_order(self):
+        # at this rate every baseline trains, and of these groups (0, 1, 2)
+        # and (1, 2) diverge; the bucket of pairs trains first, but (0, 1, 2)
+        # comes first in input order
+        suite = small_suite()
+        config = quick_config(learning_rate=3.0, epochs=40)
+        groups = [(0, 3), (0, 1, 2), (1, 2), (2, 3)]
+        outcomes = train_groups(groups, suite, config)
+        for group, got in zip(groups, outcomes):
+            if isinstance(got, TrainingDiverged):
+                with pytest.raises(TrainingDiverged) as want:
+                    train_mtl(group, suite, config)
+                assert (got.step, got.task) == (want.value.step, want.value.task)
+            else:
+                want = train_mtl(group, suite, config)
+                assert got.losses == want.losses
+                assert np.array_equal(got.params.shared, want.params.shared)
+        assert [type(o).__name__ for o in outcomes] == [
+            "TrainedModel", "TrainingDiverged", "TrainingDiverged", "TrainedModel"]
+        with pytest.raises(RuntimeError, match=r"^group \(0, 1, 2\) failed: ") as error:
+            measure_gains_batch(groups, suite, config)
+        cause = error.value.__cause__
+        assert (type(cause), cause.step, cause.task) == (
+            TrainingDiverged, outcomes[1].step, outcomes[1].task)
+        survivors = [(0, 3), (2, 3)]
+        assert measure_gains_batch(survivors, suite, config) == [
+            measure_gain(g, suite, config) for g in survivors]
 
 
 class TestSampleTrainingGroups:
