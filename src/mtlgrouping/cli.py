@@ -29,8 +29,10 @@ from .experiment import (
 def _apply_override(data: dict, key: str, raw: str) -> None:
     parts = key.split(".")
     node = data
-    for part in parts[:-1]:
+    for i, part in enumerate(parts[:-1], 1):
         node = node.setdefault(part, {})
+        if not isinstance(node, dict):
+            raise ValueError(f"--set {key}: {'.'.join(parts[:i])} is not an object")
     try:
         value = json.loads(raw)
     except json.JSONDecodeError:

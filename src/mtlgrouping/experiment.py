@@ -362,13 +362,13 @@ def _report_run(config: ExperimentConfig, rd: Path, seed: int, suite) -> dict:
     candidates = universe if all_tasks in universe else universe + [all_tasks]
     tc = _run_train_config(config, seed)
     cache = gn.StlCache(suite)
+    cache.fill(all_tasks, tc)
     measured = _oracle_records(rd, tc, cache)
     records = gn.measure_gains_batch(
         [g for g in candidates if g not in measured], suite, tc, cache=cache)
     measured.update((rec.group, rec) for rec in records)
     gn.save_records([measured[g] for g in candidates], rd / "gains_candidates.jsonl")
     mtl_by_group = {g: measured[g].mtl_losses for g in candidates}
-    # every task is in the all-task group, so the cache holds every baseline
     stl_losses = {t: cache.get(t, tc).losses["test"][t] for t in all_tasks}
     naive = sum(mtl_by_group[all_tasks][t] for t in all_tasks)
     stl_total = sum(stl_losses[t] for t in all_tasks)

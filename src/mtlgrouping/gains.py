@@ -6,11 +6,13 @@ trained on first use and cached per (task, config), so each single-task
 model trains once.
 
 ``measure_gains_batch`` trains its joint models in one ``train_groups``
-call, stacked by group size, so report's candidates train in a few wide
+call, stacked by group size, and ``StlCache.fill`` trains many baselines in
+one such call, so report's baselines and candidates train in a few wide
 loops. The oracle still measures one group at a time through
-``measure_gain`` and ``train_mtl``: perfbench counts trained groups and task
-steps at the ``gains.train_mtl`` call, which a stacked oracle would never
-make, until that telemetry counts stacked rows (ROADMAP item 1).
+``measure_gain`` and ``train_mtl``, and trains its baselines one by one
+through ``train_stl``: perfbench counts trained groups and task steps at
+the ``gains.train_mtl`` call, which a stacked oracle would never make, until
+that telemetry counts stacked rows (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -55,14 +57,30 @@ class StlCache:
         self._suite = suite
         self._entries: dict[tuple[int, TrainConfig], TrainedModel] = {}
 
-    def get(self, task: int, config: TrainConfig) -> TrainedModel:
+    def _key(self, task, config: TrainConfig) -> tuple[int, TrainConfig]:
         if not is_task_id(task) or not 0 <= task < self._suite.n_tasks:
             raise ValueError(f"task id {task!r} is not a task of the suite "
                              f"(0..{self._suite.n_tasks - 1})")
-        key = (int(task), config)
+        return int(task), config
+
+    def get(self, task: int, config: TrainConfig) -> TrainedModel:
+        key = self._key(task, config)
         if key not in self._entries:
             self._entries[key] = train_stl(task, self._suite[task], config)
         return self._entries[key]
+
+    def fill(self, tasks, config: TrainConfig) -> None:
+        """Train the missing baselines of ``tasks`` in one ``train_groups`` call.
+
+        Bit for bit the models ``get`` trains. Only the models that trained
+        are cached: ``get`` trains a failed baseline again and raises its error.
+        """
+        missing = [key for key in dict.fromkeys(self._key(t, config) for t in tasks)
+                   if key not in self._entries]
+        outcomes = train_groups([(t,) for t, _ in missing], self._suite, config)
+        for key, outcome in zip(missing, outcomes):
+            if not isinstance(outcome, Exception):
+                self._entries[key] = outcome
 
 
 def _baseline_losses(group, cache: StlCache, config: TrainConfig) -> dict[int, float]:

@@ -7,21 +7,21 @@ simply X @ coefficients + intercept.
 
 Cross-validation does each fold's penalty-independent work once: the mask,
 the centering, Xc'Xc and Xc'yc. It then factors Xc'Xc + lam*I for every fold
-and the whole sorted grid with one batched Cholesky and solves each (fold,
-penalty) with LAPACK's ``dpotrs`` (the routine ``scipy.linalg.cho_solve``
-calls). ``fit`` runs the same solve with one fold and a single penalty, so
-each fold's coefficients are bit-for-bit those of ``fit`` on the fold's
-training rows. The validation errors come from stacked products whose
-slices are the products of one fold and penalty: ``X_val[None] @ W[:, :,
-None]`` gives a fold's ``X_val @ w`` for every penalty, and ``x_means[:,
-None, None, :] @ coefs[..., None]`` every fold's ``x_mean @ w``. So the CV
-errors keep their bits too. ``cv_score`` is the selection without the
-final refit, and each ``(seed, n)`` row permutation is drawn once per process.
+and the whole sorted grid with one batched Cholesky, and solves every (fold,
+penalty) system with one batched ``np.linalg.solve``. The Cholesky factors
+only test that each system is positive definite and not singular: numpy has
+no triangular solve to reuse them with. numpy solves each matrix of a stack
+on its own, so each fold's coefficients are bit for bit those of ``fit``,
+the same solve with one fold and a single penalty, on the fold's training
+rows. The validation errors come from stacked products whose slices are the
+products of one fold and penalty: ``X_val[None] @ W[:, :, None]`` gives a
+fold's ``X_val @ w`` for every penalty, and ``x_means[:, None, None, :] @
+coefs[..., None]`` every fold's ``x_mean @ w``. So the CV errors keep their
+bits too. ``cv_score`` is the selection without the final refit, and each
+``(seed, n)`` row permutation is drawn once per process.
 
-``dpotrs`` is imported at the first solve, not with the package. Importing
-``scipy.linalg`` takes about 0.3 s, half of a fresh process's start-up, and
-only the fit stage solves; every other stage runs in a process of its own
-and never needs it.
+Everything here is numpy: no stage imports scipy, whose ``scipy.linalg``
+alone takes about 0.3 s and 20 MB to import.
 """
 
 from __future__ import annotations
@@ -90,13 +90,14 @@ def _singular(lam) -> SingularFitError:
 def _solve(gram, rhs, lams) -> np.ndarray:
     """``coefs[f, i]`` solves ``(gram[f] + lams[i]*I) w = rhs[f]`` for ``(F, p, p)`` grams.
 
-    One batched factorization covers every fold and penalty. A failure is
-    raised as solving the folds one after another would: fold by fold, and
-    within a fold the first penalty that does not factor, then the first
-    whose pivots show a singular matrix, then the first with non-finite
-    coefficients. If the batched factorization fails, the folds are solved
-    again one at a time, each as a one-fold stack, and a one-fold stack that
-    does not factor names its first penalty that does not.
+    One batched factorization tests every fold and penalty, and one batched
+    ``np.linalg.solve`` solves them. A failure is raised as solving the folds
+    one after another would: fold by fold, and within a fold the first
+    penalty that does not factor, then the first whose pivots show a singular
+    matrix, then the first with non-finite coefficients. If the batched
+    factorization fails, the folds are solved again one at a time, each as a
+    one-fold stack, and a one-fold stack that does not factor names its first
+    penalty that does not.
     """
     p = rhs.shape[-1]
     lhs = gram[:, None] + lams[:, None, None] * np.eye(p)
@@ -114,18 +115,16 @@ def _solve(gram, rhs, lams) -> np.ndarray:
         raise
     if p == 0:
         return np.empty(lhs.shape[:-1])
-    # imported here so that only a process that solves pays scipy.linalg's import
-    from scipy.linalg.lapack import dpotrs
-
     # rounding can sneak an exactly singular Gram matrix past the factorization
     pivots = np.diagonal(chols, axis1=-2, axis2=-1) ** 2
     limits = np.diagonal(lhs, axis1=-2, axis2=-1).max(axis=-1) * p * 1e-14
-    singular = (pivots.min(axis=-1) <= limits).tolist()
-    # the reshape only matters for no folds at all, where np.array gives shape (0,)
-    coefs = np.array([[dpotrs(c, fold_rhs, lower=1)[0] for c in fold_chols]
-                      for fold_chols, fold_rhs in zip(chols, rhs)]).reshape(lhs.shape[:-1])
+    singular = pivots.min(axis=-1) <= limits
+    # a singular system would make the batched solve raise before the checks
+    # below name it in fold order, so it solves the identity instead
+    lhs[singular] = np.eye(p)
+    coefs = np.linalg.solve(lhs, rhs[:, None, :, None])[..., 0]
     finite = np.isfinite(coefs).all(axis=-1).tolist()
-    for fold_singular, fold_finite in zip(singular, finite):
+    for fold_singular, fold_finite in zip(singular.tolist(), finite):
         if True in fold_singular:
             raise _singular(lams[fold_singular.index(True)])
         if False in fold_finite:

@@ -17,7 +17,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .artifacts import load, save, write_csv
+from .artifacts import load, save, writing
 from .seeding import stream
 
 SPLITS = ("train", "val", "test")
@@ -186,14 +186,22 @@ class _Sidecar:
 
 
 def save_suite(suite: TaskSuite, directory) -> None:
-    """Write one CSV per task plus a JSON sidecar with the generating spec."""
+    """Write one CSV per task plus a JSON sidecar with the generating spec.
+
+    Each CSV holds the bytes ``csv.writer`` writes for the rows of ``repr``
+    strings, ``\\r\\n`` line ends included; no field needs quoting, so the
+    lines are joined directly.
+    """
     directory = Path(directory)
     d = suite.spec.input_dim
-    header = [f"x{i}" for i in range(d)] + ["target", "split"]
+    header = ",".join([f"x{i}" for i in range(d)] + ["target", "split"]) + "\r\n"
     for t, ds in sorted(suite.datasets.items()):
-        write_csv(directory / f"task_{t}.csv", header, (
-            [repr(float(v)) for v in row] + [repr(float(target)), split]
-            for row, target, split in zip(ds.features, ds.targets, ds.split)))
+        rows = zip(np.asarray(ds.features, dtype=float).tolist(),
+                   np.asarray(ds.targets, dtype=float).tolist(), ds.split.tolist())
+        text = header + "".join([",".join(map(repr, features)) + f",{target!r},{split}\r\n"
+                                 for features, target, split in rows])
+        with writing(directory / f"task_{t}.csv", newline="") as fh:
+            fh.write(text)
     save(directory / "spec.json", _Sidecar(suite.spec, tuple(suite.task_weights)))
 
 

@@ -40,36 +40,39 @@ def naive_basis(z: float, degree: int, knots) -> np.ndarray:
     return np.array([b(i, degree) for i in range(m)])
 
 
-def centered_ridge(X, y, lam):
-    """Normal-equation ridge with unpenalized intercept, via plain numpy solve."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xm = X.mean(axis=0)
-    ym = y.mean()
-    Xc = X - xm
-    w = np.linalg.solve(Xc.T @ Xc + lam * np.eye(X.shape[1]), Xc.T @ (y - ym))
-    return w, float(ym - xm @ w)
-
-
-def cholesky_ridge(X, y, lam):
-    """(coefficients, intercept) from one Cholesky factor and cho_solve per fit.
-
-    Same centering and operation order as the package's solve, without its
-    singularity checks, so equal inputs give equal bits.
-    """
+def _centered_system(X, y, lam):
+    """(x_mean, y_mean, Xc'Xc + lam*I, Xc'yc) in the package's operation order."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     x_mean = X.mean(axis=0)
     y_mean = float(y.mean())
     Xc = X - x_mean
     yc = y - y_mean
-    chol = np.linalg.cholesky(Xc.T @ Xc + lam * np.eye(X.shape[1]))
-    w = scipy.linalg.cho_solve((chol, True), Xc.T @ yc)
+    return x_mean, y_mean, Xc.T @ Xc + lam * np.eye(X.shape[1]), Xc.T @ yc
+
+
+def centered_ridge(X, y, lam):
+    """(coefficients, intercept) of normal-equation ridge with an unpenalized
+    intercept, from one ``np.linalg.solve`` per fit.
+
+    Same centering and operation order as the package's solve, without its
+    singularity checks, so equal inputs give equal bits.
+    """
+    x_mean, y_mean, lhs, rhs = _centered_system(X, y, lam)
+    w = np.linalg.solve(lhs, rhs)
     return w, y_mean - float(x_mean @ w)
 
 
-def fold_loop_cv(X, y, lambda_grid, folds, seed):
-    """(cv_mse, chosen lam) from one cholesky_ridge fit per (lam, fold), ties to larger lam."""
+def cholesky_ridge(X, y, lam):
+    """(coefficients, intercept) from one Cholesky factor and scipy's cho_solve
+    per fit: a second factorization, for accuracy rather than bit checks."""
+    x_mean, y_mean, lhs, rhs = _centered_system(X, y, lam)
+    w = scipy.linalg.cho_solve((np.linalg.cholesky(lhs), True), rhs)
+    return w, y_mean - float(x_mean @ w)
+
+
+def fold_loop_cv(X, y, lambda_grid, folds, seed, ridge=centered_ridge):
+    """(cv_mse, chosen lam) from one ``ridge`` fit per (lam, fold), ties to larger lam."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     n = y.size
@@ -81,7 +84,7 @@ def fold_loop_cv(X, y, lambda_grid, folds, seed):
         for fold in parts:
             mask = np.ones(n, dtype=bool)
             mask[fold] = False
-            w, b = cholesky_ridge(X[mask], y[mask], lam)
+            w, b = ridge(X[mask], y[mask], lam)
             err = X[fold] @ w + b - y[fold]
             fold_mses.append(float(np.mean(err ** 2)))
         cv_mse[float(lam)] = float(np.mean(fold_mses))

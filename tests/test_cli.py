@@ -67,6 +67,17 @@ class TestSubcommands:
         assert override.split("=")[0] in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("override, parent", [("suite.seed.x=1", "suite.seed"),
+                                                  ("seeds.0=1", "seeds")])
+    def test_set_below_a_non_object_names_the_parent(self, config_file, capsys,
+                                                     override, parent):
+        path, out = config_file
+        assert main(["generate", "--config", str(path), "--set", override]) == 1
+        key = override.split("=")[0]
+        assert capsys.readouterr().err == (
+            f"stage config: --set {key}: {parent} is not an object\n")
+        assert not out.exists()
+
     def test_set_bare_word_is_a_string_and_fails(self, config_file, capsys):
         path, out = config_file
         assert main(["generate", "--config", str(path), "--set", "residual_enabled=no"]) == 1

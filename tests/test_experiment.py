@@ -457,11 +457,11 @@ class TestReport:
     def test_reuses_oracle_gains(self, tmp_path, monkeypatch):
         out = tmp_path / "reuse"
         cfg = self.through_select(out)
-        trained = []
+        calls = []
         train_groups = gn.train_groups
 
         def counting_train_groups(groups, *args, **kwargs):
-            trained.extend(map(tuple, groups))
+            calls.append(list(map(tuple, groups)))
             return train_groups(groups, *args, **kwargs)
 
         monkeypatch.setattr(gn, "train_groups", counting_train_groups)
@@ -471,7 +471,10 @@ class TestReport:
         groups = json.loads((rd / "groups.json").read_text())
         oracle = {tuple(g) for g in groups["train"] + groups["heldout"]}
         candidates = enumerate_candidate_groups(cfg.suite.n_tasks)
-        assert sorted(trained) == sorted(set(candidates) - oracle)
+        # every baseline in one call, then the candidates the oracle did not measure
+        baselines, *joint = calls
+        assert baselines == [(t,) for t in range(cfg.suite.n_tasks)]
+        assert sorted(g for call in joint for g in call) == sorted(set(candidates) - oracle)
         # reused and fresh records together equal measuring every candidate
         expected = tmp_path / "expected.jsonl"
         tc = replace(cfg.train, seed=cfg.seeds[0])

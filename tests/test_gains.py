@@ -127,6 +127,54 @@ class TestStlCache:
         cache = StlCache(small_suite())
         assert cache.get(np.int64(2), quick_config()) is cache.get(2, quick_config())
 
+    @staticmethod
+    def _assert_same_model(got, want):
+        assert (got.group, got.losses) == (want.group, want.losses)
+        assert np.array_equal(got.params.shared, want.params.shared)
+        assert list(got.params.heads) == list(want.params.heads)
+        for t, head in got.params.heads.items():
+            assert np.array_equal(head, want.params.heads[t])
+
+    def test_fill_trains_what_get_trains(self, monkeypatch):
+        suite = generate_suite(reference_config(seeds=(0,)).suite)
+        config = reference_config(seeds=(0,)).train
+        cache = StlCache(suite)
+        kept = cache.get(2, config)
+        monkeypatch.setattr(gains, "train_stl", None)  # fill never trains one by one
+        cache.fill([np.int64(5), 0, 2, 5, 1, 3, 4], config)
+        monkeypatch.undo()
+        assert cache.get(2, config) is kept
+        for t in range(suite.n_tasks):
+            self._assert_same_model(cache.get(t, config), train_stl(t, suite[t], config))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_fill_caches_only_the_baselines_that_trained(self, monkeypatch):
+        # at this rate the baselines of tasks 0, 1 and 2 diverge and task 3's trains
+        suite = small_suite()
+        config = quick_config(learning_rate=5.0, epochs=40)
+        cache = StlCache(suite)
+        cache.fill(range(4), config)
+        calls = []
+
+        def counting_train_stl(task, dataset, config):
+            calls.append(task)
+            return train_stl(task, dataset, config)
+
+        monkeypatch.setattr(gains, "train_stl", counting_train_stl)
+        self._assert_same_model(cache.get(3, config), train_stl(3, suite[3], config))
+        assert calls == []
+        with pytest.raises(TrainingDiverged) as got:
+            cache.get(1, config)
+        assert calls == [1]
+        with pytest.raises(TrainingDiverged) as want:
+            train_stl(1, suite[1], config)
+        assert (got.value.step, got.value.task) == (want.value.step, want.value.task)
+
+    def test_fill_rejects_a_bad_task_before_training(self, monkeypatch):
+        monkeypatch.setattr(gains, "train_groups", None)
+        with pytest.raises(ValueError, match=re.escape("task id 4 is not a task of the suite")):
+            StlCache(small_suite()).fill([0, 4], quick_config())
+
 
 class TestMeasureGainsBatch:
     def test_duplicate_groups_identical_records(self):

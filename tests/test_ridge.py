@@ -225,11 +225,26 @@ def _wide_designs(rng):
         yield rng.standard_normal((n, p)) * rng.uniform(0.1, 5.0), rng.standard_normal(n)
 
 
-class TestMatchesPerFitOracle:
-    """fit and fit_cv equal, bit for bit, one Cholesky + cho_solve per (lam, fold)."""
+def _random_cases(rng):
+    """300 (X, y, cv) of random widths, scales, shifts, fold counts and seeds."""
+    for _ in range(300):
+        p = int(rng.integers(1, 9))
+        n = int(rng.integers(max(p + 2, 5), 60))
+        X = rng.standard_normal((n, p)) * rng.uniform(0.01, 100.0, p)
+        if rng.random() < 0.3:  # shifted columns, as spline bases have
+            X += rng.uniform(-5.0, 5.0, p)
+        y = rng.standard_normal(n)
+        yield X, y, CvConfig(folds=int(rng.integers(2, min(n, 10) + 1)),
+                             seed=int(rng.integers(0, 1000)))
 
-    @pytest.mark.parametrize("designs", [_spline_designs, _affine_designs,
-                                         _multi_hot_designs, _wide_designs])
+
+PIPELINE_DESIGNS = [_spline_designs, _affine_designs, _multi_hot_designs, _wide_designs]
+
+
+class TestMatchesPerFitOracle:
+    """fit and fit_cv equal, bit for bit, one ``np.linalg.solve`` per (lam, fold)."""
+
+    @pytest.mark.parametrize("designs", PIPELINE_DESIGNS)
     def test_pipeline_designs(self, designs):
         rng = np.random.default_rng(17)
         checked = 0
@@ -248,16 +263,8 @@ class TestMatchesPerFitOracle:
             self._assert_same(X, y, CvConfig(folds=2, seed=5))
 
     def test_random_designs(self):
-        rng = np.random.default_rng(20)
-        for _ in range(300):
-            p = int(rng.integers(1, 9))
-            n = int(rng.integers(max(p + 2, 5), 60))
-            X = rng.standard_normal((n, p)) * rng.uniform(0.01, 100.0, p)
-            if rng.random() < 0.3:  # shifted columns, as spline bases have
-                X += rng.uniform(-5.0, 5.0, p)
-            self._assert_same(X, rng.standard_normal(n),
-                              CvConfig(folds=int(rng.integers(2, min(n, 10) + 1)),
-                                       seed=int(rng.integers(0, 1000))))
+        for X, y, cv in _random_cases(np.random.default_rng(20)):
+            self._assert_same(X, y, cv)
 
     def test_leave_one_out_custom_grid(self):
         rng = np.random.default_rng(19)
@@ -269,16 +276,47 @@ class TestMatchesPerFitOracle:
     def _assert_same(X, y, cv):
         for lam in cv.lambda_grid:
             model = ridge.fit(X, y, lam)
-            w, b = cholesky_ridge(X, y, lam)
+            w, b = centered_ridge(X, y, lam)
             assert np.array_equal(model.coefficients, w)
             assert model.intercept == b
         model, lam, cv_mse = ridge.fit_cv(X, y, cv)
         want_mse, want_lam = fold_loop_cv(X, y, cv.lambda_grid, cv.folds, cv.seed)
         assert list(cv_mse.items()) == list(want_mse.items())
         assert lam == want_lam
-        w, b = cholesky_ridge(X, y, lam)
+        w, b = centered_ridge(X, y, lam)
         assert np.array_equal(model.coefficients, w)
         assert model.intercept == b
+
+
+class TestMatchesCholeskyOracle:
+    """fit and fit_cv agree with one Cholesky factor and scipy's cho_solve per
+    (lam, fold) to rtol 1e-9; CV may pick another lam only at a near-tie."""
+
+    @pytest.mark.parametrize("designs", PIPELINE_DESIGNS)
+    def test_pipeline_designs(self, designs):
+        rng = np.random.default_rng(17)
+        for X, y in designs(rng):
+            for seed in (0, 3):
+                self._assert_close(X, y, CvConfig(folds=min(5, len(y)), seed=seed))
+
+    def test_random_designs(self):
+        for X, y, cv in _random_cases(np.random.default_rng(20)):
+            self._assert_close(X, y, cv)
+
+    @staticmethod
+    def _assert_close(X, y, cv):
+        for lam in cv.lambda_grid:
+            model = ridge.fit(X, y, lam)
+            w, b = cholesky_ridge(X, y, lam)
+            np.testing.assert_allclose(model.coefficients, w, rtol=1e-9, atol=0)
+            assert model.intercept == pytest.approx(b, rel=1e-9, abs=1e-12)
+        lam, cv_mse = ridge.cv_score(X, y, cv)
+        want_mse, want_lam = fold_loop_cv(X, y, cv.lambda_grid, cv.folds, cv.seed,
+                                          ridge=cholesky_ridge)
+        assert list(cv_mse) == list(want_mse)
+        np.testing.assert_allclose(list(cv_mse.values()), list(want_mse.values()), rtol=1e-9)
+        if lam != want_lam:
+            assert abs(cv_mse[lam] - cv_mse[want_lam]) <= 1e-12 * cv_mse[want_lam]
 
 
 def _fold_rows(n, cv):

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -140,6 +142,18 @@ class TestRoundTrip:
             assert np.array_equal(loaded[t].features, suite[t].features)
             assert np.array_equal(loaded[t].targets, suite[t].targets)
             assert np.array_equal(loaded[t].split, suite[t].split)
+
+    @pytest.mark.parametrize("task_type", ["regression", "classification"])
+    def test_csv_bytes_are_csv_writers(self, tmp_path, task_type):
+        suite = generate_suite(small_spec(task_type=task_type))
+        save_suite(suite, tmp_path)
+        for t, ds in suite.datasets.items():
+            want = io.StringIO(newline="")
+            writer = csv.writer(want)
+            writer.writerow([f"x{i}" for i in range(ds.input_dim)] + ["target", "split"])
+            writer.writerows([repr(float(v)) for v in row] + [repr(float(target)), split]
+                             for row, target, split in zip(ds.features, ds.targets, ds.split))
+            assert (tmp_path / f"task_{t}.csv").read_bytes() == want.getvalue().encode()
 
     def test_save_is_byte_deterministic(self, tmp_path):
         suite = generate_suite(small_spec())
