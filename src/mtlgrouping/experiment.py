@@ -378,7 +378,15 @@ def _report_run(config: ExperimentConfig, rd: Path, seed: int, suite) -> dict:
         (g, {t: stl_losses[t] - mtl_by_group[g][t] for t in g}) for g in universe)
     realized = {}
     for budget in config.budgets:
-        selection = load(rd / f"selection_B{budget}.json", sel.SelectionResult)
+        path = rd / f"selection_B{budget}.json"
+        selection = load(path, sel.SelectionResult)
+        if len(selection.assignment) != n:
+            raise StageError("report", f"{path} assigns {len(selection.assignment)} tasks, "
+                                       f"not the config's {n}; rerun select")
+        stray = [list(g) for g in selection.chosen if g not in universe]
+        if stray:
+            raise StageError("report", f"{path} chooses {stray}, which are not candidate "
+                                       "groups of this config; rerun select")
         selected = _realized_loss(selection.assignment, stl_losses, mtl_by_group)
         optimal_sel = sel.select_exhaustive(
             sel.SelectionProblem(n_tasks=n, candidates=reduction_cands, budget=budget))

@@ -5,24 +5,31 @@ chosen groups that contain it; a task in no chosen group falls back to its
 single-task model and contributes zero. Both an exhaustive search and a
 branch-and-bound search are provided; they agree exactly, including on the
 tie rule (lexicographically smallest sorted list of chosen groups), because
-every objective is summed in fixed task order rather than accumulated
-incrementally.
+every objective is summed over the tasks in fixed order. The exhaustive
+search scores whole arrays of subsets at once and is exact all the same:
+Python's ``sum`` starts at integer 0 and a running float sum that starts at
++0.0 is never -0.0, so the 0.0 it adds for an uncovered task changes no bit.
+Gains must be finite, so that no gain can be mistaken for that 0.0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
+from itertools import chain, combinations, islice
+from math import comb, isfinite
 from typing import ClassVar
 
-from .affinity import AffinityMatrix, task_group
+import numpy as np
+
+from .affinity import AffinityMatrix, check_stored_group, task_group
 from .artifacts import from_dict
 from .ensemble import EnsemblePredictor, predict_from_matrix
 
 MAX_EXHAUSTIVE_COMBINATIONS = 10_000_000
 
 MAX_ENUMERATED_GROUPS = 2_000_000
+
+SUBSET_CHUNK = 1 << 14  # subsets scored per array pass of the exhaustive search
 
 
 @dataclass(frozen=True)
@@ -46,6 +53,10 @@ class SelectionProblem:
                 raise ValueError(f"candidate group {group} must be sorted and distinct")
             if sorted(gains.keys()) != list(group):
                 raise ValueError(f"gains for {group} must be keyed exactly by its members")
+            for t in group:
+                if not isfinite(gains[t]):
+                    raise ValueError(f"gain of task {t} in group {group} must be finite, "
+                                     f"got {gains[t]}")
 
 
 @dataclass(frozen=True)
@@ -55,6 +66,20 @@ class SelectionResult:
     chosen: tuple[tuple[int, ...], ...]  # sorted lexicographically
     objective: float
     assignment: dict[int, tuple[int, ...] | None]  # None marks single-task fallback
+
+    def __post_init__(self):
+        for group in self.chosen:
+            check_stored_group(group)
+        if any(a >= b for a, b in zip(self.chosen, self.chosen[1:])):
+            raise ValueError(f"chosen groups {[list(g) for g in self.chosen]} must be "
+                             "strictly increasing")
+        if sorted(self.assignment) != list(range(len(self.assignment))):
+            raise ValueError(f"assignment must map tasks 0..{len(self.assignment) - 1}, "
+                             f"got tasks {sorted(self.assignment)}")
+        for t, group in self.assignment.items():
+            if group is not None and (group not in self.chosen or t not in group):
+                raise ValueError(f"task {t} is assigned group {list(group)}, which is not a "
+                                 "chosen group holding it")
 
 
 def selection_objective(problem: SelectionProblem, chosen):
@@ -81,81 +106,59 @@ def _result(problem: SelectionProblem, chosen_candidates) -> SelectionResult:
     )
 
 
-class _Search:
-    """Shared cover-array bookkeeping for both search strategies."""
-
-    def __init__(self, problem: SelectionProblem):
-        self.problem = problem
-        self.cands = list(problem.candidates)
-        self.m = len(self.cands)
-        if self.m == 0:
-            raise ValueError("no candidate groups to select from")
-        self.top = min(problem.budget, self.m)
-        self.cover: list = [None] * problem.n_tasks
-        self.chosen: list[int] = []
-        self.best = None  # (objective, tie key, indices)
-
-    def objective(self) -> float:
-        return float(sum(v for v in self.cover if v is not None))
-
-    def push(self, j: int) -> list:
-        group, gains = self.cands[j]
-        undo = []
-        for t in group:
-            undo.append((t, self.cover[t]))
-            if self.cover[t] is None or gains[t] > self.cover[t]:
-                self.cover[t] = gains[t]
-        self.chosen.append(j)
-        return undo
-
-    def pop(self, undo: list) -> None:
-        self.chosen.pop()
-        for t, old in reversed(undo):
-            self.cover[t] = old
-
-    def consider(self) -> None:
-        obj = self.objective()
-        if self.best is not None and obj < self.best[0]:
-            return
-        key = tuple(sorted(self.cands[i][0] for i in self.chosen))
-        if self.best is None or obj > self.best[0] or key < self.best[1]:
-            self.best = (obj, key, tuple(self.chosen))
-
-    def result(self) -> SelectionResult:
-        return _result(self.problem, [self.cands[i] for i in self.best[2]])
-
-
 def count_subsets(n_candidates: int, budget: int) -> int:
     """How many subsets of at most ``budget`` candidates ``select_exhaustive`` visits."""
     return sum(comb(n_candidates, k) for k in range(min(budget, n_candidates) + 1))
 
 
 def select_exhaustive(problem: SelectionProblem) -> SelectionResult:
-    """Globally optimal selection by enumerating every subset within budget."""
-    search = _Search(problem)
-    total = count_subsets(search.m, problem.budget)
+    """Globally optimal selection by scoring every subset within budget.
+
+    Candidates are put in sorted group order, so that comparing index tuples
+    compares sorted group lists. ``gains[t, j]`` is candidate j's gain for
+    task t, or -inf where t is not in it. The k-subsets are scored in
+    lexicographic chunks: the elementwise maximum of their k columns, with
+    -inf mapped to 0.0, summed over tasks from task 0 starting at +0.0.
+    """
+    cands = sorted(problem.candidates, key=lambda c: c[0])
+    m = len(cands)
+    if m == 0:
+        raise ValueError("no candidate groups to select from")
+    total = count_subsets(m, problem.budget)
     if total > MAX_EXHAUSTIVE_COMBINATIONS:
         raise ValueError(f"{total} subsets exceed the exhaustive-search guard")
+    gains = np.full((problem.n_tasks, m), -np.inf)
+    for j, (group, by_task) in enumerate(cands):
+        gains[list(group), j] = [by_task[t] for t in group]
 
-    def dfs(i: int):
-        search.consider()
-        if i == search.m or len(search.chosen) == search.top:
-            return
-        for j in range(i, search.m):
-            undo = search.push(j)
-            dfs(j + 1)
-            search.pop(undo)
-
-    dfs(0)
-    return search.result()
+    best, best_key = 0.0, ()  # the empty selection
+    for k in range(1, min(problem.budget, m) + 1):
+        subsets = combinations(range(m), k)
+        while (index := np.fromiter(chain.from_iterable(islice(subsets, SUBSET_CHUNK)),
+                                    dtype=np.intp)).size:
+            index = index.reshape(-1, k)
+            cover = gains[:, index[:, 0]]
+            for i in range(1, k):
+                np.maximum(cover, gains[:, index[:, i]], out=cover)
+            cover[cover == -np.inf] = 0.0
+            objective = np.zeros(len(index))
+            for row in cover:
+                objective += row
+            top = int(np.argmax(objective))
+            key = tuple(index[top].tolist())
+            if objective[top] > best or (objective[top] == best and key < best_key):
+                best, best_key = float(objective[top]), key
+    return _result(problem, [cands[j] for j in best_key])
 
 
 def select_branch_and_bound(problem: SelectionProblem,
                             pruned_log: list | None = None) -> SelectionResult:
     """Same optimum and tie rule as the exhaustive search, with pruning.
 
-    The search enumerates subsets in the exhaustive search's index order, so
-    its depth is at most the budget. Before a candidate ``j`` is added, the
+    The search enumerates subsets in candidate index order, so its depth is
+    at most the budget. ``cover[t]`` is the best gain for task t among the
+    chosen candidates (None if none holds t), and every node's objective is
+    summed over it in task order. Before a candidate ``j`` is added, the
     bound replaces each task's current contribution with the best gain among
     candidates ``j..`` whenever that would improve it. That bound only falls
     as ``j`` grows, so the loop stops at the first ``j`` whose bound is
@@ -163,9 +166,11 @@ def select_branch_and_bound(problem: SelectionProblem,
     the lexicographic tie rule. If pruned_log is a list, a (next index,
     chosen_indices, bound) triple is appended to it at every such stop.
     """
-    search = _Search(problem)
-    m, n = search.m, problem.n_tasks
-    cands = search.cands
+    cands = list(problem.candidates)
+    m, n = len(cands), problem.n_tasks
+    if m == 0:
+        raise ValueError("no candidate groups to select from")
+    top = min(problem.budget, m)
 
     # best_remaining[i][t]: best gain for t among candidates i.. (None if absent)
     best_remaining: list = [[None] * n for _ in range(m + 1)]
@@ -177,8 +182,12 @@ def select_branch_and_bound(problem: SelectionProblem,
                 row[t] = gains[t]
         best_remaining[i] = row
 
+    cover: list = [None] * n
+    chosen: list[int] = []
+    best = (0.0, (), ())  # (objective, tie key, indices), from the empty selection
+
     def node_bound(j: int) -> float:
-        ub = list(search.cover)
+        ub = list(cover)
         for t, candidate in enumerate(best_remaining[j]):
             current = ub[t] if ub[t] is not None else 0.0
             if candidate is not None and candidate > current:
@@ -186,21 +195,33 @@ def select_branch_and_bound(problem: SelectionProblem,
         return float(sum(v for v in ub if v is not None))
 
     def dfs(i: int):
-        search.consider()
-        if len(search.chosen) == search.top:
+        nonlocal best
+        objective = float(sum(v for v in cover if v is not None))
+        if objective >= best[0]:
+            key = tuple(sorted(cands[j][0] for j in chosen))
+            if objective > best[0] or key < best[1]:
+                best = (objective, key, tuple(chosen))
+        if len(chosen) == top:
             return
         for j in range(i, m):
             bound = node_bound(j)
-            if bound < search.best[0]:
+            if bound < best[0]:
                 if pruned_log is not None:
-                    pruned_log.append((j, tuple(search.chosen), bound))
+                    pruned_log.append((j, tuple(chosen), bound))
                 return
-            undo = search.push(j)
+            group, gains = cands[j]
+            undo = [(t, cover[t]) for t in group]
+            for t in group:
+                if cover[t] is None or gains[t] > cover[t]:
+                    cover[t] = gains[t]
+            chosen.append(j)
             dfs(j + 1)
-            search.pop(undo)
+            chosen.pop()
+            for t, old in undo:
+                cover[t] = old
 
     dfs(0)
-    return search.result()
+    return _result(problem, [cands[j] for j in best[2]])
 
 
 def count_candidate_groups(n_tasks: int, min_size: int = 2, max_size: int | None = None) -> int:

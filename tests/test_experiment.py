@@ -357,6 +357,45 @@ class TestStageErrors:
         with pytest.raises(StageError, match=f"stage {stage}: " + re.escape(message)):
             run_stage(stage, cfg, copy)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda data: data["assignment"].pop("3"),
+         "{path} assigns 3 tasks, not the config's 4; rerun select"),
+        (lambda data: data["assignment"].update({"4": None}),
+         "{path} assigns 5 tasks, not the config's 4; rerun select"),
+        (lambda data: data["assignment"].pop("1"),
+         "assignment must map tasks 0..2, got tasks [0, 2, 3]"),
+        (lambda data: data["assignment"].update({"0": [1, 2]}),
+         "task 0 is assigned group [1, 2], which is not a chosen group holding it"),
+    ], ids=["task-left-out", "extra-task", "task-gap", "foreign-group"])
+    def test_selection_not_covering_the_tasks_rejected_at_report(self, finished, tmp_path,
+                                                                  edit, message):
+        cfg, out, _, _ = finished
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        path = run_dirs(cfg, copy)[0] / "selection_B2.json"
+        data = json.loads(path.read_text())
+        edit(data)
+        path.write_text(json.dumps(data))
+        with pytest.raises(StageError, match="^stage report: "
+                                             + re.escape(message.format(path=path)) + "$"):
+            run_stage("report", cfg, copy)
+
+    def test_selection_outside_the_universe_rejected_at_report(self, tmp_path):
+        # the all-task group is measured for the naive baseline, but group_sizes
+        # keeps it out of the selector's candidates
+        out = tmp_path / "capped"
+        cfg = tiny_config(out, seeds=(0,), group_sizes=(2, 3),
+                          n_train_groups=4, n_heldout_groups=4)
+        run_experiment(cfg)
+        path = run_dirs(cfg, out)[0] / "selection_B2.json"
+        path.write_text(json.dumps({"schema": "selection/1", "chosen": [[0, 1, 2, 3]],
+                                    "objective": 1.0,
+                                    "assignment": {str(t): [0, 1, 2, 3] for t in range(4)}}))
+        with pytest.raises(StageError, match="^stage report: " + re.escape(
+                f"{path} chooses [[0, 1, 2, 3]], which are not candidate groups of this "
+                "config; rerun select") + "$"):
+            run_stage("report", cfg, out)
+
     @pytest.mark.parametrize("stage", ["train-affinity", "oracle", "report"])
     def test_suite_from_other_spec_rejected(self, tmp_path, stage):
         out = tmp_path / "respec"

@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 
 import numpy as np
@@ -9,6 +10,7 @@ from mtlgrouping.ensemble import fit_predictor
 from mtlgrouping.ridge import CvConfig
 from mtlgrouping.selector import (
     SelectionProblem,
+    SelectionResult,
     build_problem,
     count_candidate_groups,
     count_subsets,
@@ -25,7 +27,8 @@ def problem(candidates, n_tasks, budget):
     return SelectionProblem(n_tasks=n_tasks, candidates=tuple(candidates), budget=budget)
 
 
-def random_problem(rng, n_max=8, cand_max=60, budget_max=4):
+def random_problem(rng, n_max=8, cand_max=60, budget_max=4,
+                   gain=lambda rng: float(rng.normal(0.05, 0.2))):
     n = int(rng.integers(2, n_max + 1))
     universe = [g for k in range(2, n + 1) for g in combinations(range(n), k)]
     m = int(rng.integers(1, min(cand_max, len(universe)) + 1))
@@ -33,9 +36,22 @@ def random_problem(rng, n_max=8, cand_max=60, budget_max=4):
     candidates = []
     for i in sorted(idx):
         group = universe[i]
-        candidates.append((group, {t: float(rng.normal(0.05, 0.2)) for t in group}))
+        candidates.append((group, {t: gain(rng) for t in group}))
     budget = int(rng.integers(1, budget_max + 1))
     return problem(candidates, n, budget)
+
+
+def brute_force(prob):
+    """(objective, chosen, assignment) of the best subset, smallest sorted group list on ties."""
+    cands = list(prob.candidates)
+    best = None
+    for k in range(min(prob.budget, len(cands)) + 1):
+        for subset in combinations(cands, k):
+            objective, assignment = selection_objective(prob, subset)
+            chosen = tuple(sorted(g for g, _ in subset))
+            if best is None or objective > best[0] or (objective == best[0] and chosen < best[1]):
+                best = (objective, chosen, assignment)
+    return best
 
 
 class TestObjective:
@@ -95,6 +111,24 @@ class TestSelectExhaustive:
         cands = [((0, 1), {0: 0.1, 1: 0.1}), ((0, 1), {0: 0.2, 1: 0.2})]
         with pytest.raises(ValueError, match="duplicate"):
             problem(cands, 3, 1)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_gain_rejected(self, value):
+        cands = [((0, 1), {0: 0.1, 1: 0.1}), ((1, 2), {1: 0.2, 2: value})]
+        with pytest.raises(ValueError, match=re.escape(
+                f"gain of task 2 in group (1, 2) must be finite, got {value}")):
+            problem(cands, 3, 1)
+
+    @pytest.mark.parametrize("gain", [lambda rng: float(np.round(rng.normal(0.0, 0.2), 1)),
+                                      lambda rng: 0.0], ids=["rounded", "zero"])
+    def test_matches_brute_force_with_ties_across_chunks(self, monkeypatch, gain):
+        # five subsets per chunk, so tied optima fall in different chunks
+        monkeypatch.setattr(selector, "SUBSET_CHUNK", 5)
+        rng = np.random.default_rng(13)
+        for _ in range(60):
+            prob = random_problem(rng, n_max=6, cand_max=12, budget_max=3, gain=gain)
+            result = select_exhaustive(prob)
+            assert (result.objective, result.chosen, result.assignment) == brute_force(prob)
 
 
 class TestBranchAndBound:
@@ -250,6 +284,27 @@ class TestSerialization:
         assert back == result
         write_json(tmp_path / "sel.json", data)
         assert (tmp_path / "sel.json").read_text().startswith("{")
+
+    @pytest.mark.parametrize("chosen, assignment, message", [
+        (((0, 2), (0, 1)), {0: (0, 1), 1: (0, 1), 2: (0, 2)},
+         "chosen groups [[0, 2], [0, 1]] must be strictly increasing"),
+        (((0, 1), (0, 1)), {0: (0, 1), 1: (0, 1), 2: None},
+         "chosen groups [[0, 1], [0, 1]] must be strictly increasing"),
+        (((1, 0),), {0: None, 1: None, 2: None},
+         "group [1, 0] must be two or more strictly increasing task ids"),
+        (((0, 1),), {0: (0, 1), 2: None}, "assignment must map tasks 0..1, got tasks [0, 2]"),
+        (((0, 1),), {0: (0, 1), 1: (0, 1), 2: (1, 2)},
+         "task 2 is assigned group [1, 2], which is not a chosen group holding it"),
+        (((0, 1),), {0: (0, 1), 1: (0, 1), 2: (0, 1)},
+         "task 2 is assigned group [0, 1], which is not a chosen group holding it"),
+    ], ids=["unsorted", "repeated", "reversed-group", "task-gap", "unchosen", "not-holding"])
+    def test_inconsistent_result_rejected(self, chosen, assignment, message):
+        data = {"schema": "selection/1", "chosen": [list(g) for g in chosen], "objective": 0.5,
+                "assignment": {str(t): g and list(g) for t, g in assignment.items()}}
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            result_from_dict(data)
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            SelectionResult(chosen=chosen, objective=0.5, assignment=assignment)
 
     def test_table_format(self):
         cands = [((0, 1), {0: 0.1, 1: 0.2})]
