@@ -98,8 +98,13 @@ class ExperimentConfig:
             raise ValueError("budgets must be distinct")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
+        lo, hi = self.resolved_sizes()
+        if not 2 <= lo <= hi <= self.suite.n_tasks:
+            raise ValueError(f"group_sizes = {list(self.group_sizes)} is not a valid size range "
+                             f"for {self.suite.n_tasks} tasks: need 2 <= lo <= hi <= "
+                             f"{self.suite.n_tasks}, with hi = 0 meaning all tasks")
         # reject a run that cannot finish before any stage trains
-        universe = sel.count_candidate_groups(self.suite.n_tasks, *self.resolved_sizes())
+        universe = sel.count_candidate_groups(self.suite.n_tasks, lo, hi)
         if universe > sel.MAX_ENUMERATED_GROUPS:
             raise ValueError(f"group_sizes allows {universe} groups, more than the "
                              f"enumeration guard of {sel.MAX_ENUMERATED_GROUPS}")
@@ -276,13 +281,15 @@ def stage_fit(config: ExperimentConfig, out: Path) -> None:
             raise StageError("fit", "training and held-out groups overlap")
         matrix = aff.load_matrix(rd / "affinity.json")
         records = _run_records("fit", rd, "train", groups)
-        predictor = ens.fit_predictor(
-            records, matrix, config.suite.n_tasks,
-            mapping_kind=config.mapping_kind,
-            residual_enabled=config.residual_enabled,
-            cv=CvConfig(seed=seed),
-        )
-        save(rd / "predictor.json", predictor)
+        save(rd / "predictor.json", _fit_predictor(config, records, matrix, seed))
+
+
+def _fit_predictor(config: ExperimentConfig, records, matrix, seed: int):
+    """The predictor that ``config`` fits to one run's training records."""
+    return ens.fit_predictor(records, matrix, config.suite.n_tasks,
+                             mapping_kind=config.mapping_kind,
+                             residual_enabled=config.residual_enabled,
+                             cv=CvConfig(seed=seed))
 
 
 def _heldout_points(predictor, matrix, records):
@@ -482,11 +489,8 @@ def compare_ablations(config: ExperimentConfig, out=None) -> dict:
             train_records = gn.load_records(rd / "gains_train.jsonl")
             heldout_records = gn.load_records(rd / "gains_heldout.jsonl")
             for mapping_kind, residual, label in ABLATION_CELLS:
-                predictor = ens.fit_predictor(
-                    train_records, matrix, config.suite.n_tasks,
-                    mapping_kind=mapping_kind, residual_enabled=residual,
-                    cv=CvConfig(seed=seed),
-                )
+                cell = replace(config, mapping_kind=mapping_kind, residual_enabled=residual)
+                predictor = _fit_predictor(cell, train_records, matrix, seed)
                 actual, final, _ = _heldout_points(predictor, matrix, heldout_records)
                 report = met.evaluate(actual, final)
                 cells[label]["r2"].append(report.r2)

@@ -3,13 +3,13 @@
 A selection's objective credits each task with the best gain among the
 chosen groups that contain it; a task in no chosen group falls back to its
 single-task model and contributes zero. Both an exhaustive search and a
-branch-and-bound search are provided; they agree exactly, including on the
-tie rule (lexicographically smallest sorted list of chosen groups), because
-every objective is summed over the tasks in fixed order. The exhaustive
-search scores whole arrays of subsets at once and is exact all the same:
-Python's ``sum`` starts at integer 0 and a running float sum that starts at
-+0.0 is never -0.0, so the 0.0 it adds for an uncovered task changes no bit.
-Gains must be finite, so that no gain can be mistaken for that 0.0.
+branch-and-bound search are provided, and both score selections with the
+same two helpers: one gain table with -inf where a task is absent from a
+group (``_gain_table``), and one sum over the tasks in fixed order from
++0.0 with -inf read as 0.0 (``_task_sums``). So they agree exactly,
+including on the tie rule (lexicographically smallest sorted list of
+chosen groups). Gains must be finite, so that no gain can be mistaken for
+the -inf of an absent task.
 """
 
 from __future__ import annotations
@@ -111,14 +111,30 @@ def count_subsets(n_candidates: int, budget: int) -> int:
     return sum(comb(n_candidates, k) for k in range(min(budget, n_candidates) + 1))
 
 
+def _gain_table(n_tasks: int, cands) -> np.ndarray:
+    """``gains[t, j]``: candidate j's gain for task t, or -inf where t is not in it."""
+    gains = np.full((n_tasks, len(cands)), -np.inf)
+    for j, (group, by_task) in enumerate(cands):
+        gains[list(group), j] = [by_task[t] for t in group]
+    return gains
+
+
+def _task_sums(cover: np.ndarray) -> np.ndarray:
+    """Objective of each column of a cover, -inf read as 0.0, summed over tasks in order."""
+    cover = np.where(cover == -np.inf, 0.0, cover)
+    total = np.zeros(cover.shape[1:])
+    for row in cover:
+        total += row
+    return total
+
+
 def select_exhaustive(problem: SelectionProblem) -> SelectionResult:
     """Globally optimal selection by scoring every subset within budget.
 
     Candidates are put in sorted group order, so that comparing index tuples
-    compares sorted group lists. ``gains[t, j]`` is candidate j's gain for
-    task t, or -inf where t is not in it. The k-subsets are scored in
-    lexicographic chunks: the elementwise maximum of their k columns, with
-    -inf mapped to 0.0, summed over tasks from task 0 starting at +0.0.
+    compares sorted group lists. The k-subsets are scored in lexicographic
+    chunks: the elementwise maximum of their k columns of the gain table,
+    summed by ``_task_sums``.
     """
     cands = sorted(problem.candidates, key=lambda c: c[0])
     m = len(cands)
@@ -127,9 +143,7 @@ def select_exhaustive(problem: SelectionProblem) -> SelectionResult:
     total = count_subsets(m, problem.budget)
     if total > MAX_EXHAUSTIVE_COMBINATIONS:
         raise ValueError(f"{total} subsets exceed the exhaustive-search guard")
-    gains = np.full((problem.n_tasks, m), -np.inf)
-    for j, (group, by_task) in enumerate(cands):
-        gains[list(group), j] = [by_task[t] for t in group]
+    gains = _gain_table(problem.n_tasks, cands)
 
     best, best_key = 0.0, ()  # the empty selection
     for k in range(1, min(problem.budget, m) + 1):
@@ -140,10 +154,7 @@ def select_exhaustive(problem: SelectionProblem) -> SelectionResult:
             cover = gains[:, index[:, 0]]
             for i in range(1, k):
                 np.maximum(cover, gains[:, index[:, i]], out=cover)
-            cover[cover == -np.inf] = 0.0
-            objective = np.zeros(len(index))
-            for row in cover:
-                objective += row
+            objective = _task_sums(cover)
             top = int(np.argmax(objective))
             key = tuple(index[top].tolist())
             if objective[top] > best or (objective[top] == best and key < best_key):
@@ -156,71 +167,45 @@ def select_branch_and_bound(problem: SelectionProblem,
     """Same optimum and tie rule as the exhaustive search, with pruning.
 
     The search enumerates subsets in candidate index order, so its depth is
-    at most the budget. ``cover[t]`` is the best gain for task t among the
-    chosen candidates (None if none holds t), and every node's objective is
-    summed over it in task order. Before a candidate ``j`` is added, the
-    bound replaces each task's current contribution with the best gain among
-    candidates ``j..`` whenever that would improve it. That bound only falls
-    as ``j`` grows, so the loop stops at the first ``j`` whose bound is
-    strictly below the incumbent; equal-objective solutions still surface for
-    the lexicographic tie rule. If pruned_log is a list, a (next index,
+    at most the budget. A node's cover holds each task's best gain among its
+    chosen candidates (-inf if none holds it). In one ``_task_sums`` pass
+    each, the node scores every child ``j``'s objective and bound: the cover,
+    with uncovered tasks read as 0.0, raised to ``best_after[:, j]``, the
+    best gain among candidates ``j..``. That bound only falls as ``j``
+    grows, so the loop stops at the first ``j`` whose bound is strictly
+    below the incumbent; equal-objective solutions still surface for the
+    lexicographic tie rule. If pruned_log is a list, a (next index,
     chosen_indices, bound) triple is appended to it at every such stop.
     """
     cands = list(problem.candidates)
-    m, n = len(cands), problem.n_tasks
+    m = len(cands)
     if m == 0:
         raise ValueError("no candidate groups to select from")
     top = min(problem.budget, m)
-
-    # best_remaining[i][t]: best gain for t among candidates i.. (None if absent)
-    best_remaining: list = [[None] * n for _ in range(m + 1)]
-    for i in range(m - 1, -1, -1):
-        group, gains = cands[i]
-        row = list(best_remaining[i + 1])
-        for t in group:
-            if row[t] is None or gains[t] > row[t]:
-                row[t] = gains[t]
-        best_remaining[i] = row
-
-    cover: list = [None] * n
-    chosen: list[int] = []
+    gains = _gain_table(problem.n_tasks, cands)
+    best_after = np.maximum.accumulate(gains[:, ::-1], axis=1)[:, ::-1]
     best = (0.0, (), ())  # (objective, tie key, indices), from the empty selection
 
-    def node_bound(j: int) -> float:
-        ub = list(cover)
-        for t, candidate in enumerate(best_remaining[j]):
-            current = ub[t] if ub[t] is not None else 0.0
-            if candidate is not None and candidate > current:
-                ub[t] = candidate
-        return float(sum(v for v in ub if v is not None))
-
-    def dfs(i: int):
+    def dfs(i: int, cover: np.ndarray, chosen: tuple):
         nonlocal best
-        objective = float(sum(v for v in cover if v is not None))
-        if objective >= best[0]:
-            key = tuple(sorted(cands[j][0] for j in chosen))
-            if objective > best[0] or key < best[1]:
-                best = (objective, key, tuple(chosen))
-        if len(chosen) == top:
-            return
-        for j in range(i, m):
-            bound = node_bound(j)
+        floor = np.where(cover == -np.inf, 0.0, cover)
+        bounds = _task_sums(np.maximum(floor[:, None], best_after[:, i:])).tolist()
+        covers = np.maximum(cover[:, None], gains[:, i:])
+        objectives = _task_sums(covers).tolist()
+        for j, bound, objective in zip(range(i, m), bounds, objectives):
             if bound < best[0]:
                 if pruned_log is not None:
-                    pruned_log.append((j, tuple(chosen), bound))
+                    pruned_log.append((j, chosen, bound))
                 return
-            group, gains = cands[j]
-            undo = [(t, cover[t]) for t in group]
-            for t in group:
-                if cover[t] is None or gains[t] > cover[t]:
-                    cover[t] = gains[t]
-            chosen.append(j)
-            dfs(j + 1)
-            chosen.pop()
-            for t, old in undo:
-                cover[t] = old
+            child = chosen + (j,)
+            if objective >= best[0]:
+                key = tuple(sorted(cands[c][0] for c in child))
+                if objective > best[0] or key < best[1]:
+                    best = (objective, key, child)
+            if len(child) < top:
+                dfs(j + 1, covers[:, j - i], child)
 
-    dfs(0)
+    dfs(0, np.full(problem.n_tasks, -np.inf), ())
     return _result(problem, [cands[j] for j in best[2]])
 
 

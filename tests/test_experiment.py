@@ -152,6 +152,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="size range"):
             tiny_config(tmp_path, group_sizes=(2, 9))
 
+    @pytest.mark.parametrize("sizes", [(1, 0), (3, 2), (2, 9)])
+    def test_bad_group_sizes_named_as_written(self, tmp_path, sizes):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"group_sizes = {list(sizes)} is not a valid size range for 4 tasks: "
+                "need 2 <= lo <= hi <= 4, with hi = 0 meaning all tasks") + "$"):
+            tiny_config(tmp_path, group_sizes=sizes)
+
     def test_duplicate_budgets_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="^budgets must be distinct$"):
             tiny_config(tmp_path, budgets=(2, 3, 2))

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -119,17 +120,6 @@ class TestSelectExhaustive:
                 f"gain of task 2 in group (1, 2) must be finite, got {value}")):
             problem(cands, 3, 1)
 
-    @pytest.mark.parametrize("gain", [lambda rng: float(np.round(rng.normal(0.0, 0.2), 1)),
-                                      lambda rng: 0.0], ids=["rounded", "zero"])
-    def test_matches_brute_force_with_ties_across_chunks(self, monkeypatch, gain):
-        # five subsets per chunk, so tied optima fall in different chunks
-        monkeypatch.setattr(selector, "SUBSET_CHUNK", 5)
-        rng = np.random.default_rng(13)
-        for _ in range(60):
-            prob = random_problem(rng, n_max=6, cand_max=12, budget_max=3, gain=gain)
-            result = select_exhaustive(prob)
-            assert (result.objective, result.chosen, result.assignment) == brute_force(prob)
-
 
 class TestBranchAndBound:
     def test_matches_exhaustive_on_random_instances(self):
@@ -187,6 +177,25 @@ def _best_completion(prob, depth, chosen_idx):
 
 
 class TestProperties:
+    @pytest.mark.parametrize("gain", [
+        lambda rng: float(np.round(rng.normal(0.0, 0.2), 1)),
+        lambda rng: 0.0,
+        lambda rng: float(rng.choice([-0.0, 0.0, 0.1, -0.1])),
+    ], ids=["rounded", "zero", "signed-zero"])
+    @pytest.mark.parametrize("select", [select_exhaustive, select_branch_and_bound],
+                             ids=["exhaustive", "branch-and-bound"])
+    def test_matches_brute_force_with_ties_across_chunks(self, monkeypatch, select, gain):
+        # five subsets per chunk, so tied optima fall in different chunks
+        monkeypatch.setattr(selector, "SUBSET_CHUNK", 5)
+        rng = np.random.default_rng(13)
+        for i in range(60):
+            prob = random_problem(rng, n_max=6, cand_max=12, budget_max=3, gain=gain)
+            if i % 2:  # every other problem lists its candidates out of group order
+                order = rng.permutation(len(prob.candidates))
+                prob = replace(prob, candidates=tuple(prob.candidates[k] for k in order))
+            result = select(prob)
+            assert (result.objective, result.chosen, result.assignment) == brute_force(prob)
+
     def test_monotone_in_budget(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
