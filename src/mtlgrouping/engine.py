@@ -13,11 +13,14 @@ JSON object per step, and ``load_trace`` reads each line with the typed
 reader back into the arrays.
 
 One training step handles every task of every stacked group at once, over
-a leading group axis and a task axis. Each reduction and matrix product in
-it works on per-task slices of the shapes the one-task reference
-``_loss_and_grads`` uses, so numpy runs the same summation and the same BLAS
-call per task, and the batched step reproduces the per-task loop bit for
-bit.
+a leading group axis and a task axis; it runs inline in the training loop,
+on top of ``_forward``. Each reduction and matrix product in it works on
+per-task slices of the shapes the one-task reference ``_loss_and_grads``
+uses, so numpy runs the same summation and the same BLAS call per task, and
+the step reproduces the per-task loop bit for bit. A finished model is
+scored by the same ``_forward``, one pass per split over the ``(T, n, d)``
+rows of its group, and each loss equals ``forward_loss`` on that task and
+split exactly.
 
 ``train_groups`` trains many groups: it buckets them by size and trains each
 bucket in one loop, with no padding, since every group of a config starts
@@ -64,6 +67,7 @@ import numpy as np
 from .affinity import is_task_id
 from .artifacts import from_dict, read_jsonl, write_jsonl
 from .seeding import stream
+from .suite import SPLITS
 
 # stream purposes
 _INIT_ENCODER = 20
@@ -174,8 +178,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be > 0 and finite")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
         if self.epochs < 1:
@@ -264,6 +268,18 @@ def _head_out(head: np.ndarray, rep: np.ndarray) -> np.ndarray:
     return rep @ head[:-1] + head[-1]
 
 
+def _forward(layers, head_w: np.ndarray, head_b: np.ndarray, X: np.ndarray):
+    """Every task's head outputs on its own rows, with the encoder's activations.
+
+    X is ``([G,] T, n, d)``, ``head_w`` the ``([G,] T, H, 1)`` head weights
+    and ``head_b`` the ``([G,] T, 1)`` biases; the outputs are ``([G,] T,
+    n)``, each task's from per-task 2-D products as ``_head_out`` forms them.
+    The last activation is the encoder's output.
+    """
+    rep, activations = _encode(layers, X)
+    return (rep @ head_w)[..., 0] + head_b, activations
+
+
 def _loss_terms(arch: Architecture, yhat: np.ndarray, y: np.ndarray, out=None):
     """Loss summed over the last axis, and dL/dyhat of the batch-mean loss.
 
@@ -308,9 +324,9 @@ def forward_loss(params: ModelParams, task: int, batch) -> float:
 def _loss_and_grads(params: ModelParams, task: int, batch):
     """Loss plus analytic gradients of the batch-mean loss (shared, head).
 
-    The public one-task reference: ``train_mtl`` never calls it, but its
-    ``_batched_step`` reproduces it bit for bit on every task slice, and the
-    replay tests hold the two to that.
+    The public one-task reference: ``train_mtl`` never calls it, but the
+    step inside its loop reproduces it bit for bit on every task slice, and
+    the replay tests hold the two to that.
     """
     arch = params.arch
     X, y = _check_batch(arch, batch)
@@ -332,47 +348,6 @@ def _loss_and_grads(params: ModelParams, task: int, batch):
     return loss, shared_grad, head_grad
 
 
-def _batched_step(arch: Architecture, layers, weights, heads, X: np.ndarray, y: np.ndarray,
-                  grad_layers, head_grads, loss_sum: np.ndarray) -> None:
-    """Losses and gradients of every task of every stacked group for one batch.
-
-    X is ``(G, T, n, d)`` and y ``(G, T, n)``, one slice per group and task.
-    ``layers`` are the encoder's ``(weight transposed, bias)`` pairs, shaped
-    ``(G, 1, in, out)`` and ``(G, 1, 1, out)`` to broadcast over the tasks,
-    and ``weights`` the ``(G, 1, out, in)`` weights; ``grad_layers`` are the
-    unpacked ``(G, T, shared_size)`` gradient buffer. ``heads`` holds views
-    of the ``(G, T, head_size)`` heads: weights ``(G, T, H, 1)``, biases
-    ``(G, T, 1)`` and weight rows ``(G, T, 1, H)``; ``head_grads`` views of
-    their gradient buffer: weights ``(G, T, H, 1)`` and biases ``(G, T)``.
-    Writes the shared and head gradients through those views and the
-    ``(G, T)`` loss sums into ``loss_sum``. Every product multiplies
-    per-task 2-D slices and every sum runs over the batch axis, exactly as
-    ``_loss_and_grads`` does for one task, so each slice matches it bit for
-    bit.
-    """
-    head_w, head_b, head_rows = heads
-    grad_w, grad_b = head_grads
-    rep, activations = _encode(layers, X)
-    _, dyhat = _loss_terms(arch, (rep @ head_w)[..., 0] + head_b, y, out=loss_sum)
-    dyhat_col = dyhat[..., None]
-    np.matmul(rep.swapaxes(-1, -2), dyhat_col, out=grad_w)
-    np.add.reduce(dyhat, axis=-1, out=grad_b)
-    if not layers:
-        return
-    delta = dyhat_col * head_rows  # dL/d(encoder output)
-    for i in range(len(layers) - 1, -1, -1):
-        # tanh' = 1 - a^2 in place: a was last read by the head or the layer above
-        a = activations[i + 1]
-        a *= a
-        np.subtract(1.0, a, out=a)
-        delta *= a
-        g_w, g_b = grad_layers[i]
-        np.matmul(delta.swapaxes(-1, -2), activations[i], out=g_w)
-        np.add.reduce(delta, axis=-2, out=g_b)
-        if i:  # the input layer's delta is never read
-            delta = delta @ weights[i]
-
-
 def shared_gradient(params: ModelParams, task: int, batch) -> np.ndarray:
     """Gradient of the batch-mean loss w.r.t. the shared parameters only."""
     return _loss_and_grads(params, task, batch)[1]
@@ -391,23 +366,11 @@ def sgd_momentum_step(theta: np.ndarray, velocity: np.ndarray, gradient: np.ndar
     return theta + new_velocity, new_velocity
 
 
-def _eval_losses(params: ModelParams, group, datasets) -> dict[str, dict[int, float]]:
-    out: dict[str, dict[int, float]] = {}
-    for split in ("train", "val", "test"):
-        per_task = {}
-        for t in group:
-            X, y = datasets[t].rows(split)
-            if y.size == 0:
-                continue
-            per_task[t] = forward_loss(params, t, (X, y))
-        out[split] = per_task
-    return out
-
-
 def _group_rows(group, datasets, config: TrainConfig):
     """The sorted group, its architecture and its members' train rows.
 
-    Raises ``ValueError`` for a group that cannot be trained jointly.
+    Raises ``ValueError`` for a group that cannot be trained jointly: among
+    other reasons, when its tasks' splits differ in size, split by split.
     """
     ids = tuple(group)
     for t in ids:
@@ -422,18 +385,17 @@ def _group_rows(group, datasets, config: TrainConfig):
         raise ValueError(f"task {exc.args[0]} is not in the suite") from None
     input_dim = members[0].input_dim
     task_type = members[0].task_type
-    train = [ds.rows("train") for ds in members]
-    n_train = train[0][1].size
-    for ds, (_, y) in zip(members, train):
+    for ds in members:
         if ds.input_dim != input_dim or ds.task_type != task_type:
             raise ValueError("all tasks in a group must share input dim and task type")
-        if y.size != n_train:
-            raise ValueError("all tasks in a group must have equally sized train splits")
-    if n_train == 0:
+    for split in SPLITS:
+        if len({ds.split_size(split) for ds in members}) > 1:
+            raise ValueError(f"all tasks in a group must have equally sized {split} splits")
+    if members[0].split_size("train") == 0:
         raise ValueError("empty train split")
     loss_kind = "squared" if task_type == "regression" else "logistic"
     arch = Architecture(input_dim=input_dim, hidden_dims=tuple(config.hidden_dims), loss=loss_kind)
-    return group, arch, train
+    return group, arch, [ds.rows("train") for ds in members]
 
 
 def _train_stack(arch: Architecture, groups, trains, datasets, config: TrainConfig,
@@ -476,8 +438,8 @@ def _train_stack(arch: Architecture, groups, trains, datasets, config: TrainConf
     layers = [(w.swapaxes(-1, -2)[lift], b[lift][..., None, :]) for w, b in unpacked]
     weights = [w[lift] for w, _ in unpacked]
     grad_layers = arch.unpack_shared(grads)
-    head_views = (heads[..., :-1, None], heads[..., -1:], heads[..., None, :-1])
-    head_grad_views = (head_grads[..., :-1, None], head_grads[..., -1])
+    head_w, head_b, head_rows = heads[..., :-1, None], heads[..., -1:], heads[..., None, :-1]
+    grad_w, grad_b = head_grads[..., :-1, None], head_grads[..., -1]
     # each epoch gathers its shuffled rows into one buffer; a step reads
     # contiguous views of it, built once, and writes its loss sums into one
     # row of a (steps per epoch, [G,] T) buffer
@@ -504,8 +466,25 @@ def _train_stack(arch: Architecture, groups, trains, datasets, config: TrainConf
         X_all.take(order, axis=-2, out=X_epoch)
         y_all.take(order, axis=-1, out=y_epoch)
         for k, (X, y, loss_sum) in enumerate(batches):
-            _batched_step(arch, layers, weights, head_views, X, y, grad_layers, head_grad_views,
-                          loss_sum)
+            # every product multiplies per-task 2-D slices and every sum runs
+            # over the batch axis, as _loss_and_grads does for one task
+            yhat, activations = _forward(layers, head_w, head_b, X)
+            _, dyhat = _loss_terms(arch, yhat, y, out=loss_sum)
+            dyhat_col = dyhat[..., None]
+            np.matmul(activations[-1].swapaxes(-1, -2), dyhat_col, out=grad_w)
+            np.add.reduce(dyhat, axis=-1, out=grad_b)
+            delta = dyhat_col * head_rows if layers else None  # dL/d(encoder output)
+            for i in range(len(layers) - 1, -1, -1):
+                # tanh' = 1 - a^2 in place: a was last read by the head or the layer above
+                a = activations[i + 1]
+                a *= a
+                np.subtract(1.0, a, out=a)
+                delta *= a
+                g_w, g_b = grad_layers[i]
+                np.matmul(delta.swapaxes(-1, -2), activations[i], out=g_w)
+                np.add.reduce(delta, axis=-2, out=g_b)
+                if i:  # the input layer's delta is never read
+                    delta = delta @ weights[i]
             if trace is not None:
                 step = epoch * len(batches) + k
                 np.divide(loss_sum, y.shape[-1], out=trace.losses[step])
@@ -531,12 +510,29 @@ def _train_stack(arch: Architecture, groups, trains, datasets, config: TrainConf
             if all(outcomes):
                 break
 
+    # each surviving group is scored alone, one pass over its (T, n, d) rows
+    # per split: a whole bucket's val and test rows at once would raise the
+    # peak memory of a run
     for g, (group, row) in enumerate(zip(groups, group_theta)):
         if outcomes[g] is not None:
             continue
-        params = ModelParams(arch=arch, shared=row[:n_shared].copy(), heads={
-            t: h.copy() for t, h in zip(group, row[n_shared:].reshape(n_tasks, -1))})
-        losses = _eval_losses(params, group, datasets)
+        heads = row[n_shared:].reshape(n_tasks, -1)
+        params = ModelParams(arch=arch, shared=row[:n_shared].copy(),
+                             heads={t: h.copy() for t, h in zip(group, heads)})
+        layers = [(w.T, b) for w, b in arch.unpack_shared(params.shared)]
+        losses = {}
+        for split in SPLITS:
+            losses[split] = {}
+            n = datasets[group[0]].split_size(split)
+            if not n:  # an empty split has no losses
+                continue
+            # filled task by task, so one task's fresh rows are alive at a time
+            X, y = np.empty((n_tasks, n, arch.input_dim)), np.empty((n_tasks, n))
+            for j, t in enumerate(group):
+                X[j], y[j] = datasets[t].rows(split)
+            yhat, _ = _forward(layers, heads[:, :-1, None], heads[:, -1:], X)
+            total, _ = _loss_terms(arch, yhat, y)
+            losses[split] = dict(zip(group, (total / n).tolist()))
         bad = [t for split_losses in losses.values()
                for t, value in split_losses.items() if not np.isfinite(value)]
         outcomes[g] = (TrainingDiverged(n_steps - 1, bad[0]) if bad else TrainedModel(

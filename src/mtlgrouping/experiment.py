@@ -306,9 +306,23 @@ def _heldout_points(predictor, matrix, records):
     return actual, final, stage1
 
 
+def _run_predictor(stage: str, config: ExperimentConfig, rd: Path):
+    """``predictor.json`` of one run, which must be of the kind ``config`` fits."""
+    path = rd / "predictor.json"
+    predictor = ens.load_predictor(path)
+    for key, stored, wanted in (
+            ("mapping_kind", predictor.mapping_kind, config.mapping_kind),
+            ("residual_enabled", predictor.residual_enabled, config.residual_enabled),
+            ("n_tasks", predictor.n_tasks, config.suite.n_tasks)):
+        if stored != wanted:
+            raise StageError(stage, f"{path} holds {key} = {stored!r} where the config has "
+                                    f"{wanted!r}; rerun fit")
+    return predictor
+
+
 def stage_evaluate(config: ExperimentConfig, out: Path) -> None:
     for rd, _ in zip(run_dirs(config, out), config.seeds):
-        predictor = ens.load_predictor(rd / "predictor.json")
+        predictor = _run_predictor("evaluate", config, rd)
         matrix = aff.load_matrix(rd / "affinity.json")
         records = _run_records("evaluate", rd, "heldout", load(rd / "groups.json", RunGroups))
         actual, final, stage1 = _heldout_points(predictor, matrix, records)
@@ -323,11 +337,12 @@ def _candidate_universe(config: ExperimentConfig):
 def stage_select(config: ExperimentConfig, out: Path) -> None:
     candidates = _candidate_universe(config)
     for rd, _ in zip(run_dirs(config, out), config.seeds):
-        predictor = ens.load_predictor(rd / "predictor.json")
+        predictor = _run_predictor("select", config, rd)
         matrix = aff.load_matrix(rd / "affinity.json")
+        # the candidates' gains do not depend on the budget: predict them once
+        problem = sel.build_problem(predictor, matrix, candidates, config.budgets[0])
         for budget in config.budgets:
-            problem = sel.build_problem(predictor, matrix, candidates, budget)
-            result = sel.select_branch_and_bound(problem)
+            result = sel.select_branch_and_bound(replace(problem, budget=budget))
             save(rd / f"selection_B{budget}.json", result)
             with writing(rd / f"selection_B{budget}.txt") as fh:
                 fh.write(sel.format_selection_table(result))

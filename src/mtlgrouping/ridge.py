@@ -169,8 +169,8 @@ class CvConfig:
     def __post_init__(self):
         if len(self.lambda_grid) == 0:
             raise ValueError("lambda_grid must be non-empty")
-        if any(lam <= 0 for lam in self.lambda_grid):
-            raise ValueError("lambda_grid entries must be positive")
+        if not all(np.isfinite(lam) and lam > 0 for lam in self.lambda_grid):
+            raise ValueError("lambda_grid entries must be positive and finite")
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
 

@@ -53,8 +53,8 @@ class TaskSuiteSpec:
             raise ValueError("n_clusters must be >= 1")
         if not 0.0 <= self.within_cluster_similarity <= 1.0:
             raise ValueError("within_cluster_similarity must be in [0, 1]")
-        if self.label_noise_std < 0.0:
-            raise ValueError("label_noise_std must be >= 0")
+        if not (np.isfinite(self.label_noise_std) and self.label_noise_std >= 0.0):
+            raise ValueError("label_noise_std must be >= 0 and finite")
         if len(self.samples_per_split) != 3 or any(s < 1 for s in self.samples_per_split):
             raise ValueError("samples_per_split must be three integers >= 1")
         if self.task_type not in TASK_TYPES:
@@ -91,6 +91,10 @@ class TaskDataset:
             raise ValueError(f"unknown split {split_name!r}")
         index = self._split_index[split_name]
         return self.features[index], self.targets[index]
+
+    def split_size(self, split_name: str) -> int:
+        """Number of rows in one split."""
+        return int(self._split_index[split_name].size)
 
     @property
     def n_rows(self) -> int:

@@ -78,6 +78,18 @@ class TestSubcommands:
             f"stage config: --set {key}: {parent} is not an object\n")
         assert not out.exists()
 
+    # json reads NaN and Infinity as floats; the config check must refuse them
+    @pytest.mark.parametrize("override, key", [("train.learning_rate=NaN", "learning_rate"),
+                                               ("suite.label_noise_std=Infinity",
+                                                "label_noise_std")])
+    def test_set_non_finite_float_fails(self, config_file, capsys, override, key):
+        path, out = config_file
+        assert main(["generate", "--config", str(path), "--set", override]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"stage config: {key} must be ")
+        assert err.rstrip().endswith("and finite")
+        assert not out.exists()
+
     def test_set_bare_word_is_a_string_and_fails(self, config_file, capsys):
         path, out = config_file
         assert main(["generate", "--config", str(path), "--set", "residual_enabled=no"]) == 1

@@ -135,6 +135,14 @@ class TestSharedGradient:
                 assert abs(fd - g[i]) < 1e-7
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0, -0.1])
+    def test_bad_learning_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="^learning_rate must be > 0 and finite$"):
+            TrainConfig(learning_rate=rate, momentum=0.9, epochs=1, batch_size=1,
+                        hidden_dims=())
+
+
 class TestSgdMomentumStep:
     def test_plain_sgd(self):
         theta, v = sgd_momentum_step(np.zeros(2), np.zeros(2), np.array([1.0, -2.0]), 0.1, 0.0)
@@ -387,6 +395,61 @@ class TestTrainMtl:
             assert got.params.heads.keys() == want.params.heads.keys()
             for t in want.group:
                 assert np.array_equal(got.params.heads[t], want.params.heads[t])
+
+    @pytest.mark.parametrize("batch_size", [1, 5, 8, 32], ids=lambda b: f"b{b}")
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
+    @pytest.mark.parametrize("hidden", [(), (1,), (4,), (5, 3)],
+                             ids=lambda h: "h" + "x".join(map(str, h)))
+    def test_scored_losses_equal_forward_loss(self, hidden, loss, batch_size):
+        # every split loss of a finished model is forward_loss on that task
+        # and split, bit for bit: lone groups from train_mtl, stacked ones
+        # from train_groups
+        task_type = "regression" if loss == "squared" else "classification"
+        suite = generate_suite(replace(self.spec, task_type=task_type))
+        config = replace(self.config, hidden_dims=hidden, batch_size=batch_size)
+        lone = [train_mtl(group, suite, config) for group in [(2,), (0, 1), (0, 1, 2, 3)]]
+        stacked = train_groups([g for g in self.STACKED if 7 not in g], suite, config)
+        for model in lone + stacked:
+            assert sorted(model.losses) == ["test", "train", "val"]
+            for split, losses in model.losses.items():
+                assert list(losses) == list(model.group)
+                for t, value in losses.items():
+                    assert value == forward_loss(model.params, t, suite[t].rows(split))
+
+    def test_unequal_split_sizes_rejected(self):
+        # task 1 loses three test rows; train and val keep their sizes
+        ds = self.suite[1]
+        keep = np.flatnonzero(ds.split == "test")[3:].tolist() + np.flatnonzero(
+            ds.split != "test").tolist()
+        keep.sort()
+        datasets = dict(self.suite.datasets)
+        datasets[1] = TaskDataset(features=ds.features[keep], targets=ds.targets[keep],
+                                  split=ds.split[keep])
+        with pytest.raises(ValueError, match="^all tasks in a group must have equally "
+                                             "sized test splits$"):
+            train_mtl((0, 1), datasets, self.config)
+        groups = [(0, 2), (0, 1), (1,), (2, 3), (1, 2, 3), (0, 2, 3)]
+        outcomes = train_groups(groups, datasets, self.config)
+        for group, got in zip(groups, outcomes):
+            if group in [(0, 1), (1, 2, 3)]:
+                assert isinstance(got, ValueError) and "test splits" in str(got)
+                continue
+            want = train_mtl(group, datasets, self.config)
+            assert got.losses == want.losses
+            assert np.array_equal(got.params.shared, want.params.shared)
+            for t in group:
+                assert np.array_equal(got.params.heads[t], want.params.heads[t])
+
+    def test_empty_split_scores_no_losses(self):
+        datasets = {}
+        for t in (0, 1):
+            ds = self.suite[t]
+            keep = np.flatnonzero(ds.split != "val")
+            datasets[t] = TaskDataset(features=ds.features[keep], targets=ds.targets[keep],
+                                      split=ds.split[keep])
+        model = train_mtl((0, 1), datasets, self.config)
+        assert model.losses["val"] == {}
+        assert list(model.losses["test"]) == [0, 1]
 
     def test_trained_arrays_share_no_memory(self):
         model = train_mtl((0, 1, 2), self.suite, self.config, capture_trace=True)

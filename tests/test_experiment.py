@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from mtlgrouping import gains as gn
+from mtlgrouping import selector as sel
 from mtlgrouping.artifacts import to_json
 from mtlgrouping.engine import TrainConfig
 from mtlgrouping.experiment import (
@@ -475,6 +476,53 @@ class TestStageErrors:
                 f"stage {stage}: the groups of {rd / f'gains_{split}.jsonl'} are not the "
                 f"{split} groups of {rd / 'groups.json'}; rerun oracle")):
             run_stage(stage, cfg, copy)
+
+    @pytest.mark.parametrize("stage", ["evaluate", "select"])
+    @pytest.mark.parametrize("key, value", [
+        ("mapping_kind", "affine"), ("residual_enabled", False), ("n_tasks", 5),
+    ])
+    def test_predictor_of_another_config_rejected(self, finished, tmp_path, stage, key, value):
+        # the stage must not score or select with a predictor that fit did not
+        # fit under this config
+        cfg, out, _, _ = finished
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        if key == "n_tasks":
+            other, stored = replace(cfg, suite=replace(cfg.suite, n_tasks=value)), cfg.suite.n_tasks
+        else:
+            other, stored = replace(cfg, **{key: value}), getattr(cfg, key)
+        path = run_dirs(cfg, copy)[0] / "predictor.json"
+        with pytest.raises(StageError, match="^" + re.escape(
+                f"stage {stage}: {path} holds {key} = {stored!r} where the config has "
+                f"{value!r}; rerun fit") + "$"):
+            run_stage(stage, other, copy)
+
+    def test_select_predicts_once_per_run(self, finished, tmp_path, monkeypatch):
+        # two budgets select from one prediction of the candidates, and the
+        # selections keep the bytes of one budget at a time
+        cfg, out, _, _ = finished
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        both = replace(cfg, budgets=(1, 2))
+        calls = []
+        predict = sel.predict_from_matrix
+
+        def counting_predict(*args, **kwargs):
+            calls.append(1)
+            return predict(*args, **kwargs)
+
+        monkeypatch.setattr(sel, "predict_from_matrix", counting_predict)
+        run_stage("select", both, copy)
+        assert len(calls) == len(cfg.seeds)
+        monkeypatch.undo()
+        for budget in both.budgets:
+            alone = tmp_path / f"alone{budget}"
+            shutil.copytree(out, alone)
+            run_stage("select", replace(cfg, budgets=(budget,)), alone)
+            for rd, rd_alone in zip(run_dirs(cfg, copy), run_dirs(cfg, alone)):
+                for suffix in ("json", "txt"):
+                    name = f"selection_B{budget}.{suffix}"
+                    assert (rd / name).read_bytes() == (rd_alone / name).read_bytes()
 
     def test_stage_error_survives_pickle(self):
         # a stage's worker process hands its error to the parent pickled

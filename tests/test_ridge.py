@@ -163,6 +163,11 @@ class TestFitCv:
         assert np.array_equal(model.coefficients, direct.coefficients)
         assert model.intercept == direct.intercept
 
+    @pytest.mark.parametrize("grid", [(np.nan,), (0.1, np.inf), (-np.inf,)])
+    def test_non_finite_lambda_rejected(self, grid):
+        with pytest.raises(ValueError, match="^lambda_grid entries must be positive and finite$"):
+            CvConfig(lambda_grid=grid)
+
     def test_too_few_samples(self):
         with pytest.raises(ValueError, match="folds"):
             ridge.fit_cv([[1.0], [2.0]], [1.0, 2.0], CvConfig(folds=3))

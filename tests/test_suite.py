@@ -42,6 +42,11 @@ class TestSpec:
         with pytest.raises(ValueError):
             small_spec(within_cluster_similarity=1.5)
 
+    @pytest.mark.parametrize("noise", [np.nan, np.inf])
+    def test_non_finite_noise_rejected(self, noise):
+        with pytest.raises(ValueError, match="^label_noise_std must be >= 0 and finite$"):
+            small_spec(label_noise_std=noise)
+
 
 class TestGenerate:
     def test_deterministic_bit_identical(self):
