@@ -42,10 +42,18 @@ def writing(path, newline=None):
         tmp.unlink(missing_ok=True)
 
 
+def _dumps(path, value, indent=None) -> str:
+    """``value`` as sorted-key JSON; NaN and infinities, which JSON lacks, fail naming ``path``."""
+    try:
+        return json.dumps(value, indent=indent, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from exc
+
+
 def write_json(path, payload: dict) -> None:
+    text = _dumps(path, payload, indent=2)
     with writing(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_json(path) -> dict:
@@ -56,7 +64,7 @@ def read_json(path) -> dict:
 def write_jsonl(path, rows) -> None:
     with writing(path) as fh:
         for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+            fh.write(_dumps(path, row) + "\n")
 
 
 def read_jsonl(path):

@@ -65,6 +65,13 @@ class Stage1Model:
             raise ValueError(f"mapping_kind {self.mapping_kind!r} is not one of {MAPPING_KINDS}")
         if (self.spline is None) != (self.mapping_kind == "affine"):
             raise ValueError("spline must be null exactly when mapping_kind is 'affine'")
+        if not -np.inf < self.z_lo <= self.z_hi < np.inf:
+            raise ValueError(f"stage-1 bounds must be finite with z_lo <= z_hi, "
+                             f"got z_lo = {self.z_lo!r}, z_hi = {self.z_hi!r}")
+        width = 2 if self.spline is None else self.spline.basis_count
+        if self.model.feature_dim != width:
+            raise ValueError(f"stage-1 model has {self.model.feature_dim} coefficients where "
+                             f"its {self.mapping_kind} design has {width} columns")
 
     def design(self, zs) -> np.ndarray:
         """One design row per score: scores of shape ``(..., k)`` give ``(..., k, m)``."""

@@ -7,7 +7,8 @@ groups, select budgeted groupings, and finally compare the realized total
 test loss of the selected groupings against the single all-task model and
 the exhaustive-optimal grouping. Every stage reads only persisted upstream
 artifacts and writes its own, so any stage can be rerun in isolation and
-reruns are byte-identical.
+reruns are byte-identical. ``PIPELINE`` declares, stage by stage, the files
+each one reads and writes; ``run_stage`` checks the reads before it starts.
 
 Oracle and report train a model per group, which makes them most of a run.
 Report trains its candidates stacked by group size, in a few wide loops per
@@ -26,8 +27,10 @@ No option controls this; the artifacts are the same bytes either way.
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from itertools import product
 from pathlib import Path
 from typing import ClassVar
 
@@ -47,8 +50,6 @@ from .suite import TaskSuiteSpec, generate_suite, load_suite, save_suite
 OUTPUT_ROOT_ENV = "MTLGROUPING_OUTPUT_ROOT"
 
 _SPLIT_GROUPS = 40
-
-STAGES = ("generate", "train-affinity", "oracle", "fit", "evaluate", "select", "report")
 
 ABLATION_CELLS = (
     ("spline", True, "spline+residual"),
@@ -264,13 +265,17 @@ def stage_oracle(config: ExperimentConfig, out: Path) -> None:
     _per_run(_oracle_run, config, out, _config_suite(config, out))
 
 
-def _run_records(stage: str, rd: Path, split: str, groups: RunGroups) -> list:
-    """The oracle's records of ``split``, which must be that split's groups in order."""
+def _run_records(stage: str, rd: Path, seed: int, split: str, groups: RunGroups) -> list:
+    """The oracle's ``split`` records: that split's groups in order, measured under ``seed``."""
     path = rd / f"gains_{split}.jsonl"
     records = gn.load_records(path)
     if [rec.group for rec in records] != list(getattr(groups, split)):
         raise StageError(stage, f"the groups of {path} are not the {split} groups of "
                                 f"{rd / 'groups.json'}; rerun oracle")
+    for rec in records:
+        if rec.seed != seed:
+            raise StageError(stage, f"{path} holds the record of group {list(rec.group)} under "
+                                    f"seed {rec.seed}, not the run's seed {seed}; rerun oracle")
     return records
 
 
@@ -280,7 +285,7 @@ def stage_fit(config: ExperimentConfig, out: Path) -> None:
         if set(groups.train) & set(groups.heldout):
             raise StageError("fit", "training and held-out groups overlap")
         matrix = aff.load_matrix(rd / "affinity.json")
-        records = _run_records("fit", rd, "train", groups)
+        records = _run_records("fit", rd, seed, "train", groups)
         save(rd / "predictor.json", _fit_predictor(config, records, matrix, seed))
 
 
@@ -321,10 +326,10 @@ def _run_predictor(stage: str, config: ExperimentConfig, rd: Path):
 
 
 def stage_evaluate(config: ExperimentConfig, out: Path) -> None:
-    for rd, _ in zip(run_dirs(config, out), config.seeds):
+    for rd, seed in zip(run_dirs(config, out), config.seeds):
         predictor = _run_predictor("evaluate", config, rd)
         matrix = aff.load_matrix(rd / "affinity.json")
-        records = _run_records("evaluate", rd, "heldout", load(rd / "groups.json", RunGroups))
+        records = _run_records("evaluate", rd, seed, "heldout", load(rd / "groups.json", RunGroups))
         actual, final, stage1 = _heldout_points(predictor, matrix, records)
         save(rd / "eval.json", RunEval(final=met.evaluate(actual, final),
                                        stage1=met.evaluate(actual, stage1)))
@@ -452,15 +457,59 @@ def stage_report(config: ExperimentConfig, out: Path) -> dict:
     return report
 
 
-_STAGE_FUNCS = {
-    "generate": stage_generate,
-    "train-affinity": stage_train_affinity,
-    "oracle": stage_oracle,
-    "fit": stage_fit,
-    "evaluate": stage_evaluate,
-    "select": stage_select,
-    "report": stage_report,
-}
+@dataclass(frozen=True)
+class Stage:
+    """A stage's function and the files under ``out`` that it reads and writes.
+
+    Each file is a path pattern in which ``{run}``, ``{budget}`` and ``{task}``
+    stand for every run directory name, budget and task id of the config.
+    """
+
+    name: str
+    func: Callable
+    reads: tuple[str, ...]
+    writes: tuple[str, ...]
+
+
+PIPELINE = (
+    Stage("generate", stage_generate, reads=(),
+          writes=("config.json", "suite/spec.json", "suite/task_{task}.csv")),
+    Stage("train-affinity", stage_train_affinity, reads=("suite/spec.json",),
+          writes=("runs/{run}/trace.jsonl", "runs/{run}/affinity.json",
+                  "runs/{run}/affinity.csv")),
+    Stage("oracle", stage_oracle, reads=("suite/spec.json",),
+          writes=("runs/{run}/groups.json", "runs/{run}/gains_train.jsonl",
+                  "runs/{run}/gains_train.csv", "runs/{run}/gains_heldout.jsonl",
+                  "runs/{run}/gains_heldout.csv")),
+    Stage("fit", stage_fit,
+          reads=("runs/{run}/groups.json", "runs/{run}/affinity.json",
+                 "runs/{run}/gains_train.jsonl"),
+          writes=("runs/{run}/predictor.json",)),
+    Stage("evaluate", stage_evaluate,
+          reads=("runs/{run}/predictor.json", "runs/{run}/affinity.json",
+                 "runs/{run}/groups.json", "runs/{run}/gains_heldout.jsonl"),
+          writes=("runs/{run}/eval.json",)),
+    Stage("select", stage_select,
+          reads=("runs/{run}/predictor.json", "runs/{run}/affinity.json"),
+          writes=("runs/{run}/selection_B{budget}.json", "runs/{run}/selection_B{budget}.txt")),
+    Stage("report", stage_report,
+          reads=("suite/spec.json", "runs/{run}/gains_train.jsonl",
+                 "runs/{run}/gains_heldout.jsonl", "runs/{run}/selection_B{budget}.json",
+                 "runs/{run}/eval.json"),
+          writes=("runs/{run}/gains_candidates.jsonl", "runs/{run}/realized_B{budget}.json",
+                  "report.json")),
+)
+
+STAGES = tuple(stage.name for stage in PIPELINE)
+
+
+def expand(pattern: str, config: ExperimentConfig) -> list[str]:
+    """The paths under ``out`` that ``pattern`` names for ``config``, runs outermost."""
+    values = {"run": [rd.name for rd in run_dirs(config, Path())],
+              "budget": config.budgets, "task": range(config.suite.n_tasks)}
+    keys = [key for key in values if f"{{{key}}}" in pattern]
+    return [pattern.format(**dict(zip(keys, combo)))
+            for combo in product(*(values[key] for key in keys))]
 
 
 @contextmanager
@@ -470,16 +519,21 @@ def _tagged(stage: str):
         yield
     except StageError:
         raise
-    except FileNotFoundError as exc:
-        raise StageError(stage, f"missing upstream artifact {exc.filename}") from exc
     except Exception as exc:
         raise StageError(stage, str(exc)) from exc
 
 
 def run_stage(name: str, config: ExperimentConfig, out: Path):
-    """Run one stage, tagging any failure with the stage name."""
+    """Run one stage once its declared reads exist, tagging any failure with the stage name."""
     with _tagged(name):
-        return _STAGE_FUNCS[name](config, out)
+        stage = PIPELINE[STAGES.index(name)]
+        for pattern in stage.reads:
+            for rel in expand(pattern, config):
+                if not (out / rel).is_file():
+                    writer = next(s.name for s in PIPELINE if pattern in s.writes)
+                    raise StageError(name, f"missing {out / rel}, written by {writer}; "
+                                           f"run {writer}")
+        return stage.func(config, out)
 
 
 def run_experiment(config: ExperimentConfig, out=None) -> dict:

@@ -17,6 +17,7 @@ that telemetry counts stacked rows (ROADMAP item 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .affinity import check_stored_group, is_task_id, task_group
@@ -38,9 +39,18 @@ class GainRecord:
 
     def __post_init__(self):
         check_stored_group(self.group)
+        group = list(self.group)
         for name in ("gains", "stl_losses", "mtl_losses"):
-            if sorted(getattr(self, name)) != list(self.group):
-                raise ValueError(f"{name} of group {list(self.group)} must be keyed by its members")
+            if sorted(getattr(self, name)) != group:
+                raise ValueError(f"{name} of group {group} must be keyed by its members")
+        for t in group:
+            stl, mtl, gain = self.stl_losses[t], self.mtl_losses[t], self.gains[t]
+            if not (0.0 < stl < math.inf and math.isfinite(mtl)):
+                raise ValueError(f"task {t} of group {group} needs a positive finite stl_loss "
+                                 f"and a finite mtl_loss, got {stl!r} and {mtl!r}")
+            if gain != relative_gain(stl, mtl):
+                raise ValueError(f"gain {gain!r} of task {t} in group {group} is not "
+                                 f"relative_gain({stl!r}, {mtl!r})")
 
 
 def relative_gain(stl_loss: float, mtl_loss: float) -> float:

@@ -14,6 +14,13 @@ class EvalReport:
     mse: float
     n_points: int
 
+    def __post_init__(self):
+        if not np.isfinite([self.r2, self.pearson, self.mse]).all():
+            raise ValueError(f"metrics must be finite, got r2 = {self.r2!r}, "
+                             f"pearson = {self.pearson!r}, mse = {self.mse!r}")
+        if self.n_points < 2:
+            raise ValueError(f"metrics need n_points >= 2, got {self.n_points}")
+
 
 def _paired(actual, predicted):
     a = np.asarray(actual, dtype=float).ravel()

@@ -50,6 +50,12 @@ class RidgeModel:
     intercept: float
     lam: float
 
+    def __post_init__(self):
+        if not (np.isfinite(self.coefficients).all() and np.isfinite(self.intercept)):
+            raise ValueError("ridge coefficients and intercept must be finite")
+        if not 0.0 <= self.lam < np.inf:
+            raise ValueError(f"ridge lam must be >= 0 and finite, got {self.lam!r}")
+
     @property
     def feature_dim(self) -> int:
         return int(self.coefficients.size)

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -21,7 +22,7 @@ from mtlgrouping.artifacts import (
 from mtlgrouping.engine import Trace, _TraceLine, load_trace, save_trace
 from mtlgrouping.ensemble import EnsemblePredictor, Stage1Model, load_predictor
 from mtlgrouping.experiment import RunEval, RunGroups
-from mtlgrouping.gains import GainRecord, load_records, save_records
+from mtlgrouping.gains import GainRecord, load_records, relative_gain, save_records
 from mtlgrouping.metrics import EvalReport
 from mtlgrouping.ridge import RidgeModel
 from mtlgrouping.selector import SelectionResult, result_from_dict
@@ -109,8 +110,8 @@ def test_wrong_schema_rejected(tmp_path, make, schema, wrong):
 
 
 def _gains(directory):
-    record = GainRecord(group=(0, 2), gains={0: 0.1, 2: -0.05}, stl_losses={0: 1.0, 2: 2.0},
-                        mtl_losses={0: 0.9, 2: 2.1}, seed=3)
+    record = GainRecord(group=(0, 2), gains={0: 0.25, 2: -0.25}, stl_losses={0: 1.0, 2: 2.0},
+                        mtl_losses={0: 0.75, 2: 2.5}, seed=3)
     save_records([record], directory / "gains.jsonl")
     return directory / "gains.jsonl", load_records
 
@@ -165,6 +166,54 @@ def test_wrong_type_rejected(tmp_path, make, dotted, value, match):
         load(path)
 
 
+@pytest.mark.parametrize("make, dotted, value, match", [
+    (_gains, "stl_losses.0", -2.0, "task 0 of group [0, 2] needs a positive finite stl_loss "
+                                   "and a finite mtl_loss, got -2.0 and 0.75"),
+    (_gains, "stl_losses.2", math.inf, "needs a positive finite stl_loss"),
+    (_gains, "mtl_losses.2", math.nan, "and a finite mtl_loss, got 2.0 and nan"),
+    (_gains, "gains.0", 0.3,
+     "gain 0.3 of task 0 in group [0, 2] is not relative_gain(1.0, 0.75)"),
+    (_gains, "mtl_losses.0", 0.5, "gain 0.25 of task 0 in group [0, 2] is not "
+                                  "relative_gain(1.0, 0.5)"),
+    (_eval, "final.r2", math.nan, "metrics must be finite, got r2 = nan"),
+    (_eval, "stage1.mse", -math.inf, "metrics must be finite"),
+    (_eval, "final.n_points", 1, "metrics need n_points >= 2, got 1"),
+    (_predictor, "stage1.z_lo", 5.0, "stage-1 bounds must be finite with z_lo <= z_hi, "
+                                     "got z_lo = 5.0, z_hi = 1.0"),
+    (_predictor, "stage1.z_hi", math.inf, "stage-1 bounds must be finite"),
+    (_predictor, "stage1.model.lam", -3.0, "ridge lam must be >= 0 and finite, got -3.0"),
+    (_predictor, "residual_models.1.intercept", math.inf,
+     "ridge coefficients and intercept must be finite"),
+    (_predictor, "residual_models.1.coefficients", [0.5, math.nan],
+     "ridge coefficients and intercept must be finite"),
+], ids=lambda v: v.__name__.strip("_") if callable(v) else None)
+def test_meaningless_value_rejected(tmp_path, make, dotted, value, match):
+    # written with json's NaN and Infinity tokens, which the package never writes
+    path, load = make(tmp_path)
+    if path.suffix == ".jsonl":
+        (data,) = read_jsonl(path)
+    else:
+        data = read_json(path)
+    _set(data, dotted, value)
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=re.escape(match)):
+        load(path)
+
+
+@pytest.mark.parametrize("write, payload", [
+    (write_json, {"r2": math.nan}),
+    (write_jsonl, [{"step": 0}, {"loss": [0.5, -math.inf]}]),
+], ids=["json", "jsonl"])
+def test_non_finite_float_not_written(tmp_path, write, payload):
+    path = tmp_path / "out.json"
+    path.write_text("old\n")
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"cannot write {path}: Out of range float values are not JSON compliant")):
+        write(path, payload)
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
 def _assert_same(got, want):
     """Equal values of equal types all the way down, with arrays as float64."""
     assert type(got) is type(want)
@@ -193,7 +242,8 @@ def _twelve_task_artifacts():
         mapping_kind="spline", spline=spline, z_lo=-1.0, z_hi=1.0,
         model=RidgeModel(rng.standard_normal(spline.basis_count), intercept=0.25, lam=0.1))
     return [
-        GainRecord(group=(0, 2, 10, 11), gains={t: 0.1 * t - 0.3 for t in (0, 2, 10, 11)},
+        GainRecord(group=(0, 2, 10, 11), gains={t: relative_gain(1.0 + t, 0.5 + t)
+                                                for t in (0, 2, 10, 11)},
                    stl_losses={t: 1.0 + t for t in (0, 2, 10, 11)},
                    mtl_losses={t: 0.5 + t for t in (0, 2, 10, 11)}, seed=7),
         _TraceLine(step=239, losses={t: float(rng.random()) for t in tasks},

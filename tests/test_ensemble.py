@@ -17,7 +17,7 @@ from mtlgrouping.ensemble import (
     predict_from_matrix,
     predict_stage1,
 )
-from mtlgrouping.gains import GainRecord
+from mtlgrouping.gains import GainRecord, relative_gain
 from mtlgrouping.ridge import CvConfig
 from mtlgrouping.selector import build_problem, enumerate_candidate_groups
 from mtlgrouping.splines import basis_matrix, fit_knots
@@ -48,11 +48,11 @@ def random_records(rng, n_tasks, n_groups, matrix, gain_fn=None):
         for t in group:
             z = ga.scores[t]
             gains[t] = gain_fn(group, t, z) if gain_fn else float(rng.normal(0.5 * z, 0.05))
+        # the stored gain is relative_gain of the losses, within an ulp of the drawn one
+        mtl_losses = {t: 1.0 - gains[t] for t in group}
         records.append(GainRecord(
-            group=group, gains=gains,
-            stl_losses={t: 1.0 for t in group},
-            mtl_losses={t: 1.0 - gains[t] for t in group},
-            seed=0))
+            group=group, gains={t: relative_gain(1.0, mtl_losses[t]) for t in group},
+            stl_losses={t: 1.0 for t in group}, mtl_losses=mtl_losses, seed=0))
     return records
 
 
@@ -209,11 +209,11 @@ class TestFitResidual:
     def test_task_without_groups_has_no_model(self):
         rng = np.random.default_rng(12)
         matrix = random_matrix(rng, 4)
-        records = [GainRecord(group=(0, 1), gains={0: 0.1, 1: 0.2},
-                              stl_losses={0: 1, 1: 1}, mtl_losses={0: .9, 1: .8}, seed=0),
-                   GainRecord(group=(0, 1, 2), gains={0: 0.0, 1: 0.1, 2: 0.2},
+        records = [GainRecord(group=(0, 1), gains={0: 0.125, 1: 0.25},
+                              stl_losses={0: 1, 1: 1}, mtl_losses={0: .875, 1: .75}, seed=0),
+                   GainRecord(group=(0, 1, 2), gains={0: 0.0, 1: 0.125, 2: 0.25},
                               stl_losses={0: 1, 1: 1, 2: 1},
-                              mtl_losses={0: 1, 1: .9, 2: .8}, seed=0)]
+                              mtl_losses={0: 1, 1: .875, 2: .75}, seed=0)]
         pairs = build_training_pairs(records, matrix)
         stage1 = fit_stage1(pairs, "affine", CvConfig(folds=2, seed=13))
         models = fit_residual(pairs, stage1, 4, CvConfig(folds=2, seed=13))
@@ -517,6 +517,27 @@ class TestSerialization:
                                   residual_enabled=residual, cv=CvConfig(seed=31))
         data = to_json(predictor)
         data["stage1"].update(stage1)
+        write_json(tmp_path / "predictor.json", data)
+        with pytest.raises(ValueError, match=match):
+            load_predictor(tmp_path / "predictor.json")
+
+    @pytest.mark.parametrize("mapping_kind, edit, match", [
+        ("spline", lambda s1: s1.update(z_lo=5.0, z_hi=-5.0),
+         r"stage-1 bounds must be finite with z_lo <= z_hi, got z_lo = 5.0, z_hi = -5.0"),
+        ("affine", lambda s1: s1["model"]["coefficients"].append(1.0),
+         r"stage-1 model has 3 coefficients where its affine design has 2 columns"),
+        ("spline", lambda s1: s1["model"]["coefficients"].pop(),
+         r"stage-1 model has \d+ coefficients where its spline design has \d+ columns"),
+    ], ids=["reversed-bounds", "affine-width", "spline-width"])
+    def test_stage1_that_cannot_apply_rejected(self, tmp_path, mapping_kind, edit, match):
+        # reversed bounds would clamp every score to z_hi; a wrong width fails
+        # only inside ridge.predict
+        rng = np.random.default_rng(30)
+        matrix = random_matrix(rng, 4)
+        predictor = fit_predictor(random_records(rng, 4, 8, matrix), matrix, 4,
+                                  mapping_kind=mapping_kind, cv=CvConfig(seed=31))
+        data = to_json(predictor)
+        edit(data["stage1"])
         write_json(tmp_path / "predictor.json", data)
         with pytest.raises(ValueError, match=match):
             load_predictor(tmp_path / "predictor.json")

@@ -15,11 +15,13 @@ from mtlgrouping import selector as sel
 from mtlgrouping.artifacts import to_json
 from mtlgrouping.engine import TrainConfig
 from mtlgrouping.experiment import (
+    PIPELINE,
     STAGES,
     ExperimentConfig,
     StageError,
     compare_ablations,
     config_from_dict,
+    expand,
     load_config,
     reference_config,
     resolve_output_dir,
@@ -50,6 +52,21 @@ def tiny_config(out, seeds=(0, 1), **overrides):
 
 def all_artifacts(root: Path):
     return sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
+
+
+def declared(cfg, patterns) -> list[str]:
+    """Every path under an output directory that ``patterns`` name for ``cfg``."""
+    return [rel for pattern in patterns for rel in expand(pattern, cfg)]
+
+
+def copy_files(src: Path, dst: Path, rels) -> None:
+    for rel in rels:
+        (dst / rel).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copyfile(src / rel, dst / rel)
+
+
+def stage_entry(name: str):
+    return PIPELINE[STAGES.index(name)]
 
 
 class TestConfig:
@@ -231,16 +248,10 @@ class TestRunExperiment:
         assert report["realized"]["2"]["naive"]["values"]
 
     def test_all_artifacts_written(self, finished):
+        # a full run leaves exactly the files its stages declare they write
         cfg, out, _, _ = finished
-        assert (out / "config.json").exists()
-        assert (out / "suite" / "spec.json").exists()
-        assert (out / "report.json").exists()
-        for rd in run_dirs(cfg, out):
-            for name in ("trace.jsonl", "affinity.json", "affinity.csv", "groups.json",
-                         "gains_train.jsonl", "gains_heldout.jsonl", "predictor.json",
-                         "eval.json", "selection_B2.json", "selection_B2.txt",
-                         "gains_candidates.jsonl", "realized_B2.json"):
-                assert (rd / name).exists(), name
+        written = declared(cfg, [p for stage in PIPELINE for p in stage.writes])
+        assert all_artifacts(out) == sorted(map(Path, written))
 
     def test_report_structure(self, finished):
         _, _, report, _ = finished
@@ -301,34 +312,66 @@ class TestRunExperiment:
         out2 = tmp_path / "noresidual"
         cfg2 = replace(cfg, residual_enabled=False, output_dir=str(out2))
         run_experiment(cfg2)
-        for rd1, rd2 in zip(run_dirs(cfg, out), run_dirs(cfg2, Path(out2))):
-            for name in ("trace.jsonl", "affinity.json", "gains_train.jsonl",
-                         "gains_heldout.jsonl", "groups.json"):
-                assert (rd1 / name).read_bytes() == (rd2 / name).read_bytes()
-            assert (rd1 / "predictor.json").read_bytes() != (rd2 / "predictor.json").read_bytes()
+        # config.json embeds the toggle and the output directory
+        upstream = [p for stage in PIPELINE[:STAGES.index("fit")] for p in stage.writes
+                    if p != "config.json"]
+        for rel in declared(cfg, upstream):
+            assert (out / rel).read_bytes() == (out2 / rel).read_bytes(), rel
+        for rel in declared(cfg, stage_entry("fit").writes):
+            assert (out / rel).read_bytes() != (out2 / rel).read_bytes(), rel
 
 
-# one input of each stage, deleted from a finished run to test the stage's error
-STAGE_INPUTS = {
-    "train-affinity": "suite/spec.json",
-    "fit": "runs/00_seed0/gains_train.jsonl",
-    "evaluate": "runs/00_seed0/predictor.json",
-    "select": "runs/00_seed0/affinity.json",
-    "report": "runs/00_seed0/selection_B2.json",
-}
+class TestStageTable:
+    def test_reads_come_from_an_earlier_stage(self):
+        writers = [(p, stage.name) for stage in PIPELINE for p in stage.writes]
+        assert len({p for p, _ in writers}) == len(writers), "a file with two writers"
+        for i, stage in enumerate(PIPELINE):
+            for pattern in stage.reads:
+                assert pattern in [p for s in PIPELINE[:i] for p in s.writes], (stage.name, pattern)
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_stage_alone_writes_its_declared_files(self, finished, tmp_path, stage):
+        # run in a directory holding only its declared reads, a stage writes
+        # exactly its declared files, with the bytes of the full run
+        cfg, out, _, _ = finished
+        entry = stage_entry(stage)
+        reads, writes = declared(cfg, entry.reads), declared(cfg, entry.writes)
+        alone = tmp_path / "alone"
+        copy_files(out, alone, reads)
+        run_stage(stage, cfg, alone)
+        assert all_artifacts(alone) == sorted(map(Path, reads + writes))
+        for rel in reads + writes:
+            assert (alone / rel).read_bytes() == (out / rel).read_bytes(), rel
+
+    def test_formats_layout_lists_every_write(self):
+        # FORMATS.md's layout block has one row per declared write, pattern then
+        # writer, besides the rows of the ablation command
+        text = (Path(__file__).resolve().parent.parent / "FORMATS.md").read_text()
+        block = re.search(r"^## Experiment layout\n\n```\n(.*?)^```$", text,
+                          re.MULTILINE | re.DOTALL)
+        assert block, "FORMATS.md has no code block right under '## Experiment layout'"
+        rows = [line.split()[:2] for line in block.group(1).splitlines()[1:]]
+        assert rows[-2:] == [["ablation.json", "ablate"], ["ablation.txt", "ablate"]]
+        assert rows[:-2] == [[p, stage.name] for stage in PIPELINE for p in stage.writes]
 
 
 class TestStageErrors:
-    @pytest.mark.parametrize("stage", list(STAGE_INPUTS))
+    @pytest.mark.parametrize("stage", [stage.name for stage in PIPELINE if stage.reads])
     def test_missing_upstream_names_stage(self, finished, tmp_path, stage):
-        missing = STAGE_INPUTS[stage]
+        # each declared read in turn is the one input missing: the error names
+        # the stage that writes it, and the stage writes nothing
         cfg, out, _, _ = finished
-        copy = tmp_path / "copy"
-        shutil.copytree(out, copy)
-        (copy / missing).unlink()
-        with pytest.raises(StageError, match=f"stage {stage}: missing upstream artifact "
-                                             + re.escape(str(copy / missing))):
-            run_stage(stage, cfg, copy)
+        reads = declared(cfg, stage_entry(stage).reads)
+        for i, missing in enumerate(reads):
+            copy = tmp_path / str(i)
+            present = [rel for rel in reads if rel != missing]
+            copy_files(out, copy, present)
+            (writer,) = [s.name for s in PIPELINE if missing in declared(cfg, s.writes)]
+            with pytest.raises(StageError, match="^" + re.escape(
+                    f"stage {stage}: missing {copy / missing}, written by {writer}; "
+                    f"run {writer}") + "$"):
+                run_stage(stage, cfg, copy)
+            assert all_artifacts(copy) == sorted(map(Path, present))
 
     @pytest.mark.parametrize("stage, name, schema", [
         ("fit", "groups.json", "groups/1"), ("report", "eval.json", "eval/1"),
@@ -408,7 +451,8 @@ class TestStageErrors:
     def test_suite_from_other_spec_rejected(self, tmp_path, stage):
         out = tmp_path / "respec"
         cfg = tiny_config(out, seeds=(0,))
-        run_stage("generate", cfg, out)
+        for upstream in STAGES[:STAGES.index(stage)]:
+            run_stage(upstream, cfg, out)
         other = replace(cfg, suite=replace(cfg.suite, seed=cfg.suite.seed + 1))
         with pytest.raises(StageError, match=f"stage {stage}: suite in .* another suite spec"):
             run_stage(stage, other, out)
@@ -475,6 +519,22 @@ class TestStageErrors:
         with pytest.raises(StageError, match=re.escape(
                 f"stage {stage}: the groups of {rd / f'gains_{split}.jsonl'} are not the "
                 f"{split} groups of {rd / 'groups.json'}; rerun oracle")):
+            run_stage(stage, cfg, copy)
+
+    @pytest.mark.parametrize("stage, split", [("fit", "train"), ("evaluate", "heldout")])
+    def test_record_of_another_seed_rejected(self, finished, tmp_path, stage, split):
+        cfg, out, _, _ = finished
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        path = run_dirs(cfg, copy)[1] / f"gains_{split}.jsonl"
+        first, *rest = path.read_text().splitlines(keepends=True)
+        record = json.loads(first)
+        assert record["seed"] == cfg.seeds[1]
+        record["seed"] = 99
+        path.write_text(json.dumps(record) + "\n" + "".join(rest))
+        with pytest.raises(StageError, match="^" + re.escape(
+                f"stage {stage}: {path} holds the record of group {record['group']} under "
+                f"seed 99, not the run's seed {cfg.seeds[1]}; rerun oracle") + "$"):
             run_stage(stage, cfg, copy)
 
     @pytest.mark.parametrize("stage", ["evaluate", "select"])
@@ -677,14 +737,17 @@ class TestWorkers:
         assert str(run_dirs(cfg, out)[0]) in pooled
 
     def test_later_seed_failing_alone_is_raised(self, tmp_path, cpus):
-        out = tmp_path / "missing"
+        # a corrupt file, not a missing one, which run_stage would catch
+        # before any worker starts
+        out = tmp_path / "corrupt"
         cfg = tiny_config(out)
         for stage in STAGES[:-1]:
             run_stage(stage, cfg, out)
-        missing = run_dirs(cfg, out)[1] / "selection_B2.json"
-        missing.unlink()
+        path = run_dirs(cfg, out)[1] / "selection_B2.json"
+        path.write_text(path.read_text().replace('"selection/1"', '"other/1"'))
         inline, pooled = self.inline_then_pooled_error(cpus, "report", cfg, out)
-        assert pooled == inline == f"stage report: missing upstream artifact {missing}"
+        assert pooled == inline == \
+            "stage report: unsupported schema 'other/1', expected 'selection/1'"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_oracle_names_the_first_seed(self, tmp_path, cpus):

@@ -272,8 +272,8 @@ class TestSampleTrainingGroups:
 class TestSerialization:
     def record(self):
         return GainRecord(
-            group=(0, 2), gains={0: 0.1, 2: -0.05},
-            stl_losses={0: 1.0, 2: 2.0}, mtl_losses={0: 0.9, 2: 2.1}, seed=3)
+            group=(0, 2), gains={0: 0.25, 2: -0.25},
+            stl_losses={0: 1.0, 2: 2.0}, mtl_losses={0: 0.75, 2: 2.5}, seed=3)
 
     def test_dict_round_trip(self):
         rec = self.record()
@@ -297,17 +297,17 @@ class TestSerialization:
 
     def test_jsonl_round_trip(self, tmp_path):
         records = [self.record(), GainRecord(group=(1, 2, 3),
-                                             gains={1: 0.0, 2: 0.2, 3: 0.3},
+                                             gains={1: 0.0, 2: 0.25, 3: 0.5},
                                              stl_losses={1: 1.0, 2: 1.0, 3: 1.0},
-                                             mtl_losses={1: 1.0, 2: 0.8, 3: 0.7},
+                                             mtl_losses={1: 1.0, 2: 0.75, 3: 0.5},
                                              seed=3)]
         path = tmp_path / "gains.jsonl"
         save_records(records, path)
         assert load_records(path) == records
 
     def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
-        other = GainRecord(group=(1, 3), gains={1: 0.0, 3: 0.3}, stl_losses={1: 1.0, 3: 1.0},
-                           mtl_losses={1: 1.0, 3: 0.7}, seed=3)
+        other = GainRecord(group=(1, 3), gains={1: 0.0, 3: 0.5}, stl_losses={1: 1.0, 3: 1.0},
+                           mtl_losses={1: 1.0, 3: 0.5}, seed=3)
         path = tmp_path / "gains.jsonl"
         save_records([self.record(), other], path)
         before = path.read_bytes()

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from mtlgrouping.metrics import evaluate, mse, pearson, r_squared
+from mtlgrouping.metrics import EvalReport, evaluate, mse, pearson, r_squared
 
 
 class TestRSquared:
@@ -67,3 +69,17 @@ class TestEvaluate:
     def test_too_short(self):
         with pytest.raises(ValueError, match="two points"):
             evaluate([1.0], [1.0])
+
+
+class TestEvalReport:
+    @pytest.mark.parametrize("values, match", [
+        ((np.nan, 0.1, np.inf, -3),
+         "metrics must be finite, got r2 = nan, pearson = 0.1, mse = inf"),
+        ((0.5, -np.inf, 0.1, 8), "metrics must be finite"),
+        ((0.5, 0.5, 0.1, 1), "metrics need n_points >= 2, got 1"),
+        ((0.5, 0.5, 0.1, -3), "metrics need n_points >= 2, got -3"),
+    ])
+    def test_report_no_evaluation_gives_rejected(self, values, match):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            EvalReport(*values)
+        assert EvalReport(0.5, 0.5, 0.1, 2).n_points == 2

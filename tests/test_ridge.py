@@ -1,3 +1,4 @@
+import re
 import warnings
 from itertools import combinations
 
@@ -83,6 +84,21 @@ class TestFit:
             w, b = centered_ridge(X, y, lam)
             assert np.allclose(model.coefficients, w, rtol=1e-10, atol=1e-12)
             assert model.intercept == pytest.approx(b, rel=1e-10, abs=1e-12)
+
+
+class TestRidgeModel:
+    @pytest.mark.parametrize("coefficients, intercept, lam, match", [
+        ([1.0, 2.0], 0.0, -3.0, "ridge lam must be >= 0 and finite, got -3.0"),
+        ([1.0, 2.0], 0.0, np.inf, "ridge lam must be >= 0 and finite, got inf"),
+        ([1.0, 2.0], 0.0, np.nan, "ridge lam must be >= 0 and finite, got nan"),
+        ([1.0, 2.0], np.inf, 0.1, "ridge coefficients and intercept must be finite"),
+        ([1.0, 2.0], np.nan, 0.1, "ridge coefficients and intercept must be finite"),
+        ([1.0, -np.inf], 0.0, 0.1, "ridge coefficients and intercept must be finite"),
+    ])
+    def test_model_no_fit_gives_rejected(self, coefficients, intercept, lam, match):
+        with pytest.raises(ValueError, match="^" + re.escape(match) + "$"):
+            ridge.RidgeModel(np.array(coefficients), intercept=intercept, lam=lam)
+        assert ridge.RidgeModel(np.array([1.0, 2.0]), intercept=0.0, lam=0.0).lam == 0.0
 
 
 class TestPredict:
