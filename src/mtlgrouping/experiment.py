@@ -104,6 +104,9 @@ class ExperimentConfig:
             raise ValueError(f"group_sizes = {list(self.group_sizes)} is not a valid size range "
                              f"for {self.suite.n_tasks} tasks: need 2 <= lo <= hi <= "
                              f"{self.suite.n_tasks}, with hi = 0 meaning all tasks")
+        if self.n_train_groups * hi < 3:
+            raise ValueError(f"n_train_groups = {self.n_train_groups} with group_sizes = "
+                             f"{list(self.group_sizes)} leaves fit under three training pairs")
         # reject a run that cannot finish before any stage trains
         universe = sel.count_candidate_groups(self.suite.n_tasks, lo, hi)
         if universe > sel.MAX_ENUMERATED_GROUPS:
@@ -136,6 +139,8 @@ class RunGroups:
     def __post_init__(self):
         for group in self.train + self.heldout:
             aff.check_stored_group(group)
+        if set(self.train) & set(self.heldout):
+            raise ValueError("training and held-out groups overlap")
 
 
 @dataclass(frozen=True)
@@ -176,6 +181,11 @@ def _run_train_config(config: ExperimentConfig, seed: int) -> TrainConfig:
 def _mean_std(values: list[float]) -> dict:
     std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
     return {"mean": float(np.mean(values)), "std": std, "values": values}
+
+
+def _summary(reports: list[met.EvalReport], metrics=("r2", "pearson", "mse")) -> dict:
+    """Mean, std and per-run values of each of ``metrics`` over per-run reports."""
+    return {metric: _mean_std([getattr(r, metric) for r in reports]) for metric in metrics}
 
 
 def _per_run(func, config: ExperimentConfig, out: Path, *args) -> list:
@@ -265,27 +275,28 @@ def stage_oracle(config: ExperimentConfig, out: Path) -> None:
     _per_run(_oracle_run, config, out, _config_suite(config, out))
 
 
-def _run_records(stage: str, rd: Path, seed: int, split: str, groups: RunGroups) -> list:
-    """The oracle's ``split`` records: that split's groups in order, measured under ``seed``."""
+def _run_records(rd: Path, seed: int, split: str) -> list:
+    """The oracle's ``split`` records: that split's groups in order, measured under ``seed``.
+
+    Fit, evaluate, report and ``compare_ablations`` read the records only through here.
+    """
+    groups = load(rd / "groups.json", RunGroups)
     path = rd / f"gains_{split}.jsonl"
     records = gn.load_records(path)
     if [rec.group for rec in records] != list(getattr(groups, split)):
-        raise StageError(stage, f"the groups of {path} are not the {split} groups of "
-                                f"{rd / 'groups.json'}; rerun oracle")
+        raise ValueError(f"the groups of {path} are not the {split} groups of "
+                         f"{rd / 'groups.json'}; rerun oracle")
     for rec in records:
         if rec.seed != seed:
-            raise StageError(stage, f"{path} holds the record of group {list(rec.group)} under "
-                                    f"seed {rec.seed}, not the run's seed {seed}; rerun oracle")
+            raise ValueError(f"{path} holds the record of group {list(rec.group)} under "
+                             f"seed {rec.seed}, not the run's seed {seed}; rerun oracle")
     return records
 
 
 def stage_fit(config: ExperimentConfig, out: Path) -> None:
     for rd, seed in zip(run_dirs(config, out), config.seeds):
-        groups = load(rd / "groups.json", RunGroups)
-        if set(groups.train) & set(groups.heldout):
-            raise StageError("fit", "training and held-out groups overlap")
+        records = _run_records(rd, seed, "train")
         matrix = aff.load_matrix(rd / "affinity.json")
-        records = _run_records("fit", rd, seed, "train", groups)
         save(rd / "predictor.json", _fit_predictor(config, records, matrix, seed))
 
 
@@ -311,7 +322,7 @@ def _heldout_points(predictor, matrix, records):
     return actual, final, stage1
 
 
-def _run_predictor(stage: str, config: ExperimentConfig, rd: Path):
+def _run_predictor(config: ExperimentConfig, rd: Path):
     """``predictor.json`` of one run, which must be of the kind ``config`` fits."""
     path = rd / "predictor.json"
     predictor = ens.load_predictor(path)
@@ -320,16 +331,16 @@ def _run_predictor(stage: str, config: ExperimentConfig, rd: Path):
             ("residual_enabled", predictor.residual_enabled, config.residual_enabled),
             ("n_tasks", predictor.n_tasks, config.suite.n_tasks)):
         if stored != wanted:
-            raise StageError(stage, f"{path} holds {key} = {stored!r} where the config has "
-                                    f"{wanted!r}; rerun fit")
+            raise ValueError(f"{path} holds {key} = {stored!r} where the config has "
+                             f"{wanted!r}; rerun fit")
     return predictor
 
 
 def stage_evaluate(config: ExperimentConfig, out: Path) -> None:
     for rd, seed in zip(run_dirs(config, out), config.seeds):
-        predictor = _run_predictor("evaluate", config, rd)
+        predictor = _run_predictor(config, rd)
         matrix = aff.load_matrix(rd / "affinity.json")
-        records = _run_records("evaluate", rd, seed, "heldout", load(rd / "groups.json", RunGroups))
+        records = _run_records(rd, seed, "heldout")
         actual, final, stage1 = _heldout_points(predictor, matrix, records)
         save(rd / "eval.json", RunEval(final=met.evaluate(actual, final),
                                        stage1=met.evaluate(actual, stage1)))
@@ -342,7 +353,7 @@ def _candidate_universe(config: ExperimentConfig):
 def stage_select(config: ExperimentConfig, out: Path) -> None:
     candidates = _candidate_universe(config)
     for rd, _ in zip(run_dirs(config, out), config.seeds):
-        predictor = _run_predictor("select", config, rd)
+        predictor = _run_predictor(config, rd)
         matrix = aff.load_matrix(rd / "affinity.json")
         # the candidates' gains do not depend on the budget: predict them once
         problem = sel.build_problem(predictor, matrix, candidates, config.budgets[0])
@@ -361,25 +372,6 @@ def _realized_loss(assignment, stl_losses, mtl_by_group):
     return total
 
 
-def _oracle_records(rd: Path, tc: TrainConfig, cache: gn.StlCache) -> dict:
-    """The oracle's gain records of one run, keyed by group.
-
-    Each record must come from this run's seed and carry single-task losses
-    equal, bit for bit, to the baselines ``cache`` trains under ``tc``;
-    otherwise the oracle ran under another config and its gains cannot stand
-    in for the report's.
-    """
-    records = {}
-    for name in ("train", "heldout"):
-        for rec in gn.load_records(rd / f"gains_{name}.jsonl"):
-            baselines = {t: cache.get(t, tc).losses["test"][t] for t in rec.group}
-            if rec.seed != tc.seed or rec.stl_losses != baselines:
-                raise StageError("report", f"oracle record of group {rec.group} in {rd} "
-                                           "does not match this config; rerun oracle")
-            records[rec.group] = rec
-    return records
-
-
 def _report_run(config: ExperimentConfig, rd: Path, seed: int, suite) -> dict:
     """Write one run's realized losses; return them as budget -> name -> loss."""
     n = config.suite.n_tasks
@@ -387,16 +379,22 @@ def _report_run(config: ExperimentConfig, rd: Path, seed: int, suite) -> dict:
     universe = _candidate_universe(config)
     # the naive all-in-one baseline is measured even when the universe caps group sizes
     candidates = universe if all_tasks in universe else universe + [all_tasks]
+    oracle = _run_records(rd, seed, "train") + _run_records(rd, seed, "heldout")
     tc = _run_train_config(config, seed)
     cache = gn.StlCache(suite)
     cache.fill(all_tasks, tc)
-    measured = _oracle_records(rd, tc, cache)
+    stl_losses = {t: cache.get(t, tc).losses["test"][t] for t in all_tasks}
+    # the oracle's gains stand in for the report's only if its baselines are these, bit for bit
+    for rec in oracle:
+        if rec.stl_losses != {t: stl_losses[t] for t in rec.group}:
+            raise ValueError(f"oracle record of group {rec.group} in {rd} does not match "
+                             "this config; rerun oracle")
+    measured = {rec.group: rec for rec in oracle}
     records = gn.measure_gains_batch(
         [g for g in candidates if g not in measured], suite, tc, cache=cache)
     measured.update((rec.group, rec) for rec in records)
     gn.save_records([measured[g] for g in candidates], rd / "gains_candidates.jsonl")
     mtl_by_group = {g: measured[g].mtl_losses for g in candidates}
-    stl_losses = {t: cache.get(t, tc).losses["test"][t] for t in all_tasks}
     naive = sum(mtl_by_group[all_tasks][t] for t in all_tasks)
     stl_total = sum(stl_losses[t] for t in all_tasks)
     # exhaustive-optimal grouping over the same universe the selector saw:
@@ -408,12 +406,12 @@ def _report_run(config: ExperimentConfig, rd: Path, seed: int, suite) -> dict:
         path = rd / f"selection_B{budget}.json"
         selection = load(path, sel.SelectionResult)
         if len(selection.assignment) != n:
-            raise StageError("report", f"{path} assigns {len(selection.assignment)} tasks, "
-                                       f"not the config's {n}; rerun select")
+            raise ValueError(f"{path} assigns {len(selection.assignment)} tasks, "
+                             f"not the config's {n}; rerun select")
         stray = [list(g) for g in selection.chosen if g not in universe]
         if stray:
-            raise StageError("report", f"{path} chooses {stray}, which are not candidate "
-                                       "groups of this config; rerun select")
+            raise ValueError(f"{path} chooses {stray}, which are not candidate "
+                             "groups of this config; rerun select")
         selected = _realized_loss(selection.assignment, stl_losses, mtl_by_group)
         optimal_sel = sel.select_exhaustive(
             sel.SelectionProblem(n_tasks=n, candidates=reduction_cands, budget=budget))
@@ -434,19 +432,12 @@ def _report_run(config: ExperimentConfig, rd: Path, seed: int, suite) -> dict:
 
 def stage_report(config: ExperimentConfig, out: Path) -> dict:
     realized = _per_run(_report_run, config, out, _config_suite(config, out))
-    evals = {kind: {"r2": [], "pearson": [], "mse": []} for kind in ("final", "stage1")}
-    for rd in run_dirs(config, out):
-        run_eval = load(rd / "eval.json", RunEval)
-        for kind, metrics in evals.items():
-            for metric, values in metrics.items():
-                values.append(getattr(getattr(run_eval, kind), metric))
+    evals = [load(rd / "eval.json", RunEval) for rd in run_dirs(config, out)]
     report = {
         "schema": "report/1",
         "n_runs": len(config.seeds),
-        "eval": {
-            kind: {metric: _mean_std(vals) for metric, vals in metrics.items()}
-            for kind, metrics in evals.items()
-        },
+        "eval": {kind: _summary([getattr(run_eval, kind) for run_eval in evals])
+                 for kind in ("final", "stage1")},
         "realized": {
             str(b): {name: _mean_std([run[b][name] for run in realized])
                      for name in ("selected", "naive", "optimal")}
@@ -493,7 +484,7 @@ PIPELINE = (
           reads=("runs/{run}/predictor.json", "runs/{run}/affinity.json"),
           writes=("runs/{run}/selection_B{budget}.json", "runs/{run}/selection_B{budget}.txt")),
     Stage("report", stage_report,
-          reads=("suite/spec.json", "runs/{run}/gains_train.jsonl",
+          reads=("suite/spec.json", "runs/{run}/groups.json", "runs/{run}/gains_train.jsonl",
                  "runs/{run}/gains_heldout.jsonl", "runs/{run}/selection_B{budget}.json",
                  "runs/{run}/eval.json"),
           writes=("runs/{run}/gains_candidates.jsonl", "runs/{run}/realized_B{budget}.json",
@@ -550,27 +541,21 @@ def compare_ablations(config: ExperimentConfig, out=None) -> dict:
     out = resolve_output_dir(config, out)
     for name in ("generate", "train-affinity", "oracle"):
         run_stage(name, config, out)
-    cells: dict[str, dict[str, list[float]]] = {
-        label: {"r2": [], "pearson": []} for _, _, label in ABLATION_CELLS}
+    cells: dict[str, list[met.EvalReport]] = {label: [] for _, _, label in ABLATION_CELLS}
     with _tagged("ablate"):
         for rd, seed in zip(run_dirs(config, out), config.seeds):
             matrix = aff.load_matrix(rd / "affinity.json")
-            train_records = gn.load_records(rd / "gains_train.jsonl")
-            heldout_records = gn.load_records(rd / "gains_heldout.jsonl")
+            train_records = _run_records(rd, seed, "train")
+            heldout_records = _run_records(rd, seed, "heldout")
             for mapping_kind, residual, label in ABLATION_CELLS:
                 cell = replace(config, mapping_kind=mapping_kind, residual_enabled=residual)
                 predictor = _fit_predictor(cell, train_records, matrix, seed)
                 actual, final, _ = _heldout_points(predictor, matrix, heldout_records)
-                report = met.evaluate(actual, final)
-                cells[label]["r2"].append(report.r2)
-                cells[label]["pearson"].append(report.pearson)
+                cells[label].append(met.evaluate(actual, final))
     table = {
         "schema": "ablation/1",
         "n_runs": len(config.seeds),
-        "cells": {
-            label: {metric: _mean_std(vals) for metric, vals in metrics.items()}
-            for label, metrics in cells.items()
-        },
+        "cells": {label: _summary(reports, ("r2", "pearson")) for label, reports in cells.items()},
     }
     write_json(out / "ablation.json", table)
     lines = [f"{'cell':<18} {'r2':>18} {'pearson':>18}"]

@@ -29,6 +29,10 @@ def _paired(actual, predicted):
         raise ValueError(f"length mismatch: {a.size} vs {b.size}")
     if a.size < 2:
         raise ValueError("need at least two points")
+    for name, values in (("actual", a), ("predicted", b)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ValueError(f"{name} must be finite, got {values[bad[0]]} at index {bad[0]}")
     return a, b
 
 

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import re
@@ -302,6 +303,36 @@ def test_only_artifacts_module_writes_files():
         path.name for path in PACKAGE.glob("*.py")
         if path.name != "artifacts.py" and _WRITE_CALL.search(path.read_text()))
     assert writers == []
+
+
+def _stage_error_builders(source: str) -> list[str]:
+    """The innermost function around each ``StageError(...)`` call; ``<module>`` outside any."""
+    tree = ast.parse(source)
+    owner = {}
+    for func in ast.walk(tree):  # breadth first: an inner function overwrites its outer one
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((node, func.name) for node in ast.walk(func))
+    return [owner.get(node, "<module>") for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and "StageError" in
+            (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def test_only_run_stage_names_the_failing_stage():
+    # stage code raises plain errors; run_stage's read check and _tagged add the stage name
+    builders = sorted({f"{path.name}:{name}" for path in PACKAGE.glob("*.py")
+                       for name in _stage_error_builders(path.read_text())})
+    assert builders == ["experiment.py:_tagged", "experiment.py:run_stage"]
+
+
+@pytest.mark.parametrize("source, builders", [
+    ('def f():\n    raise StageError("fit", "x")', ["f"]),
+    ('def f():\n    def g():\n        raise exp.StageError("fit", "x")', ["g"]),
+    ('err = StageError("fit", "x")', ["<module>"]),
+    ('class StageError(RuntimeError):\n    pass', []),
+    ('def f():\n    try:\n        g()\n    except StageError:\n        raise', []),
+])
+def test_stage_error_builder_scan(source, builders):
+    assert _stage_error_builders(source) == builders
 
 
 @pytest.mark.parametrize("line, writes", [

@@ -162,6 +162,18 @@ class TestConfig:
         with pytest.raises(ValueError, match="experiment-config/2"):
             config_from_dict(data)
 
+    def test_too_few_training_pairs_rejected(self):
+        # one training group of two tasks can never give fit three pairs; with
+        # group_sizes = (2, 3) it depends on the seed, so the config allows it
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "n_train_groups = 1 with group_sizes = [2, 2] leaves fit under three "
+                "training pairs") + "$"):
+            reference_config(n_train_groups=1, n_heldout_groups=5, group_sizes=(2, 2))
+        assert reference_config(n_train_groups=1, n_heldout_groups=5,
+                                group_sizes=(2, 3)).n_train_groups == 1
+        assert reference_config(n_train_groups=2, n_heldout_groups=5,
+                                group_sizes=(2, 2)).n_train_groups == 2
+
     def test_validation(self, tmp_path):
         with pytest.raises(ValueError, match="budgets"):
             tiny_config(tmp_path, budgets=())
@@ -467,17 +479,19 @@ class TestStageErrors:
         with pytest.raises(StageError, match="stage oracle: task_weights in .* rerun generate"):
             run_stage("oracle", cfg, out)
 
-    def test_overlapping_groups_rejected_at_fit(self, tmp_path):
-        out = tmp_path / "overlap"
-        cfg = tiny_config(out)
-        for stage in ("generate", "train-affinity", "oracle"):
-            run_stage(stage, cfg, Path(out))
-        rd = run_dirs(cfg, Path(out))[0]
+    @pytest.mark.parametrize("stage", ["fit", "evaluate", "report"])
+    def test_overlapping_groups_rejected_at_fit(self, finished, tmp_path, stage):
+        # every reader of groups.json rejects a held-out group that is also a training group
+        cfg, out, _, _ = finished
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        rd = run_dirs(cfg, copy)[0]
         groups = json.loads((rd / "groups.json").read_text())
         groups["heldout"][0] = groups["train"][0]
         (rd / "groups.json").write_text(json.dumps(groups))
-        with pytest.raises(StageError, match="overlap"):
-            run_stage("fit", cfg, Path(out))
+        with pytest.raises(StageError,
+                           match=f"^stage {stage}: training and held-out groups overlap$"):
+            run_stage(stage, cfg, copy)
 
     def test_gain_record_with_repeated_member_rejected_at_fit(self, finished, tmp_path):
         cfg, out, _, _ = finished
@@ -507,6 +521,7 @@ class TestStageErrors:
 
     @pytest.mark.parametrize("stage, split, other", [
         ("fit", "train", "heldout"), ("evaluate", "heldout", "train"),
+        ("report", "heldout", "train"),
     ])
     def test_records_of_the_other_split_rejected(self, finished, tmp_path, stage, split, other):
         # fit on held-out records, or evaluate on training records, would score
@@ -521,7 +536,9 @@ class TestStageErrors:
                 f"{split} groups of {rd / 'groups.json'}; rerun oracle")):
             run_stage(stage, cfg, copy)
 
-    @pytest.mark.parametrize("stage, split", [("fit", "train"), ("evaluate", "heldout")])
+    @pytest.mark.parametrize("stage, split", [
+        ("fit", "train"), ("evaluate", "heldout"), ("report", "train"),
+    ])
     def test_record_of_another_seed_rejected(self, finished, tmp_path, stage, split):
         cfg, out, _, _ = finished
         copy = tmp_path / "copy"

@@ -71,6 +71,19 @@ class TestEvaluate:
             evaluate([1.0], [1.0])
 
 
+class TestNonFinite:
+    @pytest.mark.parametrize("func", [mse, r_squared, pearson, evaluate])
+    @pytest.mark.parametrize("actual, predicted, message", [
+        ([np.nan, 1.0, 2.0], [1.0, 2.0, 3.0], "actual must be finite, got nan at index 0"),
+        ([1.0, np.inf, 2.0], [1.0, 2.0, 3.0], "actual must be finite, got inf at index 1"),
+        ([1.0, 2.0, 3.0], [1.0, 2.0, -np.inf], "predicted must be finite, got -inf at index 2"),
+        ([1.0, 2.0, 3.0], [np.nan, 2.0, 3.0], "predicted must be finite, got nan at index 0"),
+    ], ids=["nan-actual", "inf-actual", "neg-inf-predicted", "nan-predicted"])
+    def test_non_finite_series_rejected(self, func, actual, predicted, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            func(actual, predicted)
+
+
 class TestEvalReport:
     @pytest.mark.parametrize("values, match", [
         ((np.nan, 0.1, np.inf, -3),
