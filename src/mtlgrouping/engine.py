@@ -30,10 +30,14 @@ trains its candidates this way; the oracle still calls ``train_mtl`` once
 per group, because perfbench counts the oracle's training at those calls
 (see ``gains``).
 
-The loop allocates no parameter state per step. Each group's shared vector
-and heads live in one row of a flat buffer, ``[shared | heads row-major]``,
-and the velocity and the update (the mean shared gradient, then the head
-gradients) share its layout. The step writes its gradients into views of
+Every parameter vector and gradient the engine builds has one layout: each
+encoder layer's weight (row-major, out by in) and then its bias, in one flat
+shared vector, read and written only through ``Architecture.unpack_shared``
+views. ``init_params`` draws into them and ``_loss_and_grads`` writes its
+gradient into them. The loop allocates no parameter state per step: each
+group is one row ``[shared | heads row-major]`` of a flat buffer, and the
+velocity and the update (the mean shared gradient, then the head gradients)
+share its layout. The step writes its gradients into views of
 these buffers, and the momentum update is four in-place operations over the
 whole buffer that match ``sgd_momentum_step`` element for element. Each
 epoch gathers its shuffled rows once into a buffer; a step then reads a
@@ -142,15 +146,6 @@ class Architecture:
             layers.append((w, b))
         return layers
 
-    def pack_shared(self, layers) -> np.ndarray:
-        parts = []
-        for w, b in layers:
-            parts.append(np.asarray(w, dtype=float).ravel())
-            parts.append(np.asarray(b, dtype=float).ravel())
-        if not parts:
-            return np.zeros(0)
-        return np.concatenate(parts)
-
 
 @dataclass
 class ModelParams:
@@ -235,13 +230,11 @@ class TrainedModel:
 def init_params(arch: Architecture, seed: int, tasks) -> ModelParams:
     """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) init; all heads start identical."""
     rng_enc = stream(seed, _INIT_ENCODER)
-    layers = []
-    for out_dim, in_dim in arch.layer_shapes:
-        bound = 1.0 / np.sqrt(in_dim)
-        w = rng_enc.uniform(-bound, bound, size=(out_dim, in_dim))
-        b = rng_enc.uniform(-bound, bound, size=out_dim)
-        layers.append((w, b))
-    shared = arch.pack_shared(layers)
+    shared = np.empty(arch.shared_size)
+    for w, b in arch.unpack_shared(shared):  # each layer's weight, then its bias
+        bound = 1.0 / np.sqrt(w.shape[1])
+        w[...] = rng_enc.uniform(-bound, bound, size=w.shape)
+        b[...] = rng_enc.uniform(-bound, bound, size=b.shape)
     bound = 1.0 / np.sqrt(arch.rep_dim)
     head = stream(seed, _INIT_HEAD).uniform(-bound, bound, size=arch.head_size)
     return ModelParams(arch=arch, shared=shared, heads={t: head.copy() for t in tasks})
@@ -338,13 +331,14 @@ def _loss_and_grads(params: ModelParams, task: int, batch):
     head_grad = np.concatenate([rep.T @ dyhat, [dyhat.sum()]])
 
     delta = np.outer(dyhat, head[:-1])  # dL/d(encoder output)
-    grads = [None] * len(layers)
+    shared_grad = np.empty(arch.shared_size)
+    grads = arch.unpack_shared(shared_grad)
     for i in range(len(layers) - 1, -1, -1):
-        w, _ = layers[i]
         ds = delta * (1.0 - activations[i + 1] ** 2)  # tanh'
-        grads[i] = (ds.T @ activations[i], ds.sum(axis=0))
-        delta = ds @ w
-    shared_grad = arch.pack_shared(grads) if grads else np.zeros(0)
+        g_w, g_b = grads[i]
+        g_w[...] = ds.T @ activations[i]
+        g_b[...] = ds.sum(axis=0)
+        delta = ds @ layers[i][0]
     return loss, shared_grad, head_grad
 
 

@@ -18,9 +18,13 @@ group at a time, because perfbench counts its training at each
 1). The seeds of both stages are independent and each reproduces bit for
 bit, so ``_per_run`` hands them to forked worker processes, one per usable
 CPU and at most one per seed. A single worker means no pool: one seed, or
-one CPU, runs inline. The other stages do 10-70 ms of work per seed, less
-than a pool's start-up and round trips are worth, and run their seeds in
-order in this process.
+one CPU, runs inline. The other stages run their seeds in order in this
+process. For evaluate and select that is also faster: on
+``reference_config()``'s six seeds on 2 vCPUs, a pool took evaluate from
+0.022 to 0.027 s and select from 0.017 to 0.027 s. Train-affinity and fit
+would gain from one (0.19 to 0.12 s and 0.065 to 0.054 s), but perfbench's
+tracer counts their kernels in its own process, and a forked stage would
+hide the ``refit`` workload's spans from it (ROADMAP item 1).
 No option controls this; the artifacts are the same bytes either way.
 """
 
@@ -516,6 +520,8 @@ def _tagged(stage: str):
 
 def run_stage(name: str, config: ExperimentConfig, out: Path):
     """Run one stage once its declared reads exist, tagging any failure with the stage name."""
+    if name not in STAGES:
+        raise ValueError(f"unknown stage {name!r}; the stages are {', '.join(STAGES)}")
     with _tagged(name):
         stage = PIPELINE[STAGES.index(name)]
         for pattern in stage.reads:

@@ -9,6 +9,14 @@ import numpy as np
 
 @dataclass(frozen=True)
 class EvalReport:
+    """Fit of predictions to actual values over ``n_points`` pairs.
+
+    ``mse >= 0`` and ``r2 <= 1`` hold exactly for anything ``evaluate``
+    returns, so a report outside them was not computed. ``pearson`` has no
+    bound: rounding takes it past 1 on perfectly correlated series (1 +
+    7e-16 has been seen), so ``|pearson| <= 1`` would reject real results.
+    """
+
     r2: float
     pearson: float
     mse: float
@@ -18,6 +26,9 @@ class EvalReport:
         if not np.isfinite([self.r2, self.pearson, self.mse]).all():
             raise ValueError(f"metrics must be finite, got r2 = {self.r2!r}, "
                              f"pearson = {self.pearson!r}, mse = {self.mse!r}")
+        if self.mse < 0 or self.r2 > 1:
+            raise ValueError(f"metrics need mse >= 0 and r2 <= 1, got r2 = {self.r2!r}, "
+                             f"mse = {self.mse!r}")
         if self.n_points < 2:
             raise ValueError(f"metrics need n_points >= 2, got {self.n_points}")
 

@@ -68,6 +68,8 @@ class SelectionResult:
     assignment: dict[int, tuple[int, ...] | None]  # None marks single-task fallback
 
     def __post_init__(self):
+        if not isfinite(self.objective):
+            raise ValueError(f"selection objective must be finite, got {self.objective!r}")
         for group in self.chosen:
             check_stored_group(group)
         if any(a >= b for a, b in zip(self.chosen, self.chosen[1:])):

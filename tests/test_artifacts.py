@@ -187,6 +187,10 @@ def test_wrong_type_rejected(tmp_path, make, dotted, value, match):
      "ridge coefficients and intercept must be finite"),
     (_predictor, "residual_models.1.coefficients", [0.5, math.nan],
      "ridge coefficients and intercept must be finite"),
+    (_eval, "final.mse", -1.0, "metrics need mse >= 0 and r2 <= 1, got r2 = 0.5, mse = -1.0"),
+    (_eval, "stage1.r2", 1e300, "metrics need mse >= 0 and r2 <= 1, got r2 = 1e+300"),
+    (_selection, "objective", math.nan, "selection objective must be finite, got nan"),
+    (_selection, "objective", -math.inf, "selection objective must be finite, got -inf"),
 ], ids=lambda v: v.__name__.strip("_") if callable(v) else None)
 def test_meaningless_value_rejected(tmp_path, make, dotted, value, match):
     # written with json's NaN and Infinity tokens, which the package never writes

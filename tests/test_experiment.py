@@ -1,4 +1,5 @@
 import json
+import math
 import multiprocessing
 import os
 import pickle
@@ -601,6 +602,14 @@ class TestStageErrors:
                     name = f"selection_B{budget}.{suffix}"
                     assert (rd / name).read_bytes() == (rd_alone / name).read_bytes()
 
+    def test_unknown_stage_rejected_before_any_work(self, tmp_path):
+        out = tmp_path / "unknown"
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "unknown stage 'fitt'; the stages are generate, train-affinity, oracle, fit, "
+                "evaluate, select, report") + "$"):
+            run_stage("fitt", tiny_config(out, seeds=(0,)), out)
+        assert not out.exists()
+
     def test_stage_error_survives_pickle(self):
         # a stage's worker process hands its error to the parent pickled
         err = pickle.loads(pickle.dumps(StageError("report", "x")))
@@ -616,6 +625,75 @@ class TestStageErrors:
         run_stage("generate", cfg, Path(out))
         with pytest.raises(StageError, match="stage train-affinity"):
             run_stage("train-affinity", cfg, Path(out))
+
+
+def numeric_leaves(node, path=()):
+    """The key paths of every int or float leaf under ``node``; a bool is not a number."""
+    if isinstance(node, (dict, list)):
+        for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from numeric_leaves(value, path + (key,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+# json's tokens for non-finite floats, and Python's, as a CSV or table would print them
+NON_FINITE_TOKEN = re.compile(r"\b(?:NaN|Infinity|nan|inf)\b")
+
+
+def must_reject(rel: str, leaf: tuple, value: float) -> bool:
+    """Edits that no stage may accept, whatever it goes on to write."""
+    return (not math.isfinite(value) or Path(rel).name.startswith("gains_")
+            or (leaf[-1], value) in (("mse", -1), ("r2", 1e300)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # a stage's numpy warnings, as in a run
+def test_every_numeric_edit_rejected_or_finite(tmp_path):
+    # every numeric leaf of every JSON artifact a stage reads, set in turn to each
+    # value below: the stages from its first reader through report either raise
+    # StageError or write no non-finite value
+    out = tmp_path / "sweep"
+    cfg = tiny_config(out, seeds=(0,))
+    run_experiment(cfg)
+    finished = {rel: (out / rel).read_bytes() for rel in all_artifacts(out)}
+    read = dict.fromkeys(rel for stage in PIPELINE for rel in declared(cfg, stage.reads)
+                         if rel.endswith((".json", ".jsonl")))
+    assert sorted(Path(rel).name for rel in read) == [
+        "affinity.json", "eval.json", "gains_heldout.jsonl", "gains_train.jsonl",
+        "groups.json", "predictor.json", "selection_B2.json", "spec.json"]
+    edits, accepted, wrong = 0, [], []
+    for rel in read:
+        first = next(i for i, stage in enumerate(PIPELINE) if rel in declared(cfg, stage.reads))
+        rerun = [stage.name for stage in PIPELINE[first:]]
+        written = declared(cfg, [p for stage in PIPELINE[first:] for p in stage.writes])
+        text = finished[Path(rel)].decode()
+        records = [json.loads(line) for line in text.splitlines()] \
+            if rel.endswith(".jsonl") else [json.loads(text)]
+        for i, record in enumerate(records):
+            for leaf in numeric_leaves(record):
+                for value in (math.nan, math.inf, -1, 1e300):
+                    edits += 1
+                    # a fresh copy of the finished run, then the edit
+                    for name, data in finished.items():
+                        (out / name).write_bytes(data)
+                    edited = json.loads(json.dumps(records))
+                    node = edited[i]
+                    for key in leaf[:-1]:
+                        node = node[key]
+                    node[leaf[-1]] = value
+                    (out / rel).write_text("".join(json.dumps(r) + "\n" for r in edited))
+                    case = (rel, i, leaf, value)
+                    try:
+                        for stage in rerun:
+                            run_stage(stage, cfg, out)
+                    except StageError:
+                        continue
+                    if must_reject(rel, leaf, value):
+                        accepted.append(case)
+                    wrong += [case + (name,) for name in written
+                              if NON_FINITE_TOKEN.search((out / name).read_text())]
+    assert edits > 1000
+    assert accepted == [], f"{len(accepted)} edits that must fail passed, first {accepted[:5]}"
+    assert wrong == [], f"{len(wrong)} non-finite values written, first {wrong[:5]}"
 
 
 class TestReport:

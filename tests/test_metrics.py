@@ -96,3 +96,20 @@ class TestEvalReport:
         with pytest.raises(ValueError, match=re.escape(match)):
             EvalReport(*values)
         assert EvalReport(0.5, 0.5, 0.1, 2).n_points == 2
+
+    @pytest.mark.parametrize("r2, mse, match", [
+        (5.0, -1.0, "metrics need mse >= 0 and r2 <= 1, got r2 = 5.0, mse = -1.0"),
+        (1e300, 0.1, "metrics need mse >= 0 and r2 <= 1, got r2 = 1e+300, mse = 0.1"),
+        (0.5, -1e-300, "metrics need mse >= 0 and r2 <= 1, got r2 = 0.5, mse = -1e-300"),
+    ])
+    def test_out_of_range_rejected(self, r2, mse, match):
+        # no evaluation gives a negative mse or an r2 above 1
+        with pytest.raises(ValueError, match="^" + re.escape(match) + "$"):
+            EvalReport(r2=r2, pearson=3.0, mse=mse, n_points=3)
+
+    def test_bounds_hold_at_the_edges(self):
+        # a perfect fit has r2 = 1 and mse = 0; rounding may carry pearson past 1
+        assert EvalReport(r2=1.0, pearson=1.0000000000000007, mse=0.0, n_points=3).r2 == 1.0
+        a = np.random.default_rng(0).standard_normal(9)
+        report = evaluate(a, a)
+        assert (report.r2, report.mse) == (1.0, 0.0)

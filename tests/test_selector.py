@@ -315,6 +315,13 @@ class TestSerialization:
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             SelectionResult(chosen=chosen, objective=0.5, assignment=assignment)
 
+    @pytest.mark.parametrize("objective", [np.nan, np.inf, -np.inf])
+    def test_non_finite_objective_rejected(self, objective):
+        message = f"selection objective must be finite, got {objective!r}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            SelectionResult(chosen=((0, 1),), objective=objective,
+                            assignment={0: (0, 1), 1: (0, 1)})
+
     def test_table_format(self):
         cands = [((0, 1), {0: 0.1, 1: 0.2})]
         result = select_exhaustive(problem(cands, 3, 1))
