@@ -69,7 +69,7 @@ from functools import cached_property
 import numpy as np
 
 from .affinity import is_task_id
-from .artifacts import from_dict, read_jsonl, write_jsonl
+from .artifacts import load_lines, write_jsonl
 from .seeding import stream
 from .suite import SPLITS
 
@@ -599,7 +599,7 @@ def load_trace(path) -> Trace:
     Lines must hold steps 0, 1, ... in order, every step the same tasks, and
     every gradient the length of the velocity.
     """
-    lines = [from_dict(_TraceLine, rec) for rec in read_jsonl(path)]
+    lines = load_lines(path, _TraceLine)
     tasks = tuple(sorted(lines[0].losses)) if lines else ()
     size = lines[0].velocity_in.size if lines else 0
     trace = Trace(tasks, np.empty((len(lines), len(tasks))),
@@ -608,9 +608,10 @@ def load_trace(path) -> Trace:
         if line.step != step:
             raise ValueError(f"{path} holds step {line.step} where step {step} belongs")
         if sorted(line.losses) != list(tasks) or sorted(line.gradients) != list(tasks):
-            raise ValueError(f"step {step} does not cover the tasks {list(tasks)}")
+            raise ValueError(f"{path}: step {step} does not cover the tasks {list(tasks)}")
         if line.velocity_in.size != size or any(g.size != size for g in line.gradients.values()):
-            raise ValueError(f"step {step} has gradients or a velocity of a length other than {size}")
+            raise ValueError(f"{path}: step {step} has gradients or a velocity of a length "
+                             f"other than {size}")
         trace.losses[step] = [line.losses[t] for t in tasks]
         trace.gradients[step] = [line.gradients[t] for t in tasks]
         trace.velocity_in[step] = line.velocity_in

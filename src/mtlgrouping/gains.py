@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .affinity import check_stored_group, is_task_id, task_group
-from .artifacts import from_dict, read_jsonl, to_json, write_csv, write_jsonl
+from .artifacts import load_lines, to_json, write_csv, write_jsonl
 from .engine import TrainConfig, TrainedModel, train_groups, train_mtl, train_stl
 from .seeding import stream
 from .selector import enumerate_candidate_groups
@@ -164,11 +164,11 @@ def save_records(records, path) -> None:
 
 
 def load_records(path) -> list[GainRecord]:
-    return [from_dict(GainRecord, data) for data in read_jsonl(path)]
+    return load_lines(path, GainRecord)
 
 
 def records_to_csv(records, path) -> None:
     write_csv(path, ["group", "task", "gain", "stl_loss", "mtl_loss"], (
-        ["+".join(str(t) for t in rec.group), t, repr(float(rec.gains[t])),
+        ["+".join(str(t) for t in rec.group), str(t), repr(float(rec.gains[t])),
          repr(float(rec.stl_losses[t])), repr(float(rec.mtl_losses[t]))]
         for rec in records for t in rec.group))

@@ -12,9 +12,10 @@ class EvalReport:
     """Fit of predictions to actual values over ``n_points`` pairs.
 
     ``mse >= 0`` and ``r2 <= 1`` hold exactly for anything ``evaluate``
-    returns, so a report outside them was not computed. ``pearson`` has no
-    bound: rounding takes it past 1 on perfectly correlated series (1 +
-    7e-16 has been seen), so ``|pearson| <= 1`` would reject real results.
+    returns, so a report outside them was not computed. ``pearson`` is
+    bounded by ``|pearson| <= 1 + 1e-12``: rounding takes it past 1 on
+    perfectly correlated series (1 + 7e-16 has been seen), so ``|pearson| <=
+    1`` would reject real results.
     """
 
     r2: float
@@ -31,6 +32,8 @@ class EvalReport:
                              f"mse = {self.mse!r}")
         if self.n_points < 2:
             raise ValueError(f"metrics need n_points >= 2, got {self.n_points}")
+        if abs(self.pearson) > 1 + 1e-12:
+            raise ValueError(f"metrics need |pearson| <= 1, got pearson = {self.pearson!r}")
 
 
 def _paired(actual, predicted):

@@ -5,6 +5,8 @@ Every random draw in the package comes from a stream derived here, so a
 call order elsewhere.
 """
 
+from __future__ import annotations
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1

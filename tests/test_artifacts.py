@@ -51,6 +51,13 @@ class TestWriting:
         path.write_text(path.read_text() + "\n")
         assert list(read_jsonl(path)) == [{"a": None, "i": i} for i in range(3)]
 
+    def test_typed_lines_error_names_the_line(self, tmp_path):
+        # blank lines count, so the number is the line an editor shows
+        path, load = _gains(tmp_path)
+        path.write_text("\n" + path.read_text() + "{not json\n")
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path} line 3: Expecting")):
+            load(path)
+
 
 def _affinity(directory):
     matrix = AffinityMatrix(values=np.eye(2), steps_used=np.ones((2, 2), dtype=int))
@@ -307,6 +314,54 @@ def test_only_artifacts_module_writes_files():
         path.name for path in PACKAGE.glob("*.py")
         if path.name != "artifacts.py" and _WRITE_CALL.search(path.read_text()))
     assert writers == []
+
+
+def _foreign_uses(name: str, source: str) -> list[str]:
+    """What module ``name`` uses that only another may: ``numpy.random`` outside
+    ``seeding.py``, the ``csv`` module anywhere, ``read_jsonl`` outside ``artifacts.py``."""
+    uses = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            dotted = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            dotted = [f"{node.value.id}.{node.attr}"]
+        else:
+            dotted = []
+        if name != "seeding.py" and any(re.match(r"(np|numpy)\.random\b", d) for d in dotted):
+            uses.add("numpy.random")
+        if any(re.match(r"csv\b", d) for d in dotted):
+            uses.add("csv")
+        if name != "artifacts.py" and isinstance(node, ast.Call) and "read_jsonl" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            uses.add("read_jsonl")
+    return sorted(uses)
+
+
+def test_owned_modules_and_readers_used_only_by_their_owner():
+    # every random draw comes from seeding's streams, artifacts writes every
+    # CSV without the csv module, and reads every JSON-lines file
+    uses = sorted(f"{path.name}:{use}" for path in PACKAGE.glob("*.py")
+                  for use in _foreign_uses(path.name, path.read_text()))
+    assert uses == []
+
+
+@pytest.mark.parametrize("name, source, uses", [
+    ("engine.py", "rng = np.random.default_rng(0)", ["numpy.random"]),
+    ("engine.py", "from numpy import random", ["numpy.random"]),
+    ("engine.py", "import numpy.random as npr", ["numpy.random"]),
+    ("seeding.py", "def stream() -> np.random.Generator:\n    pass", []),
+    ("engine.py", "x = np.linalg.norm(np.random_like)", []),
+    ("artifacts.py", "import csv", ["csv"]),
+    ("suite.py", "from csv import writer", ["csv"]),
+    ("gains.py", "rows = read_jsonl(path)", ["read_jsonl"]),
+    ("gains.py", "rows = artifacts.read_jsonl(path)", ["read_jsonl"]),
+    ("artifacts.py", "rows = read_jsonl(path)", []),
+    ("gains.py", "from .artifacts import load_lines, read_jsonl", []),
+])
+def test_foreign_use_scan(name, source, uses):
+    assert _foreign_uses(name, source) == uses
 
 
 def _stage_error_builders(source: str) -> list[str]:

@@ -398,8 +398,8 @@ class TestStageErrors:
         assert data["schema"] == schema
         data["schema"] = "other/1"
         path.write_text(json.dumps(data))
-        with pytest.raises(StageError, match=f"stage {stage}: unsupported schema 'other/1', "
-                                             f"expected '{schema}'"):
+        with pytest.raises(StageError, match=re.escape(
+                f"stage {stage}: {path}: unsupported schema 'other/1', expected '{schema}'")):
             run_stage(stage, cfg, copy)
 
     @pytest.mark.parametrize("stage, name, dotted, value, message", [
@@ -418,7 +418,7 @@ class TestStageErrors:
             node = node[parent]
         node[key] = value
         path.write_text(json.dumps(data))
-        with pytest.raises(StageError, match=f"stage {stage}: " + re.escape(message)):
+        with pytest.raises(StageError, match=re.escape(f"stage {stage}: {path}: {message}")):
             run_stage(stage, cfg, copy)
 
     @pytest.mark.parametrize("edit, message", [
@@ -427,9 +427,9 @@ class TestStageErrors:
         (lambda data: data["assignment"].update({"4": None}),
          "{path} assigns 5 tasks, not the config's 4; rerun select"),
         (lambda data: data["assignment"].pop("1"),
-         "assignment must map tasks 0..2, got tasks [0, 2, 3]"),
+         "{path}: assignment must map tasks 0..2, got tasks [0, 2, 3]"),
         (lambda data: data["assignment"].update({"0": [1, 2]}),
-         "task 0 is assigned group [1, 2], which is not a chosen group holding it"),
+         "{path}: task 0 is assigned group [1, 2], which is not a chosen group holding it"),
     ], ids=["task-left-out", "extra-task", "task-gap", "foreign-group"])
     def test_selection_not_covering_the_tasks_rejected_at_report(self, finished, tmp_path,
                                                                   edit, message):
@@ -490,9 +490,31 @@ class TestStageErrors:
         groups = json.loads((rd / "groups.json").read_text())
         groups["heldout"][0] = groups["train"][0]
         (rd / "groups.json").write_text(json.dumps(groups))
-        with pytest.raises(StageError,
-                           match=f"^stage {stage}: training and held-out groups overlap$"):
+        with pytest.raises(StageError, match="^" + re.escape(
+                f"stage {stage}: {rd / 'groups.json'}: training and held-out groups "
+                "overlap") + "$"):
             run_stage(stage, cfg, copy)
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("groups.json", lambda records: records[0]["train"][0].__setitem__(0, 1e300),
+         "{path}: key 'train' must be int, got 1e+300"),
+        ("gains_train.jsonl", lambda records: records[1].update(seed=1e300),
+         "{path} line 2: key 'seed' must be int, got 1e+300"),
+    ], ids=["groups", "gains"])
+    def test_reading_error_names_the_file(self, finished, tmp_path, name, edit, message):
+        # a typed-reader error names the file, and in a JSON-lines file the line
+        cfg, out, _, _ = finished
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy)
+        path = run_dirs(cfg, copy)[0] / name
+        text = path.read_text()
+        records = [json.loads(line) for line in text.splitlines()] \
+            if name.endswith(".jsonl") else [json.loads(text)]
+        edit(records)
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(StageError, match="^" + re.escape(
+                "stage fit: " + message.format(path=path)) + "$"):
+            run_stage("fit", cfg, copy)
 
     def test_gain_record_with_repeated_member_rejected_at_fit(self, finished, tmp_path):
         cfg, out, _, _ = finished
@@ -504,7 +526,8 @@ class TestStageErrors:
         record["group"].insert(0, record["group"][0])
         path.write_text(json.dumps(record) + "\n" + "".join(rest))
         with pytest.raises(StageError, match=re.escape(
-                f"stage fit: group {record['group']} must be two or more strictly increasing")):
+                f"stage fit: {path} line 1: group {record['group']} must be two or more "
+                "strictly increasing")):
             run_stage("fit", cfg, copy)
 
     def test_reversed_training_group_rejected_at_fit(self, finished, tmp_path):
@@ -517,7 +540,8 @@ class TestStageErrors:
         groups["train"][0] = groups["heldout"][0][::-1]
         path.write_text(json.dumps(groups))
         with pytest.raises(StageError, match=re.escape(
-                f"stage fit: group {groups['train'][0]} must be two or more strictly increasing")):
+                f"stage fit: {path}: group {groups['train'][0]} must be two or more "
+                "strictly increasing")):
             run_stage("fit", cfg, copy)
 
     @pytest.mark.parametrize("stage, split, other", [
@@ -643,7 +667,7 @@ NON_FINITE_TOKEN = re.compile(r"\b(?:NaN|Infinity|nan|inf)\b")
 def must_reject(rel: str, leaf: tuple, value: float) -> bool:
     """Edits that no stage may accept, whatever it goes on to write."""
     return (not math.isfinite(value) or Path(rel).name.startswith("gains_")
-            or (leaf[-1], value) in (("mse", -1), ("r2", 1e300)))
+            or (leaf[-1], value) in (("mse", -1), ("r2", 1e300), ("pearson", 1e300)))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # a stage's numpy warnings, as in a run
@@ -842,7 +866,7 @@ class TestWorkers:
         path.write_text(path.read_text().replace('"selection/1"', '"other/1"'))
         inline, pooled = self.inline_then_pooled_error(cpus, "report", cfg, out)
         assert pooled == inline == \
-            "stage report: unsupported schema 'other/1', expected 'selection/1'"
+            f"stage report: {path}: unsupported schema 'other/1', expected 'selection/1'"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_oracle_names_the_first_seed(self, tmp_path, cpus):

@@ -101,6 +101,7 @@ class TestEvalReport:
         (5.0, -1.0, "metrics need mse >= 0 and r2 <= 1, got r2 = 5.0, mse = -1.0"),
         (1e300, 0.1, "metrics need mse >= 0 and r2 <= 1, got r2 = 1e+300, mse = 0.1"),
         (0.5, -1e-300, "metrics need mse >= 0 and r2 <= 1, got r2 = 0.5, mse = -1e-300"),
+        (0.5, 0.1, "metrics need |pearson| <= 1, got pearson = 3.0"),
     ])
     def test_out_of_range_rejected(self, r2, mse, match):
         # no evaluation gives a negative mse or an r2 above 1
