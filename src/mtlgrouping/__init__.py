@@ -66,7 +66,7 @@ from .selector import (
     select_branch_and_bound,
     select_exhaustive,
 )
-from .splines import SplineSpec, basis_expand, basis_matrix, fit_knots
+from .splines import SplineSpec, basis_expand, basis_matrix
 from .suite import TaskDataset, TaskSuite, TaskSuiteSpec, generate_suite, load_suite, save_suite
 
 __version__ = "0.1.0"

@@ -76,12 +76,6 @@ def _lines(path):
                 yield n, line
 
 
-def read_jsonl(path):
-    """Yield the object on each non-blank line."""
-    for _, line in _lines(path):
-        yield json.loads(line)
-
-
 def write_csv(path, header, rows) -> None:
     """Write the text fields of ``header`` and then of each row, one line each.
 

@@ -7,8 +7,10 @@ groups, select budgeted groupings, and finally compare the realized total
 test loss of the selected groupings against the single all-task model and
 the exhaustive-optimal grouping. Every stage reads only persisted upstream
 artifacts and writes its own, so any stage can be rerun in isolation and
-reruns are byte-identical. ``PIPELINE`` declares, stage by stage, the files
-each one reads and writes; ``run_stage`` checks the reads before it starts.
+reruns are byte-identical. ``FILES`` spells the path pattern of every file
+under the output directory once, by key, and ``at`` turns a key into a path.
+``PIPELINE`` declares, stage by stage, the keys of the files each one reads
+and writes; ``run_stage`` checks the reads before it starts.
 
 Oracle and report train a model per group, which makes them most of a run.
 Report trains its candidates stacked by group size, in a few wide loops per
@@ -45,7 +47,7 @@ from . import ensemble as ens
 from . import gains as gn
 from . import metrics as met
 from . import selector as sel
-from .artifacts import from_dict, load, read_json, save, write_json, writing
+from .artifacts import from_dict, load, save, write_json, writing
 from .engine import TrainConfig, load_trace, save_trace, train_mtl
 from .ridge import CvConfig
 from .seeding import stream
@@ -162,10 +164,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return from_dict(ExperimentConfig, {"schema": ExperimentConfig.SCHEMA, **data})
 
 
-def load_config(path) -> ExperimentConfig:
-    return config_from_dict(read_json(path))
-
-
 def resolve_output_dir(config: ExperimentConfig, override=None) -> Path:
     """Explicit override, else the config path, rooted at $MTLGROUPING_OUTPUT_ROOT."""
     path = Path(override) if override is not None else Path(config.output_dir)
@@ -174,8 +172,32 @@ def resolve_output_dir(config: ExperimentConfig, override=None) -> Path:
     return path
 
 
+_RUN = "runs/{run}/"  # one repeat seed's directory under ``out``
+
+# every file under ``out`` by key, in FORMATS.md's layout order; ``{run}``,
+# ``{budget}`` and ``{task}`` stand for each run directory name, budget and task id
+FILES = {
+    "config": "config.json", "suite_spec": "suite/spec.json",
+    "suite_csv": "suite/task_{task}.csv", "trace": _RUN + "trace.jsonl",
+    "affinity": _RUN + "affinity.json", "affinity_csv": _RUN + "affinity.csv",
+    "groups": _RUN + "groups.json", "gains_train": _RUN + "gains_train.jsonl",
+    "gains_train_csv": _RUN + "gains_train.csv", "gains_heldout": _RUN + "gains_heldout.jsonl",
+    "gains_heldout_csv": _RUN + "gains_heldout.csv", "predictor": _RUN + "predictor.json",
+    "eval": _RUN + "eval.json", "selection": _RUN + "selection_B{budget}.json",
+    "selection_txt": _RUN + "selection_B{budget}.txt",
+    "gains_candidates": _RUN + "gains_candidates.jsonl",
+    "realized": _RUN + "realized_B{budget}.json", "report": "report.json",
+    "ablation": "ablation.json", "ablation_txt": "ablation.txt",
+}
+
+
+def at(base: Path, key: str, **fields) -> Path:
+    """``FILES[key]`` under ``base``: the run directory for a per-run file, else ``out``."""
+    return base / FILES[key].removeprefix(_RUN).format(**fields)
+
+
 def run_dirs(config: ExperimentConfig, out: Path) -> list[Path]:
-    return [out / "runs" / f"{i:02d}_seed{s}" for i, s in enumerate(config.seeds)]
+    return [out / _RUN.format(run=f"{i:02d}_seed{s}") for i, s in enumerate(config.seeds)]
 
 
 def _run_train_config(config: ExperimentConfig, seed: int) -> TrainConfig:
@@ -222,15 +244,15 @@ def _per_run(func, config: ExperimentConfig, out: Path, *args) -> list:
 # ---------------------------------------------------------------- stages
 
 def stage_generate(config: ExperimentConfig, out: Path) -> None:
-    save(out / "config.json", config)
-    save_suite(generate_suite(config.suite), out / "suite")
+    save(at(out, "config"), config)
+    save_suite(generate_suite(config.suite), at(out, "suite_spec").parent)
 
 
 def _config_suite(config: ExperimentConfig, out: Path):
     """The persisted suite, which must have been generated from ``config.suite``."""
-    suite = load_suite(out / "suite")
+    suite = load_suite(at(out, "suite_spec").parent)
     if suite.spec != config.suite:
-        raise ValueError(f"suite in {out / 'suite'} was generated from another "
+        raise ValueError(f"suite in {at(out, 'suite_spec').parent} was generated from another "
                          "suite spec than this config's; rerun generate")
     return suite
 
@@ -240,12 +262,12 @@ def stage_train_affinity(config: ExperimentConfig, out: Path) -> None:
     for rd, seed in zip(run_dirs(config, out), config.seeds):
         tc = _run_train_config(config, seed)
         model = train_mtl(suite.tasks, suite, tc, capture_trace=True)
-        save_trace(model.trace, rd / "trace.jsonl")
-        trace = load_trace(rd / "trace.jsonl")
+        save_trace(model.trace, at(rd, "trace"))
+        trace = load_trace(at(rd, "trace"))
         matrix = aff.pairwise_affinity(
             trace, tc.learning_rate, tc.momentum, velocity_mode=config.velocity_mode)
-        aff.save_matrix(matrix, rd / "affinity.json")
-        aff.matrix_to_csv(matrix, rd / "affinity.csv")
+        aff.save_matrix(matrix, at(rd, "affinity"))
+        aff.matrix_to_csv(matrix, at(rd, "affinity_csv"))
 
 
 def _sampled_groups(config: ExperimentConfig, seed: int) -> RunGroups:
@@ -258,7 +280,7 @@ def _sampled_groups(config: ExperimentConfig, seed: int) -> RunGroups:
 
 def _oracle_run(config: ExperimentConfig, rd: Path, seed: int, suite) -> None:
     groups = _sampled_groups(config, seed)
-    save(rd / "groups.json", groups)
+    save(at(rd, "groups"), groups)
     tc = _run_train_config(config, seed)
     cache = gn.StlCache(suite)
     for name in ("train", "heldout"):
@@ -271,8 +293,8 @@ def _oracle_run(config: ExperimentConfig, rd: Path, seed: int, suite) -> None:
                 records.append(gn.measure_gain(group, suite, tc, cache=cache))
             except Exception as exc:
                 raise RuntimeError(f"group {group} failed: {exc}") from exc
-        gn.save_records(records, rd / f"gains_{name}.jsonl")
-        gn.records_to_csv(records, rd / f"gains_{name}.csv")
+        gn.save_records(records, at(rd, f"gains_{name}"))
+        gn.records_to_csv(records, at(rd, f"gains_{name}_csv"))
 
 
 def stage_oracle(config: ExperimentConfig, out: Path) -> None:
@@ -284,12 +306,12 @@ def _run_records(rd: Path, seed: int, split: str) -> list:
 
     Fit, evaluate, report and ``compare_ablations`` read the records only through here.
     """
-    groups = load(rd / "groups.json", RunGroups)
-    path = rd / f"gains_{split}.jsonl"
+    groups = load(at(rd, "groups"), RunGroups)
+    path = at(rd, f"gains_{split}")
     records = gn.load_records(path)
     if [rec.group for rec in records] != list(getattr(groups, split)):
         raise ValueError(f"the groups of {path} are not the {split} groups of "
-                         f"{rd / 'groups.json'}; rerun oracle")
+                         f"{at(rd, 'groups')}; rerun oracle")
     for rec in records:
         if rec.seed != seed:
             raise ValueError(f"{path} holds the record of group {list(rec.group)} under "
@@ -300,8 +322,8 @@ def _run_records(rd: Path, seed: int, split: str) -> list:
 def stage_fit(config: ExperimentConfig, out: Path) -> None:
     for rd, seed in zip(run_dirs(config, out), config.seeds):
         records = _run_records(rd, seed, "train")
-        matrix = aff.load_matrix(rd / "affinity.json")
-        save(rd / "predictor.json", _fit_predictor(config, records, matrix, seed))
+        matrix = aff.load_matrix(at(rd, "affinity"))
+        save(at(rd, "predictor"), _fit_predictor(config, records, matrix, seed))
 
 
 def _fit_predictor(config: ExperimentConfig, records, matrix, seed: int):
@@ -328,7 +350,7 @@ def _heldout_points(predictor, matrix, records):
 
 def _run_predictor(config: ExperimentConfig, rd: Path):
     """``predictor.json`` of one run, which must be of the kind ``config`` fits."""
-    path = rd / "predictor.json"
+    path = at(rd, "predictor")
     predictor = ens.load_predictor(path)
     for key, stored, wanted in (
             ("mapping_kind", predictor.mapping_kind, config.mapping_kind),
@@ -343,11 +365,11 @@ def _run_predictor(config: ExperimentConfig, rd: Path):
 def stage_evaluate(config: ExperimentConfig, out: Path) -> None:
     for rd, seed in zip(run_dirs(config, out), config.seeds):
         predictor = _run_predictor(config, rd)
-        matrix = aff.load_matrix(rd / "affinity.json")
+        matrix = aff.load_matrix(at(rd, "affinity"))
         records = _run_records(rd, seed, "heldout")
         actual, final, stage1 = _heldout_points(predictor, matrix, records)
-        save(rd / "eval.json", RunEval(final=met.evaluate(actual, final),
-                                       stage1=met.evaluate(actual, stage1)))
+        save(at(rd, "eval"), RunEval(final=met.evaluate(actual, final),
+                                     stage1=met.evaluate(actual, stage1)))
 
 
 def _candidate_universe(config: ExperimentConfig):
@@ -358,13 +380,13 @@ def stage_select(config: ExperimentConfig, out: Path) -> None:
     candidates = _candidate_universe(config)
     for rd, _ in zip(run_dirs(config, out), config.seeds):
         predictor = _run_predictor(config, rd)
-        matrix = aff.load_matrix(rd / "affinity.json")
+        matrix = aff.load_matrix(at(rd, "affinity"))
         # the candidates' gains do not depend on the budget: predict them once
         problem = sel.build_problem(predictor, matrix, candidates, config.budgets[0])
         for budget in config.budgets:
             result = sel.select_branch_and_bound(replace(problem, budget=budget))
-            save(rd / f"selection_B{budget}.json", result)
-            with writing(rd / f"selection_B{budget}.txt") as fh:
+            save(at(rd, "selection", budget=budget), result)
+            with writing(at(rd, "selection_txt", budget=budget)) as fh:
                 fh.write(sel.format_selection_table(result))
 
 
@@ -376,14 +398,32 @@ def _realized_loss(assignment, stl_losses, mtl_by_group):
     return total
 
 
+def _run_selection(config: ExperimentConfig, rd: Path, budget: int, universe):
+    """One run's selection at ``budget``, checked against the config's tasks and ``universe``."""
+    path = at(rd, "selection", budget=budget)
+    selection = load(path, sel.SelectionResult)
+    if len(selection.assignment) != config.suite.n_tasks:
+        raise ValueError(f"{path} assigns {len(selection.assignment)} tasks, "
+                         f"not the config's {config.suite.n_tasks}; rerun select")
+    stray = [list(g) for g in selection.chosen if g not in universe]
+    if stray:
+        raise ValueError(f"{path} chooses {stray}, which are not candidate "
+                         "groups of this config; rerun select")
+    return selection
+
+
 def _report_run(config: ExperimentConfig, rd: Path, seed: int, suite) -> dict:
-    """Write one run's realized losses; return them as budget -> name -> loss."""
+    """Write one run's realized losses; return them as budget -> name -> loss.
+
+    Every file the run reads is loaded and checked before anything trains.
+    """
     n = config.suite.n_tasks
     all_tasks = tuple(range(n))
     universe = _candidate_universe(config)
     # the naive all-in-one baseline is measured even when the universe caps group sizes
     candidates = universe if all_tasks in universe else universe + [all_tasks]
     oracle = _run_records(rd, seed, "train") + _run_records(rd, seed, "heldout")
+    selections = {b: _run_selection(config, rd, b, universe) for b in config.budgets}
     tc = _run_train_config(config, seed)
     cache = gn.StlCache(suite)
     cache.fill(all_tasks, tc)
@@ -397,7 +437,7 @@ def _report_run(config: ExperimentConfig, rd: Path, seed: int, suite) -> dict:
     records = gn.measure_gains_batch(
         [g for g in candidates if g not in measured], suite, tc, cache=cache)
     measured.update((rec.group, rec) for rec in records)
-    gn.save_records([measured[g] for g in candidates], rd / "gains_candidates.jsonl")
+    gn.save_records([measured[g] for g in candidates], at(rd, "gains_candidates"))
     mtl_by_group = {g: measured[g].mtl_losses for g in candidates}
     naive = sum(mtl_by_group[all_tasks][t] for t in all_tasks)
     stl_total = sum(stl_losses[t] for t in all_tasks)
@@ -406,21 +446,12 @@ def _report_run(config: ExperimentConfig, rd: Path, seed: int, suite) -> dict:
     reduction_cands = tuple(
         (g, {t: stl_losses[t] - mtl_by_group[g][t] for t in g}) for g in universe)
     realized = {}
-    for budget in config.budgets:
-        path = rd / f"selection_B{budget}.json"
-        selection = load(path, sel.SelectionResult)
-        if len(selection.assignment) != n:
-            raise ValueError(f"{path} assigns {len(selection.assignment)} tasks, "
-                             f"not the config's {n}; rerun select")
-        stray = [list(g) for g in selection.chosen if g not in universe]
-        if stray:
-            raise ValueError(f"{path} chooses {stray}, which are not candidate "
-                             "groups of this config; rerun select")
+    for budget, selection in selections.items():
         selected = _realized_loss(selection.assignment, stl_losses, mtl_by_group)
         optimal_sel = sel.select_exhaustive(
             sel.SelectionProblem(n_tasks=n, candidates=reduction_cands, budget=budget))
         optimal = stl_total - optimal_sel.objective
-        write_json(rd / f"realized_B{budget}.json", {
+        write_json(at(rd, "realized", budget=budget), {
             "schema": "realized/1",
             "budget": budget,
             "selected_total_test_loss": selected,
@@ -435,8 +466,9 @@ def _report_run(config: ExperimentConfig, rd: Path, seed: int, suite) -> dict:
 
 
 def stage_report(config: ExperimentConfig, out: Path) -> dict:
+    # read before any run trains, so that a bad file fails fast
+    evals = [load(at(rd, "eval"), RunEval) for rd in run_dirs(config, out)]
     realized = _per_run(_report_run, config, out, _config_suite(config, out))
-    evals = [load(rd / "eval.json", RunEval) for rd in run_dirs(config, out)]
     report = {
         "schema": "report/1",
         "n_runs": len(config.seeds),
@@ -448,7 +480,7 @@ def stage_report(config: ExperimentConfig, out: Path) -> dict:
             for b in config.budgets
         },
     }
-    write_json(out / "report.json", report)
+    write_json(at(out, "report"), report)
     return report
 
 
@@ -456,8 +488,7 @@ def stage_report(config: ExperimentConfig, out: Path) -> dict:
 class Stage:
     """A stage's function and the files under ``out`` that it reads and writes.
 
-    Each file is a path pattern in which ``{run}``, ``{budget}`` and ``{task}``
-    stand for every run directory name, budget and task id of the config.
+    Each file is a path pattern of ``FILES``; ``expand`` gives its paths for a config.
     """
 
     name: str
@@ -466,33 +497,26 @@ class Stage:
     writes: tuple[str, ...]
 
 
+def _files(keys: str) -> tuple[str, ...]:
+    """The patterns of the space-separated ``keys`` of ``FILES``."""
+    return tuple(FILES[key] for key in keys.split())
+
+
 PIPELINE = (
-    Stage("generate", stage_generate, reads=(),
-          writes=("config.json", "suite/spec.json", "suite/task_{task}.csv")),
-    Stage("train-affinity", stage_train_affinity, reads=("suite/spec.json",),
-          writes=("runs/{run}/trace.jsonl", "runs/{run}/affinity.json",
-                  "runs/{run}/affinity.csv")),
-    Stage("oracle", stage_oracle, reads=("suite/spec.json",),
-          writes=("runs/{run}/groups.json", "runs/{run}/gains_train.jsonl",
-                  "runs/{run}/gains_train.csv", "runs/{run}/gains_heldout.jsonl",
-                  "runs/{run}/gains_heldout.csv")),
-    Stage("fit", stage_fit,
-          reads=("runs/{run}/groups.json", "runs/{run}/affinity.json",
-                 "runs/{run}/gains_train.jsonl"),
-          writes=("runs/{run}/predictor.json",)),
-    Stage("evaluate", stage_evaluate,
-          reads=("runs/{run}/predictor.json", "runs/{run}/affinity.json",
-                 "runs/{run}/groups.json", "runs/{run}/gains_heldout.jsonl"),
-          writes=("runs/{run}/eval.json",)),
-    Stage("select", stage_select,
-          reads=("runs/{run}/predictor.json", "runs/{run}/affinity.json"),
-          writes=("runs/{run}/selection_B{budget}.json", "runs/{run}/selection_B{budget}.txt")),
+    Stage("generate", stage_generate, reads=(), writes=_files("config suite_spec suite_csv")),
+    Stage("train-affinity", stage_train_affinity, reads=_files("suite_spec"),
+          writes=_files("trace affinity affinity_csv")),
+    Stage("oracle", stage_oracle, reads=_files("suite_spec"),
+          writes=_files("groups gains_train gains_train_csv gains_heldout gains_heldout_csv")),
+    Stage("fit", stage_fit, reads=_files("groups affinity gains_train"),
+          writes=_files("predictor")),
+    Stage("evaluate", stage_evaluate, reads=_files("predictor affinity groups gains_heldout"),
+          writes=_files("eval")),
+    Stage("select", stage_select, reads=_files("predictor affinity"),
+          writes=_files("selection selection_txt")),
     Stage("report", stage_report,
-          reads=("suite/spec.json", "runs/{run}/groups.json", "runs/{run}/gains_train.jsonl",
-                 "runs/{run}/gains_heldout.jsonl", "runs/{run}/selection_B{budget}.json",
-                 "runs/{run}/eval.json"),
-          writes=("runs/{run}/gains_candidates.jsonl", "runs/{run}/realized_B{budget}.json",
-                  "report.json")),
+          reads=_files("suite_spec groups gains_train gains_heldout selection eval"),
+          writes=_files("gains_candidates realized report")),
 )
 
 STAGES = tuple(stage.name for stage in PIPELINE)
@@ -550,7 +574,7 @@ def compare_ablations(config: ExperimentConfig, out=None) -> dict:
     cells: dict[str, list[met.EvalReport]] = {label: [] for _, _, label in ABLATION_CELLS}
     with _tagged("ablate"):
         for rd, seed in zip(run_dirs(config, out), config.seeds):
-            matrix = aff.load_matrix(rd / "affinity.json")
+            matrix = aff.load_matrix(at(rd, "affinity"))
             train_records = _run_records(rd, seed, "train")
             heldout_records = _run_records(rd, seed, "heldout")
             for mapping_kind, residual, label in ABLATION_CELLS:
@@ -563,7 +587,7 @@ def compare_ablations(config: ExperimentConfig, out=None) -> dict:
         "n_runs": len(config.seeds),
         "cells": {label: _summary(reports, ("r2", "pearson")) for label, reports in cells.items()},
     }
-    write_json(out / "ablation.json", table)
+    write_json(at(out, "ablation"), table)
     lines = [f"{'cell':<18} {'r2':>18} {'pearson':>18}"]
     for label, metrics in table["cells"].items():
         r2, pr = metrics["r2"], metrics["pearson"]
@@ -571,7 +595,7 @@ def compare_ablations(config: ExperimentConfig, out=None) -> dict:
             f"{label:<18} {r2['mean']:>8.4f} ± {r2['std']:<7.4f} "
             f"{pr['mean']:>8.4f} ± {pr['std']:<7.4f}"
         )
-    with writing(out / "ablation.txt") as fh:
+    with writing(at(out, "ablation_txt")) as fh:
         fh.write("\n".join(lines) + "\n")
     return table
 

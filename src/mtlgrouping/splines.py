@@ -52,10 +52,6 @@ class SplineSpec:
         return len(self.knots) - self.degree - 1
 
     @property
-    def interior_knot_count(self) -> int:
-        return self.basis_count - self.degree - 1
-
-    @property
     def z_min(self) -> float:
         return self.knots[0]
 
@@ -64,20 +60,14 @@ class SplineSpec:
         return self.knots[-1]
 
 
-def fit_knots(training_scores, degree: int, interior_knot_count: int = 0) -> SplineSpec:
-    """Place knots from observed scores: boundaries at min/max, interior at quantiles.
-
-    Interior knots are the 1/(m+1), ..., m/(m+1) quantiles of the scores.
-    Knots that collide with each other or with a boundary are merged away, so
-    the realized interior count can be smaller than requested.
-    """
-    return fit_knot_grid(training_scores, (degree,), (interior_knot_count,))[0]
-
-
 def fit_knot_grid(training_scores, degrees, interior_counts) -> list[SplineSpec]:
-    """``fit_knots`` for every degree, then every interior count, without repeats.
+    """Knots from observed scores for every degree, then every interior count, without repeats.
 
-    Each count's quantiles are computed once and shared by all degrees.
+    Boundary knots sit at the scores' min and max. A count m places interior
+    knots at the 1/(m+1), ..., m/(m+1) quantiles of the scores; knots that
+    collide with each other or with a boundary are merged away, so the
+    realized interior count can be smaller than requested. Each count's
+    quantiles are computed once and shared by all degrees.
     """
     scores = np.asarray(training_scores, dtype=float).ravel()
     if scores.size < 2:

@@ -24,6 +24,8 @@ SPLITS = ("train", "val", "test")
 
 TASK_TYPES = ("regression", "classification")
 
+_SIDECAR = "spec.json"  # in a suite directory, beside one task_{t}.csv per task
+
 # stream purposes
 _WEIGHTS = 10
 _DELTA = 11
@@ -95,10 +97,6 @@ class TaskDataset:
     def split_size(self, split_name: str) -> int:
         """Number of rows in one split."""
         return int(self._split_index[split_name].size)
-
-    @property
-    def n_rows(self) -> int:
-        return int(self.targets.size)
 
     @property
     def input_dim(self) -> int:
@@ -199,12 +197,12 @@ def save_suite(suite: TaskSuite, directory) -> None:
         targets = np.asarray(ds.targets, dtype=float).tolist()
         write_csv(directory / f"task_{t}.csv", header,
                   zip(*(map(repr, c) for c in columns), map(repr, targets), ds.split.tolist()))
-    save(directory / "spec.json", _Sidecar(suite.spec, tuple(suite.task_weights)))
+    save(directory / _SIDECAR, _Sidecar(suite.spec, tuple(suite.task_weights)))
 
 
 def load_suite(directory) -> TaskSuite:
     """Rebuild the suite from ``spec.json``; the task CSVs are export-only and never read."""
-    sidecar = load(Path(directory) / "spec.json", _Sidecar)
+    sidecar = load(Path(directory) / _SIDECAR, _Sidecar)
     suite = generate_suite(sidecar.spec)
     if not np.array_equal(np.array(sidecar.task_weights), suite.task_weights):
         raise ValueError(f"task_weights in {directory} differ from those regenerated from its "

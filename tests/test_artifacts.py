@@ -2,7 +2,8 @@ import ast
 import json
 import math
 import re
-from dataclasses import fields, is_dataclass
+from collections import Counter
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,8 @@ from mtlgrouping.affinity import AffinityMatrix, load_matrix, save_matrix
 from mtlgrouping.artifacts import (
     from_dict,
     load,
+    load_lines,
     read_json,
-    read_jsonl,
     save,
     to_json,
     write_json,
@@ -27,7 +28,7 @@ from mtlgrouping.gains import GainRecord, load_records, relative_gain, save_reco
 from mtlgrouping.metrics import EvalReport
 from mtlgrouping.ridge import RidgeModel
 from mtlgrouping.selector import SelectionResult, result_from_dict
-from mtlgrouping.splines import fit_knots
+from mtlgrouping.splines import fit_knot_grid
 from mtlgrouping.suite import TaskSuiteSpec, generate_suite, load_suite, save_suite
 
 PACKAGE = Path(mtlgrouping.__file__).parent
@@ -35,6 +36,12 @@ PACKAGE = Path(mtlgrouping.__file__).parent
 # open(...) with a mode that can write, or a pathlib write helper
 _WRITE_CALL = re.compile(
     r"""\bopen\([^)]*["'][rbt]*[wax+][rbtwax+]*["']|\.write_(text|bytes)\(""")
+
+
+@dataclass(frozen=True)
+class _Row:
+    i: int
+    a: int | None
 
 
 class TestWriting:
@@ -49,7 +56,7 @@ class TestWriting:
         write_jsonl(path, ({"i": i, "a": None} for i in range(3)))
         assert path.read_text().splitlines()[0] == '{"a": null, "i": 0}'
         path.write_text(path.read_text() + "\n")
-        assert list(read_jsonl(path)) == [{"a": None, "i": i} for i in range(3)]
+        assert load_lines(path, _Row) == [_Row(i=i, a=None) for i in range(3)]
 
     def test_typed_lines_error_names_the_line(self, tmp_path):
         # blank lines count, so the number is the line an editor shows
@@ -163,7 +170,7 @@ def test_wrong_type_rejected(tmp_path, make, dotted, value, match):
     path, load = make(tmp_path)
     load(path)
     if path.suffix == ".jsonl":
-        (data,) = read_jsonl(path)
+        data = json.loads(path.read_text())  # one record, so one line
         _set(data, dotted, value)
         write_jsonl(path, [data])
     else:
@@ -202,10 +209,7 @@ def test_wrong_type_rejected(tmp_path, make, dotted, value, match):
 def test_meaningless_value_rejected(tmp_path, make, dotted, value, match):
     # written with json's NaN and Infinity tokens, which the package never writes
     path, load = make(tmp_path)
-    if path.suffix == ".jsonl":
-        (data,) = read_jsonl(path)
-    else:
-        data = read_json(path)
+    data = json.loads(path.read_text())  # a JSON-lines file here holds one record
     _set(data, dotted, value)
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match=re.escape(match)):
@@ -249,7 +253,7 @@ def _assert_same(got, want):
 def _twelve_task_artifacts():
     rng = np.random.default_rng(12)
     tasks = range(12)
-    spline = fit_knots(np.linspace(-1.0, 1.0, 30), degree=3, interior_knot_count=2)
+    (spline,) = fit_knot_grid(np.linspace(-1.0, 1.0, 30), (3,), (2,))
     stage1 = Stage1Model(
         mapping_kind="spline", spline=spline, z_lo=-1.0, z_hi=1.0,
         model=RidgeModel(rng.standard_normal(spline.basis_count), intercept=0.25, lam=0.1))
@@ -316,9 +320,129 @@ def test_only_artifacts_module_writes_files():
     assert writers == []
 
 
+def _docstrings(tree) -> set:
+    """The docstring nodes of every module, class and function in ``tree``."""
+    return {node.body[0].value for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)
+            and isinstance(node.body[0].value.value, str)}
+
+
+# an artifact file name, or the extension part of an f-string that builds one
+_FILE_NAME = re.compile(r"\.(json|jsonl|csv|txt)\b")
+
+
+def _file_name_texts(source: str) -> list[str]:
+    """Each string constant or f-string part that names a file, outside docstrings and
+    outside the value assigned to ``FILES``."""
+    tree = ast.parse(source)
+    skip = _docstrings(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "FILES"
+                                                for t in node.targets):
+            skip.update(ast.walk(node.value))
+    return [node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node not in skip and _FILE_NAME.search(node.value)]
+
+
+def test_artifact_names_spelt_once():
+    # experiment.FILES spells every path under an output directory; suite.py
+    # alone spells the two names inside the suite directory that it owns
+    texts = sorted(f"{path.name}:{text}" for path in PACKAGE.glob("*.py")
+                   for text in _file_name_texts(path.read_text()))
+    assert texts == ["suite.py:.csv", "suite.py:spec.json"]
+
+
+@pytest.mark.parametrize("source, texts", [
+    ('path = rd / "eval.json"', ["eval.json"]),
+    ('path = rd / f"gains_{split}.jsonl"', [".jsonl"]),
+    ('write(out / "ablation.txt", rows)', ["ablation.txt"]),
+    ('"""Writes ``eval.json``."""', []),
+    ('def f():\n    """Reads eval.json."""\n    return 1', []),
+    ('FILES = {"eval": "eval.json", "trace": _RUN + "trace.jsonl"}', []),
+    ('OTHER = {"eval": "eval.json"}', ["eval.json"]),
+    ('key, kind = "json", "a.jsonx"', []),
+])
+def test_file_name_scan(source, texts):
+    assert _file_name_texts(source) == texts
+
+
+# kept though nothing outside its own definition names it (none today)
+_UNREFERENCED_KEPT: set[str] = set()
+
+
+def _definitions(tree) -> list:
+    """``(dotted name, node)`` of each module-level function and class, and of each
+    public method of those classes."""
+    defs = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defs.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            defs += [(f"{node.name}.{n.name}", n) for n in node.body
+                     if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     and not n.name.startswith("_")]
+    return defs
+
+
+def _mentions(tree, reexports: bool = True) -> Counter:
+    """Each name that ``tree`` mentions as a ``Name``, an ``Attribute`` or an import."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and reexports:
+            names.update(alias.name.rpartition(".")[2] for alias in node.names)
+    return names
+
+
+def _unreferenced(modules: dict[str, str], users: list[str]) -> list[str]:
+    """``module.name`` of each definition in ``modules`` that nothing else mentions.
+
+    Mentions count in ``modules`` (but not ``__init__.py``'s imports, which only
+    re-export) and in the sources of ``users``.
+    """
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    mentions = sum((_mentions(tree, name != "__init__.py") for name, tree in trees.items()),
+                   Counter())
+    for source in users:
+        mentions += _mentions(ast.parse(source))
+    return sorted(f"{name.removesuffix('.py')}.{dotted}" for name, tree in trees.items()
+                  for dotted, node in _definitions(tree)
+                  if mentions[node.name] <= _mentions(node)[node.name])
+
+
+def test_every_definition_is_used():
+    repo = PACKAGE.parent.parent
+    users = [path.read_text() for path in sorted((repo / "perfbench").rglob("*.py"))]
+    users.append((repo / "tests" / "test_acceptance.py").read_text())
+    modules = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    flagged = _unreferenced(modules, users)
+    assert [name for name in flagged if name not in _UNREFERENCED_KEPT] == []
+
+
+@pytest.mark.parametrize("modules, users, flagged", [
+    ({"a.py": "def f():\n    pass"}, [], ["a.f"]),
+    ({"a.py": "def f():\n    pass", "b.py": "from .a import f"}, [], []),
+    ({"a.py": "def f():\n    pass", "__init__.py": "from .a import f"}, [], ["a.f"]),
+    ({"a.py": "def f():\n    pass"}, ["import m\nm.a.f()"], []),
+    ({"a.py": "def f(n):\n    return f(n - 1)"}, [], ["a.f"]),
+    ({"a.py": "class C:\n    def m(self):\n        pass\n    def _p(self):\n        pass\n"
+              "C().x"}, [], ["a.C.m"]),
+    ({"a.py": "class C:\n    @property\n    def n(self):\n        return 1\nC().n"}, [], []),
+])
+def test_unreferenced_scan(modules, users, flagged):
+    assert _unreferenced(modules, users) == flagged
+
+
 def _foreign_uses(name: str, source: str) -> list[str]:
     """What module ``name`` uses that only another may: ``numpy.random`` outside
-    ``seeding.py``, the ``csv`` module anywhere, ``read_jsonl`` outside ``artifacts.py``."""
+    ``seeding.py``, the ``csv`` module anywhere, ``json`` outside ``artifacts.py`` and
+    ``cli.py``."""
     uses = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -333,15 +457,15 @@ def _foreign_uses(name: str, source: str) -> list[str]:
             uses.add("numpy.random")
         if any(re.match(r"csv\b", d) for d in dotted):
             uses.add("csv")
-        if name != "artifacts.py" and isinstance(node, ast.Call) and "read_jsonl" in (
-                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
-            uses.add("read_jsonl")
+        if name not in ("artifacts.py", "cli.py") and any(re.match(r"json\b", d) for d in dotted):
+            uses.add("json")
     return sorted(uses)
 
 
 def test_owned_modules_and_readers_used_only_by_their_owner():
     # every random draw comes from seeding's streams, artifacts writes every
-    # CSV without the csv module, and reads every JSON-lines file
+    # CSV without the csv module, and reads and writes all JSON but the CLI's
+    # --set values
     uses = sorted(f"{path.name}:{use}" for path in PACKAGE.glob("*.py")
                   for use in _foreign_uses(path.name, path.read_text()))
     assert uses == []
@@ -355,10 +479,11 @@ def test_owned_modules_and_readers_used_only_by_their_owner():
     ("engine.py", "x = np.linalg.norm(np.random_like)", []),
     ("artifacts.py", "import csv", ["csv"]),
     ("suite.py", "from csv import writer", ["csv"]),
-    ("gains.py", "rows = read_jsonl(path)", ["read_jsonl"]),
-    ("gains.py", "rows = artifacts.read_jsonl(path)", ["read_jsonl"]),
-    ("artifacts.py", "rows = read_jsonl(path)", []),
-    ("gains.py", "from .artifacts import load_lines, read_jsonl", []),
+    ("gains.py", "import json", ["json"]),
+    ("engine.py", "from json import dumps", ["json"]),
+    ("artifacts.py", "import json", []),
+    ("cli.py", "value = json.loads(raw)", []),
+    ("gains.py", "from .artifacts import load_lines, write_jsonl", []),
 ])
 def test_foreign_use_scan(name, source, uses):
     assert _foreign_uses(name, source) == uses

@@ -20,7 +20,7 @@ from mtlgrouping.ensemble import (
 from mtlgrouping.gains import GainRecord, relative_gain
 from mtlgrouping.ridge import CvConfig
 from mtlgrouping.selector import build_problem, enumerate_candidate_groups
-from mtlgrouping.splines import basis_matrix, fit_knots
+from mtlgrouping.splines import basis_matrix, fit_knot_grid
 
 from helpers import centered_ridge, mean_loop_group_affinity, naive_basis
 
@@ -110,7 +110,7 @@ class TestFitStage1:
         best = None
         for degree in DEFAULT_DEGREES:
             for count in range(2):  # three distinct groups cap the interior count at 1
-                spec = fit_knots(zs, degree, count)
+                (spec,) = fit_knot_grid(zs, (degree,), (count,))
                 model, lam, cv_mse = ridge.fit_cv(basis_matrix(zs, spec), ys, cv)
                 key = (cv_mse[lam], spec.basis_count, spec.degree)
                 if best is None or key < best[0]:

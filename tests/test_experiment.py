@@ -11,19 +11,20 @@ from pathlib import Path
 
 import pytest
 
+from mtlgrouping import engine
 from mtlgrouping import gains as gn
 from mtlgrouping import selector as sel
-from mtlgrouping.artifacts import to_json
+from mtlgrouping.artifacts import read_json, to_json
 from mtlgrouping.engine import TrainConfig
 from mtlgrouping.experiment import (
     PIPELINE,
     STAGES,
     ExperimentConfig,
     StageError,
+    at,
     compare_ablations,
     config_from_dict,
     expand,
-    load_config,
     reference_config,
     resolve_output_dir,
     run_experiment,
@@ -79,7 +80,7 @@ class TestConfig:
         cfg = tiny_config(tmp_path / "x")
         path = tmp_path / "config.json"
         path.write_text(json.dumps(to_json(cfg)))
-        assert load_config(path) == cfg
+        assert config_from_dict(read_json(path)) == cfg
 
     def test_env_root_applies_to_relative_paths(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MTLGROUPING_OUTPUT_ROOT", str(tmp_path))
@@ -761,6 +762,36 @@ class TestReport:
         stale = replace(cfg, train=replace(cfg.train, epochs=cfg.train.epochs + 1))
         with pytest.raises(StageError, match="stage report: oracle record of group"):
             run_stage("report", stale, out)
+
+    @pytest.mark.parametrize("key, edit, message", [
+        ("eval", lambda data: data["final"].update(r2=math.nan),
+         ": metrics must be finite, got r2 = nan"),
+        ("selection", lambda data: data.update(
+            chosen=[[0, 1, 2, 3]], assignment={str(t): [0, 1, 2, 3] for t in range(4)}),
+         " chooses [[0, 1, 2, 3]], which are not candidate groups of this config; rerun select"),
+    ], ids=["eval", "selection"])
+    def test_bad_input_rejected_before_training(self, tmp_path, monkeypatch, key, edit, message):
+        # group sizes capped at 3, so that the all-task group is no candidate
+        out = tmp_path / "early"
+        cfg = tiny_config(out, seeds=(0,), group_sizes=(2, 3),
+                          n_train_groups=4, n_heldout_groups=4)
+        for stage in STAGES[:-1]:
+            run_stage(stage, cfg, out)
+        path = at(run_dirs(cfg, out)[0], key, budget=2)
+        data = json.loads(path.read_text())
+        edit(data)
+        path.write_text(json.dumps(data))
+        calls = []
+        train_stack = engine._train_stack
+
+        def counting_train_stack(*args, **kwargs):
+            calls.append(len(args[1]))
+            return train_stack(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "_train_stack", counting_train_stack)
+        with pytest.raises(StageError, match="^stage report: " + re.escape(f"{path}{message}")):
+            run_stage("report", cfg, out)
+        assert calls == []
 
 
 class TestAblations:

@@ -10,7 +10,7 @@ from mtlgrouping.artifacts import from_dict, to_json
 from mtlgrouping.ensemble import encode_group
 from mtlgrouping.ridge import CvConfig, SingularFitError
 from mtlgrouping.seeding import stream
-from mtlgrouping.splines import affine_matrix, basis_matrix, fit_knots
+from mtlgrouping.splines import affine_matrix, basis_matrix, fit_knot_grid
 
 from helpers import centered_ridge, cholesky_ridge, fold_loop_cv, per_fold_cv_error
 
@@ -221,7 +221,8 @@ def _spline_designs(rng):
         for interior in (0, 2, 5, 8):
             n = int(rng.integers(12, 40))
             z = rng.uniform(-1.0, 1.0, n)
-            yield basis_matrix(z, fit_knots(z, degree, interior)), rng.standard_normal(n)
+            (spec,) = fit_knot_grid(z, (degree,), (interior,))
+            yield basis_matrix(z, spec), rng.standard_normal(n)
 
 
 def _affine_designs(rng):

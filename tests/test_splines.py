@@ -7,7 +7,6 @@ from mtlgrouping.splines import (
     basis_expand,
     basis_matrix,
     fit_knot_grid,
-    fit_knots,
 )
 
 from helpers import naive_basis
@@ -24,30 +23,30 @@ def random_spec(rng, degree=None):
 
 class TestFitKnots:
     def test_single_interior_knot_at_median(self):
-        spec = fit_knots([0.0, 1.0], degree=2, interior_knot_count=1)
+        (spec,) = fit_knot_grid([0.0, 1.0], (2,), (1,))
         assert spec.knots == (0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0)
         assert spec.basis_count == 4
 
     def test_zero_interior_gives_degree_plus_one_basis(self):
         for d in (1, 2, 3, 4):
-            spec = fit_knots([0.0, 0.3, 1.0], degree=d, interior_knot_count=0)
+            (spec,) = fit_knot_grid([0.0, 0.3, 1.0], (d,), (0,))
             assert spec.basis_count == d + 1
 
     def test_uniform_grid_quantile_placement(self):
         scores = np.linspace(0.0, 1.0, 101)
-        spec = fit_knots(scores, degree=3, interior_knot_count=3)
+        (spec,) = fit_knot_grid(scores, (3,), (3,))
         interior = spec.knots[4:-4]
         assert np.allclose(interior, np.quantile(scores, [0.25, 0.5, 0.75]))
 
     def test_duplicate_quantiles_merged(self):
         scores = [0.0] + [0.5] * 50 + [1.0]
-        spec = fit_knots(scores, degree=2, interior_knot_count=4)
-        assert spec.interior_knot_count == 1
-        assert spec.knots[3] == 0.5
+        (spec,) = fit_knot_grid(scores, (2,), (4,))
+        # four quantiles, all at 0.5, merge into one interior knot
+        assert spec.knots == (0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0)
 
     def test_identical_scores_rejected(self):
         with pytest.raises(ValueError, match="identical"):
-            fit_knots([0.7, 0.7, 0.7], degree=2, interior_knot_count=1)
+            fit_knot_grid([0.7, 0.7, 0.7], (2,), (1,))
 
     @pytest.mark.parametrize("scores", [
         np.linspace(-1.0, 1.0, 30),
@@ -55,11 +54,12 @@ class TestFitKnots:
         np.random.default_rng(5).normal(size=40),
     ])
     def test_grid_equals_fit_knots_per_degree_and_count(self, scores):
+        # the whole grid equals its (degree, count) points fitted one at a time
         degrees, counts = (2, 3, 4, 5, 6), range(5)
         expected = []
         for degree in degrees:
             for count in counts:
-                spec = fit_knots(scores, degree, count)
+                (spec,) = fit_knot_grid(scores, (degree,), (count,))
                 if spec not in expected:
                     expected.append(spec)
         assert fit_knot_grid(scores, degrees, counts) == expected
@@ -128,7 +128,7 @@ class TestBasisExpand:
             assert np.array_equal(basis_expand(z, spec), at_hi)
 
     def test_right_end_is_one_hot(self):
-        spec = fit_knots(np.linspace(0, 1, 11), degree=3, interior_knot_count=2)
+        (spec,) = fit_knot_grid(np.linspace(0, 1, 11), (3,), (2,))
         vals = basis_expand(1.0, spec)
         assert vals[-1] == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(vals[:-1], 0.0, atol=1e-12)

@@ -85,13 +85,13 @@ class TestGenerate:
     def test_split_sizes_and_disjoint_cover(self):
         suite = generate_suite(small_spec())
         ds = suite[0]
-        assert ds.n_rows == 40
+        assert ds.targets.size == 40
         counts = {name: int(np.sum(ds.split == name)) for name in ("train", "val", "test")}
         assert counts == {"train": 20, "val": 8, "test": 12}
         x_train, _ = ds.rows("train")
         x_val, _ = ds.rows("val")
         x_test, _ = ds.rows("test")
-        assert len(x_train) + len(x_val) + len(x_test) == ds.n_rows
+        assert len(x_train) + len(x_val) + len(x_test) == ds.targets.size
 
     def test_noise_scale_controls_residual(self):
         quiet = generate_suite(small_spec(label_noise_std=0.0))
