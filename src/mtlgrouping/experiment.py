@@ -81,7 +81,7 @@ class ExperimentConfig:
     NOUN: ClassVar[str] = "config key"
 
     suite: TaskSuiteSpec
-    train: TrainConfig  # its seed field is replaced by each repeat seed
+    train: TrainConfig  # its seed must be 0: each run trains with its entry of seeds
     n_train_groups: int
     n_heldout_groups: int
     group_sizes: tuple[int, int] = (2, 0)  # hi = 0 means "all tasks"
@@ -105,6 +105,11 @@ class ExperimentConfig:
             raise ValueError("budgets must be distinct")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError("seeds must be distinct")
+        if self.train.seed != 0:
+            raise ValueError(f"train.seed must be 0, got {self.train.seed}: each run trains "
+                             "with its entry of seeds")
         lo, hi = self.resolved_sizes()
         if not 2 <= lo <= hi <= self.suite.n_tasks:
             raise ValueError(f"group_sizes = {list(self.group_sizes)} is not a valid size range "
@@ -405,6 +410,9 @@ def _run_selection(config: ExperimentConfig, rd: Path, budget: int, universe):
     if len(selection.assignment) != config.suite.n_tasks:
         raise ValueError(f"{path} assigns {len(selection.assignment)} tasks, "
                          f"not the config's {config.suite.n_tasks}; rerun select")
+    if len(selection.chosen) > budget:
+        raise ValueError(f"{path} chooses {len(selection.chosen)} groups, more than its "
+                         f"budget of {budget}; rerun select")
     stray = [list(g) for g in selection.chosen if g not in universe]
     if stray:
         raise ValueError(f"{path} chooses {stray}, which are not candidate "

@@ -387,7 +387,7 @@ def _definitions(tree) -> list:
     return defs
 
 
-def _mentions(tree, reexports: bool = True) -> Counter:
+def _mentions(tree) -> Counter:
     """Each name that ``tree`` mentions as a ``Name``, an ``Attribute`` or an import."""
     names = Counter()
     for node in ast.walk(tree):
@@ -395,7 +395,7 @@ def _mentions(tree, reexports: bool = True) -> Counter:
             names[node.id] += 1
         elif isinstance(node, ast.Attribute):
             names[node.attr] += 1
-        elif isinstance(node, (ast.Import, ast.ImportFrom)) and reexports:
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names.update(alias.name.rpartition(".")[2] for alias in node.names)
     return names
 
@@ -403,12 +403,10 @@ def _mentions(tree, reexports: bool = True) -> Counter:
 def _unreferenced(modules: dict[str, str], users: list[str]) -> list[str]:
     """``module.name`` of each definition in ``modules`` that nothing else mentions.
 
-    Mentions count in ``modules`` (but not ``__init__.py``'s imports, which only
-    re-export) and in the sources of ``users``.
+    Mentions count in ``modules`` and in the sources of ``users``.
     """
     trees = {name: ast.parse(source) for name, source in modules.items()}
-    mentions = sum((_mentions(tree, name != "__init__.py") for name, tree in trees.items()),
-                   Counter())
+    mentions = sum((_mentions(tree) for tree in trees.values()), Counter())
     for source in users:
         mentions += _mentions(ast.parse(source))
     return sorted(f"{name.removesuffix('.py')}.{dotted}" for name, tree in trees.items()
@@ -425,10 +423,17 @@ def test_every_definition_is_used():
     assert [name for name in flagged if name not in _UNREFERENCED_KEPT] == []
 
 
+def test_package_init_is_a_lone_docstring():
+    # names are imported from their defining module; a re-export would also count as
+    # a use in test_every_definition_is_used
+    body = ast.parse((PACKAGE / "__init__.py").read_text()).body
+    assert len(body) == 1 and isinstance(body[0], ast.Expr)
+    assert isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str)
+
+
 @pytest.mark.parametrize("modules, users, flagged", [
     ({"a.py": "def f():\n    pass"}, [], ["a.f"]),
     ({"a.py": "def f():\n    pass", "b.py": "from .a import f"}, [], []),
-    ({"a.py": "def f():\n    pass", "__init__.py": "from .a import f"}, [], ["a.f"]),
     ({"a.py": "def f():\n    pass"}, ["import m\nm.a.f()"], []),
     ({"a.py": "def f(n):\n    return f(n - 1)"}, [], ["a.f"]),
     ({"a.py": "class C:\n    def m(self):\n        pass\n    def _p(self):\n        pass\n"

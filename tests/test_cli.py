@@ -98,6 +98,16 @@ class TestSubcommands:
         assert "'residual_enabled'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("override, message", [
+        ("seeds=[0,0]", "seeds must be distinct"),
+        ("train.seed=5", "train.seed must be 0, got 5: each run trains with its entry of seeds"),
+    ])
+    def test_set_config_check_fails(self, config_file, capsys, override, message):
+        path, out = config_file
+        assert main(["run", "--config", str(path), "--set", override]) == 1
+        assert capsys.readouterr().err == f"stage config: {message}\n"
+        assert not out.exists()
+
     def test_bad_config_reports_and_fails(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{\"nope\": 1}")

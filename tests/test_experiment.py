@@ -131,7 +131,7 @@ class TestConfig:
                 label_noise_std=0.25, samples_per_split=(10, 6, 12), seed=17,
                 cluster_assignment=(2, 1, 0, 1, 2), task_type="classification"),
             train=TrainConfig(learning_rate=0.125, momentum=0.5, epochs=3,
-                              batch_size=4, hidden_dims=(3, 2), seed=9),
+                              batch_size=4, hidden_dims=(3, 2), seed=0),
             n_train_groups=4,
             n_heldout_groups=3,
             group_sizes=(3, 4),
@@ -144,7 +144,9 @@ class TestConfig:
         )
         for obj in (cfg, cfg.suite, cfg.train):
             for f in fields(obj):
-                assert getattr(obj, f.name) != f.default, f.name
+                # a config's train.seed must be 0, its default
+                if obj is not cfg.train or f.name != "seed":
+                    assert getattr(obj, f.name) != f.default, f.name
         assert config_from_dict(json.loads(json.dumps(to_json(cfg)))) == cfg
 
     def test_integer_float_stays_float(self, tmp_path):
@@ -194,7 +196,23 @@ class TestConfig:
     def test_duplicate_budgets_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="^budgets must be distinct$"):
             tiny_config(tmp_path, budgets=(2, 3, 2))
-        assert tiny_config(tmp_path, seeds=(0, 0)).seeds == (0, 0)
+
+    def test_duplicate_seeds_rejected(self, tmp_path):
+        # two runs of one seed would train the same run twice and count it twice in report
+        with pytest.raises(ValueError, match="^seeds must be distinct$"):
+            tiny_config(tmp_path, seeds=(3, 3))
+        with pytest.raises(ValueError, match="^seeds must be distinct$"):
+            reference_config(seeds=(0, 1, 0))
+        assert tiny_config(tmp_path, seeds=(3, 0)).seeds == (3, 0)
+
+    def test_train_seed_other_than_zero_rejected(self, tmp_path):
+        data = to_json(tiny_config(tmp_path / "x"))
+        assert data["train"]["seed"] == 0
+        assert config_from_dict(data) == tiny_config(tmp_path / "x")
+        data["train"]["seed"] = 5
+        with pytest.raises(ValueError, match=r"^train\.seed must be 0, got 5: each run trains "
+                                             r"with its entry of seeds$"):
+            config_from_dict(data)
 
     def test_more_groups_than_the_universe_rejected(self):
         with pytest.raises(ValueError, match=r"^n_train_groups \+ n_heldout_groups = 65 exceed "
@@ -301,17 +319,6 @@ class TestRunExperiment:
             if rel.name == "config.json":
                 continue  # embeds the differing output_dir
             assert (out / rel).read_bytes() == (out2 / rel).read_bytes(), rel
-
-    def test_duplicate_seeds_identical_runs(self, tmp_path):
-        out = tmp_path / "dup"
-        cfg = tiny_config(out, seeds=(1, 1), n_heldout_groups=4)
-        run_experiment(cfg)
-        rd1, rd2 = run_dirs(cfg, Path(out))
-        files1 = sorted(p.name for p in rd1.iterdir())
-        files2 = sorted(p.name for p in rd2.iterdir())
-        assert files1 == files2
-        for name in files1:
-            assert (rd1 / name).read_bytes() == (rd2 / name).read_bytes()
 
     def test_stage_rerun_reproduces_downstream(self, finished):
         cfg, out, _, _ = finished
@@ -431,7 +438,10 @@ class TestStageErrors:
          "{path}: assignment must map tasks 0..2, got tasks [0, 2, 3]"),
         (lambda data: data["assignment"].update({"0": [1, 2]}),
          "{path}: task 0 is assigned group [1, 2], which is not a chosen group holding it"),
-    ], ids=["task-left-out", "extra-task", "task-gap", "foreign-group"])
+        (lambda data: data.update(chosen=[[0, 1], [0, 2], [2, 3]], assignment={
+            "0": [0, 1], "1": [0, 1], "2": [0, 2], "3": [2, 3]}),
+         "{path} chooses 3 groups, more than its budget of 2; rerun select"),
+    ], ids=["task-left-out", "extra-task", "task-gap", "foreign-group", "over-budget"])
     def test_selection_not_covering_the_tasks_rejected_at_report(self, finished, tmp_path,
                                                                   edit, message):
         cfg, out, _, _ = finished
@@ -835,7 +845,8 @@ def files_under(root: Path) -> dict:
 
 
 class TestWorkers:
-    @pytest.mark.parametrize("seeds", [(0, 1, 2), (1, 1)])
+    # (1, 0): a pooled run's bytes do not depend on its position in seeds
+    @pytest.mark.parametrize("seeds", [(0, 1, 2), (1, 0)])
     def test_pooled_runs_write_the_one_seed_bytes(self, tmp_path, cpus, seeds):
         cpus(2)
         cfg = tiny_config(tmp_path / "pooled", seeds=seeds)
