@@ -36,7 +36,7 @@ def writing(path, newline=None):
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", newline=newline) as fh:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     finally:
@@ -58,7 +58,7 @@ def write_json(path, payload: dict) -> None:
 
 
 def read_json(path) -> dict:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
 
@@ -70,7 +70,7 @@ def write_jsonl(path, rows) -> None:
 
 def _lines(path):
     """Yield ``(number, text)`` of each non-blank line, numbering from 1."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for n, line in enumerate(fh, 1):
             if line.strip():
                 yield n, line

@@ -1,11 +1,11 @@
 """Command-line front end for the experiment pipeline.
 
 Each subcommand runs one pipeline stage against a JSON experiment config;
-`run` executes every stage in order and `ablate` produces the mapping-kind
-by residual-correction comparison table. Config fields can be overridden on
-the command line with repeated --set key=value flags (dotted keys reach the
-nested suite/train sections). Exit status is 0 on success and 1 on failure,
-with the failing stage named on stderr.
+`run` executes every stage in order, and `ablate` reads a run's files to
+write the mapping-kind by residual-correction comparison table. Config
+fields can be overridden on the command line with repeated --set key=value
+flags (dotted keys reach the nested suite/train sections). Exit status is 0
+on success and 1 on failure, with the failing stage named on stderr.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .artifacts import read_json
 from .experiment import (
     STAGES,
     StageError,
-    compare_ablations,
     config_from_dict,
     resolve_output_dir,
     run_experiment,
@@ -80,8 +79,6 @@ def main(argv=None) -> int:
     try:
         if command == "run":
             run_experiment(config, args.out)
-        elif command == "ablate":
-            compare_ablations(config, args.out)
         else:
             run_stage(command, config, resolve_output_dir(config, args.out))
     except StageError as exc:

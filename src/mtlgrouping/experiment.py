@@ -10,7 +10,9 @@ artifacts and writes its own, so any stage can be rerun in isolation and
 reruns are byte-identical. ``FILES`` spells the path pattern of every file
 under the output directory once, by key, and ``at`` turns a key into a path.
 ``PIPELINE`` declares, stage by stage, the keys of the files each one reads
-and writes; ``run_stage`` checks the reads before it starts.
+and writes; ``run_stage`` checks the reads before it starts. ``ABLATE``, the
+ablation stage, is declared and run the same way but is not part of ``run``:
+it fits its four predictors on the files of a run's first three stages.
 
 Oracle and report train a model per group, which makes them most of a run.
 Report trains its candidates stacked by group size, in a few wide loops per
@@ -21,12 +23,8 @@ group at a time, because perfbench counts its training at each
 bit, so ``_per_run`` hands them to forked worker processes, one per usable
 CPU and at most one per seed. A single worker means no pool: one seed, or
 one CPU, runs inline. The other stages run their seeds in order in this
-process. For evaluate and select that is also faster: on
-``reference_config()``'s six seeds on 2 vCPUs, a pool took evaluate from
-0.022 to 0.027 s and select from 0.017 to 0.027 s. Train-affinity and fit
-would gain from one (0.19 to 0.12 s and 0.065 to 0.054 s), but perfbench's
-tracer counts their kernels in its own process, and a forked stage would
-hide the ``refit`` workload's spans from it (ROADMAP item 1).
+process: a pool slows evaluate and select, and would hide train-affinity's
+and fit's kernels from perfbench's in-process tracer (README, Workers).
 No option controls this; the artifacts are the same bytes either way.
 """
 
@@ -34,7 +32,6 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import product
 from pathlib import Path
@@ -285,6 +282,11 @@ def _sampled_groups(config: ExperimentConfig, seed: int) -> RunGroups:
 
 def _oracle_run(config: ExperimentConfig, rd: Path, seed: int, suite) -> None:
     groups = _sampled_groups(config, seed)
+    pairs = sum(map(len, groups.train))
+    if pairs < 3:  # fit would fail on them, after all the training below
+        train = [list(g) for g in groups.train]
+        raise ValueError(f"seed {seed} samples the training groups {train}, which give fit "
+                         f"{pairs} training pairs, under three")
     save(at(rd, "groups"), groups)
     tc = _run_train_config(config, seed)
     cache = gn.StlCache(suite)
@@ -309,7 +311,7 @@ def stage_oracle(config: ExperimentConfig, out: Path) -> None:
 def _run_records(rd: Path, seed: int, split: str) -> list:
     """The oracle's ``split`` records: that split's groups in order, measured under ``seed``.
 
-    Fit, evaluate, report and ``compare_ablations`` read the records only through here.
+    Fit, evaluate, report and ablate read the records only through here.
     """
     groups = load(at(rd, "groups"), RunGroups)
     path = at(rd, f"gains_{split}")
@@ -492,6 +494,36 @@ def stage_report(config: ExperimentConfig, out: Path) -> dict:
     return report
 
 
+def stage_ablate(config: ExperimentConfig, out: Path) -> dict:
+    """Fit {affine, spline} x {residual on, off} on the oracle's and train-affinity's files."""
+    cells: dict[str, list[met.EvalReport]] = {label: [] for _, _, label in ABLATION_CELLS}
+    for rd, seed in zip(run_dirs(config, out), config.seeds):
+        matrix = aff.load_matrix(at(rd, "affinity"))
+        train_records = _run_records(rd, seed, "train")
+        heldout_records = _run_records(rd, seed, "heldout")
+        for mapping_kind, residual, label in ABLATION_CELLS:
+            cell = replace(config, mapping_kind=mapping_kind, residual_enabled=residual)
+            predictor = _fit_predictor(cell, train_records, matrix, seed)
+            actual, final, _ = _heldout_points(predictor, matrix, heldout_records)
+            cells[label].append(met.evaluate(actual, final))
+    table = {
+        "schema": "ablation/1",
+        "n_runs": len(config.seeds),
+        "cells": {label: _summary(reports, ("r2", "pearson")) for label, reports in cells.items()},
+    }
+    write_json(at(out, "ablation"), table)
+    lines = [f"{'cell':<18} {'r2':>18} {'pearson':>18}"]
+    for label, metrics in table["cells"].items():
+        r2, pr = metrics["r2"], metrics["pearson"]
+        lines.append(
+            f"{label:<18} {r2['mean']:>8.4f} ± {r2['std']:<7.4f} "
+            f"{pr['mean']:>8.4f} ± {pr['std']:<7.4f}"
+        )
+    with writing(at(out, "ablation_txt")) as fh:
+        fh.write("\n".join(lines) + "\n")
+    return table
+
+
 @dataclass(frozen=True)
 class Stage:
     """A stage's function and the files under ``out`` that it reads and writes.
@@ -529,6 +561,9 @@ PIPELINE = (
 
 STAGES = tuple(stage.name for stage in PIPELINE)
 
+ABLATE = Stage("ablate", stage_ablate, reads=_files("affinity groups gains_train gains_heldout"),
+               writes=_files("ablation ablation_txt"))
+
 
 def expand(pattern: str, config: ExperimentConfig) -> list[str]:
     """The paths under ``out`` that ``pattern`` names for ``config``, runs outermost."""
@@ -539,72 +574,36 @@ def expand(pattern: str, config: ExperimentConfig) -> list[str]:
             for combo in product(*(values[key] for key in keys))]
 
 
-@contextmanager
-def _tagged(stage: str):
-    """Re-raise any failure inside the block as a ``StageError`` naming ``stage``."""
-    try:
-        yield
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError(stage, str(exc)) from exc
-
-
 def run_stage(name: str, config: ExperimentConfig, out: Path):
     """Run one stage once its declared reads exist, tagging any failure with the stage name."""
-    if name not in STAGES:
-        raise ValueError(f"unknown stage {name!r}; the stages are {', '.join(STAGES)}")
-    with _tagged(name):
-        stage = PIPELINE[STAGES.index(name)]
-        for pattern in stage.reads:
+    stages = {stage.name: stage for stage in PIPELINE + (ABLATE,)}
+    if name not in stages:
+        raise ValueError(f"unknown stage {name!r}; the stages are {', '.join(stages)}")
+    try:
+        for pattern in stages[name].reads:
             for rel in expand(pattern, config):
                 if not (out / rel).is_file():
                     writer = next(s.name for s in PIPELINE if pattern in s.writes)
-                    raise StageError(name, f"missing {out / rel}, written by {writer}; "
-                                           f"run {writer}")
-        return stage.func(config, out)
+                    raise FileNotFoundError(f"missing {out / rel}, written by {writer}; "
+                                            f"run {writer}")
+        return stages[name].func(config, out)
+    except Exception as exc:
+        raise StageError(name, str(exc)) from exc
 
 
 def run_experiment(config: ExperimentConfig, out=None) -> dict:
     """Run every stage in order; artifacts from completed stages persist."""
     out = resolve_output_dir(config, out)
-    report = None
     for name in STAGES:
         report = run_stage(name, config, out)
     return report
 
 
 def compare_ablations(config: ExperimentConfig, out=None) -> dict:
-    """Fit {affine, spline} x {residual on, off} on shared upstream artifacts."""
+    """Run generate, train-affinity, oracle and ablate; return the ablation table."""
     out = resolve_output_dir(config, out)
-    for name in ("generate", "train-affinity", "oracle"):
-        run_stage(name, config, out)
-    cells: dict[str, list[met.EvalReport]] = {label: [] for _, _, label in ABLATION_CELLS}
-    with _tagged("ablate"):
-        for rd, seed in zip(run_dirs(config, out), config.seeds):
-            matrix = aff.load_matrix(at(rd, "affinity"))
-            train_records = _run_records(rd, seed, "train")
-            heldout_records = _run_records(rd, seed, "heldout")
-            for mapping_kind, residual, label in ABLATION_CELLS:
-                cell = replace(config, mapping_kind=mapping_kind, residual_enabled=residual)
-                predictor = _fit_predictor(cell, train_records, matrix, seed)
-                actual, final, _ = _heldout_points(predictor, matrix, heldout_records)
-                cells[label].append(met.evaluate(actual, final))
-    table = {
-        "schema": "ablation/1",
-        "n_runs": len(config.seeds),
-        "cells": {label: _summary(reports, ("r2", "pearson")) for label, reports in cells.items()},
-    }
-    write_json(at(out, "ablation"), table)
-    lines = [f"{'cell':<18} {'r2':>18} {'pearson':>18}"]
-    for label, metrics in table["cells"].items():
-        r2, pr = metrics["r2"], metrics["pearson"]
-        lines.append(
-            f"{label:<18} {r2['mean']:>8.4f} ± {r2['std']:<7.4f} "
-            f"{pr['mean']:>8.4f} ± {pr['std']:<7.4f}"
-        )
-    with writing(at(out, "ablation_txt")) as fh:
-        fh.write("\n".join(lines) + "\n")
+    for name in ("generate", "train-affinity", "oracle", "ablate"):
+        table = run_stage(name, config, out)
     return table
 
 

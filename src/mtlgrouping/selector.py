@@ -82,6 +82,8 @@ class SelectionResult:
             if group is not None and (group not in self.chosen or t not in group):
                 raise ValueError(f"task {t} is assigned group {list(group)}, which is not a "
                                  "chosen group holding it")
+            if group is None and any(t in g for g in self.chosen):
+                raise ValueError(f"task {t} is assigned no group, though a chosen group holds it")
 
 
 def selection_objective(problem: SelectionProblem, chosen):

@@ -1,7 +1,11 @@
 import ast
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
@@ -57,6 +61,34 @@ class TestWriting:
         assert path.read_text().splitlines()[0] == '{"a": null, "i": 0}'
         path.write_text(path.read_text() + "\n")
         assert load_lines(path, _Row) == [_Row(i=i, a=None) for i in range(3)]
+
+    def test_utf8_whatever_the_locale(self, tmp_path):
+        # a C locale without UTF-8 mode or locale coercion defaults open() to ASCII
+        script = textwrap.dedent(r"""
+            import locale, sys
+            from dataclasses import dataclass
+            from pathlib import Path
+            from mtlgrouping.artifacts import load_lines, read_json, writing
+
+            @dataclass(frozen=True)
+            class Note:
+                text: str
+
+            assert locale.getpreferredencoding(False).lower().replace("-", "") != "utf8"
+            base = Path(sys.argv[1])
+            with writing(base / "out.txt") as fh:
+                fh.write("0.5 \u00b1 0.1\n")
+            assert read_json(base / "in.json") == {"text": "\u00b1"}
+            assert load_lines(base / "in.jsonl", Note) == [Note("\u00b1")]
+            """)
+        for name in ("in.json", "in.jsonl"):
+            (tmp_path / name).write_bytes('{"text": "\u00b1"}\n'.encode())
+        env = dict(os.environ, PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C",
+                   PYTHONPATH=str(PACKAGE.parent))
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "out.txt").read_bytes() == "0.5 \u00b1 0.1\n".encode()
 
     def test_typed_lines_error_names_the_line(self, tmp_path):
         # blank lines count, so the number is the line an editor shows
@@ -507,10 +539,10 @@ def _stage_error_builders(source: str) -> list[str]:
 
 
 def test_only_run_stage_names_the_failing_stage():
-    # stage code raises plain errors; run_stage's read check and _tagged add the stage name
+    # stage code raises plain errors; run_stage alone adds the stage name
     builders = sorted({f"{path.name}:{name}" for path in PACKAGE.glob("*.py")
                        for name in _stage_error_builders(path.read_text())})
-    assert builders == ["experiment.py:_tagged", "experiment.py:run_stage"]
+    assert builders == ["experiment.py:run_stage"]
 
 
 @pytest.mark.parametrize("source, builders", [

@@ -4,8 +4,9 @@ import pytest
 
 from mtlgrouping.artifacts import to_json
 from mtlgrouping.cli import main
+from mtlgrouping.experiment import at, compare_ablations, run_dirs
 
-from test_experiment import tiny_config
+from test_experiment import count_training, tiny_config
 
 
 @pytest.fixture()
@@ -32,8 +33,47 @@ class TestSubcommands:
 
     def test_ablate(self, config_file):
         path, out = config_file
+        assert main(["run", "--config", str(path)]) == 0
         assert main(["ablate", "--config", str(path)]) == 0
         assert (out / "ablation.json").exists()
+
+    def test_ablate_after_run_trains_nothing(self, config_file, tmp_path, monkeypatch):
+        path, out = config_file
+        assert main(["run", "--config", str(path)]) == 0
+        calls = count_training(monkeypatch)
+        assert main(["ablate", "--config", str(path)]) == 0
+        assert calls == []
+        fresh = tmp_path / "fresh"
+        compare_ablations(tiny_config(fresh, seeds=(0,)))
+        for key in ("ablation", "ablation_txt"):
+            assert at(out, key).read_bytes() == at(fresh, key).read_bytes(), key
+
+    def test_ablate_checks_the_gain_records(self, config_file, capsys):
+        # the run's record, not an oracle rerun, reaches ablate's reader
+        path, out = config_file
+        assert main(["run", "--config", str(path)]) == 0
+        records = at(run_dirs(tiny_config(out, seeds=(0,)), out)[0], "gains_train")
+        lines = records.read_text().splitlines(keepends=True)
+        row = json.loads(lines[1])
+        task = next(iter(row["gains"]))
+        row["gains"][task] += 0.5
+        lines[1] = json.dumps(row) + "\n"
+        records.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["ablate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"stage ablate: {records} line 2: gain {row['gains'][task]!r} "
+                              f"of task {task} in group ")
+        assert "is not relative_gain(" in err
+        assert not at(out, "ablation").exists()
+
+    def test_ablate_on_an_empty_directory_names_the_first_stage(self, config_file, capsys):
+        path, out = config_file
+        assert main(["ablate", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"stage ablate: missing {out / 'runs' / '00_seed0' / 'affinity.json'}, written by "
+            "train-affinity; run train-affinity\n")
+        assert not out.exists()
 
     def test_missing_upstream_is_nonzero_with_stage_name(self, config_file, capsys):
         path, _ = config_file

@@ -17,6 +17,7 @@ from mtlgrouping import selector as sel
 from mtlgrouping.artifacts import read_json, to_json
 from mtlgrouping.engine import TrainConfig
 from mtlgrouping.experiment import (
+    ABLATE,
     PIPELINE,
     STAGES,
     ExperimentConfig,
@@ -69,6 +70,19 @@ def copy_files(src: Path, dst: Path, rels) -> None:
 
 def stage_entry(name: str):
     return PIPELINE[STAGES.index(name)]
+
+
+def count_training(monkeypatch) -> list:
+    """From now on, the group count of every ``engine._train_stack`` call in this process."""
+    calls = []
+    train_stack = engine._train_stack
+
+    def counting_train_stack(*args, **kwargs):
+        calls.append(len(args[1]))
+        return train_stack(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_train_stack", counting_train_stack)
+    return calls
 
 
 class TestConfig:
@@ -344,9 +358,9 @@ class TestRunExperiment:
 
 class TestStageTable:
     def test_reads_come_from_an_earlier_stage(self):
-        writers = [(p, stage.name) for stage in PIPELINE for p in stage.writes]
+        writers = [(p, stage.name) for stage in PIPELINE + (ABLATE,) for p in stage.writes]
         assert len({p for p, _ in writers}) == len(writers), "a file with two writers"
-        for i, stage in enumerate(PIPELINE):
+        for i, stage in enumerate(PIPELINE + (ABLATE,)):
             for pattern in stage.reads:
                 assert pattern in [p for s in PIPELINE[:i] for p in s.writes], (stage.name, pattern)
 
@@ -365,15 +379,13 @@ class TestStageTable:
             assert (alone / rel).read_bytes() == (out / rel).read_bytes(), rel
 
     def test_formats_layout_lists_every_write(self):
-        # FORMATS.md's layout block has one row per declared write, pattern then
-        # writer, besides the rows of the ablation command
+        # FORMATS.md's layout block has one row per declared write, pattern then writer
         text = (Path(__file__).resolve().parent.parent / "FORMATS.md").read_text()
         block = re.search(r"^## Experiment layout\n\n```\n(.*?)^```$", text,
                           re.MULTILINE | re.DOTALL)
         assert block, "FORMATS.md has no code block right under '## Experiment layout'"
         rows = [line.split()[:2] for line in block.group(1).splitlines()[1:]]
-        assert rows[-2:] == [["ablation.json", "ablate"], ["ablation.txt", "ablate"]]
-        assert rows[:-2] == [[p, stage.name] for stage in PIPELINE for p in stage.writes]
+        assert rows == [[p, stage.name] for stage in PIPELINE + (ABLATE,) for p in stage.writes]
 
 
 class TestStageErrors:
@@ -641,7 +653,7 @@ class TestStageErrors:
         out = tmp_path / "unknown"
         with pytest.raises(ValueError, match="^" + re.escape(
                 "unknown stage 'fitt'; the stages are generate, train-affinity, oracle, fit, "
-                "evaluate, select, report") + "$"):
+                "evaluate, select, report, ablate") + "$"):
             run_stage("fitt", tiny_config(out, seeds=(0,)), out)
         assert not out.exists()
 
@@ -660,6 +672,19 @@ class TestStageErrors:
         run_stage("generate", cfg, Path(out))
         with pytest.raises(StageError, match="stage train-affinity"):
             run_stage("train-affinity", cfg, Path(out))
+
+    def test_oracle_fails_before_training_under_three_pairs(self, tmp_path, monkeypatch):
+        # the config allows three pairs, but seed 2 samples one two-task training group
+        out = tmp_path / "pairs"
+        cfg = tiny_config(out, seeds=(2,), n_train_groups=1, n_heldout_groups=3)
+        run_stage("generate", cfg, out)
+        calls = count_training(monkeypatch)
+        with pytest.raises(StageError, match="^" + re.escape(
+                "stage oracle: seed 2 samples the training groups [[0, 3]], which give fit "
+                "2 training pairs, under three") + "$"):
+            run_stage("oracle", cfg, out)
+        assert calls == []
+        assert not run_dirs(cfg, out)[0].exists()
 
 
 def numeric_leaves(node, path=()):
@@ -791,14 +816,7 @@ class TestReport:
         data = json.loads(path.read_text())
         edit(data)
         path.write_text(json.dumps(data))
-        calls = []
-        train_stack = engine._train_stack
-
-        def counting_train_stack(*args, **kwargs):
-            calls.append(len(args[1]))
-            return train_stack(*args, **kwargs)
-
-        monkeypatch.setattr(engine, "_train_stack", counting_train_stack)
+        calls = count_training(monkeypatch)
         with pytest.raises(StageError, match="^stage report: " + re.escape(f"{path}{message}")):
             run_stage("report", cfg, out)
         assert calls == []

@@ -306,7 +306,10 @@ class TestSerialization:
          "task 2 is assigned group [1, 2], which is not a chosen group holding it"),
         (((0, 1),), {0: (0, 1), 1: (0, 1), 2: (0, 1)},
          "task 2 is assigned group [0, 1], which is not a chosen group holding it"),
-    ], ids=["unsorted", "repeated", "reversed-group", "task-gap", "unchosen", "not-holding"])
+        (((0, 1),), {0: (0, 1), 1: None, 2: None},
+         "task 1 is assigned no group, though a chosen group holds it"),
+    ], ids=["unsorted", "repeated", "reversed-group", "task-gap", "unchosen", "not-holding",
+            "covered-none"])
     def test_inconsistent_result_rejected(self, chosen, assignment, message):
         data = {"schema": "selection/1", "chosen": [list(g) for g in chosen], "objective": 0.5,
                 "assignment": {str(t): g and list(g) for t, g in assignment.items()}}
