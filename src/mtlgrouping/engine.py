@@ -22,13 +22,16 @@ scored by the same ``_forward``, one pass per split over the ``(T, n, d)``
 rows of its group, and each loss equals ``forward_loss`` on that task and
 split exactly.
 
-``train_groups`` trains many groups: it buckets them by size and trains each
-bucket in one loop, with no padding, since every group of a config starts
-from the same parameters and reads the same batch rows. ``train_mtl`` is the
-one-group case of that loop, and the only one that captures a trace. Report
-trains its candidates this way; the oracle still calls ``train_mtl`` once
-per group, because perfbench counts the oracle's training at those calls
-(see ``gains``).
+``train_groups`` trains many groups: it checks each one, buckets them by
+size, architecture and train length, and trains each bucket in one loop,
+with no padding, since every group of a config starts from the same
+parameters and reads the same batch rows. A bucket's loop stacks its
+members' train rows when it starts, task by task, so a call holds one
+bucket's rows at a time, never a copy of every group's; scoring reads each
+split's rows the same way. ``train_mtl`` is the one-group case of that
+loop, and the only one that captures a trace. Report trains its candidates
+this way; the oracle still calls ``train_mtl`` once per group, because
+perfbench counts the oracle's training at those calls (see ``gains``).
 
 Every parameter vector and gradient the engine builds has one layout: each
 encoder layer's weight (row-major, out by in) and then its bias, in one flat
@@ -361,10 +364,11 @@ def sgd_momentum_step(theta: np.ndarray, velocity: np.ndarray, gradient: np.ndar
 
 
 def _group_rows(group, datasets, config: TrainConfig):
-    """The sorted group, its architecture and its members' train rows.
+    """The sorted group and its architecture, once the group is checked.
 
     Raises ``ValueError`` for a group that cannot be trained jointly: among
     other reasons, when its tasks' splits differ in size, split by split.
+    It reads no rows: ``_train_stack`` stacks them when it starts.
     """
     ids = tuple(group)
     for t in ids:
@@ -389,14 +393,28 @@ def _group_rows(group, datasets, config: TrainConfig):
         raise ValueError("empty train split")
     loss_kind = "squared" if task_type == "regression" else "logistic"
     arch = Architecture(input_dim=input_dim, hidden_dims=tuple(config.hidden_dims), loss=loss_kind)
-    return group, arch, [ds.rows("train") for ds in members]
+    return group, arch
 
 
-def _train_stack(arch: Architecture, groups, trains, datasets, config: TrainConfig,
+def _stacked_rows(groups, datasets, split: str, input_dim: int):
+    """The ``([G,] T, n, d)`` features and ``([G,] T, n)`` targets of one split.
+
+    Row ``[g, j]`` is task ``groups[g][j]``; the group axis is there only for
+    two or more groups, as in ``_train_stack``'s state. The stack is filled
+    task by task, so one task's fresh rows are alive at a time.
+    """
+    y = np.empty((len(groups), len(groups[0]), datasets[groups[0][0]].split_size(split)))
+    X = np.empty(y.shape + (input_dim,))
+    for g, j in np.ndindex(y.shape[:2]):
+        X[g, j], y[g, j] = datasets[groups[g][j]].rows(split)
+    return (X, y) if len(groups) > 1 else (X[0], y[0])
+
+
+def _train_stack(arch: Architecture, groups, datasets, config: TrainConfig,
                  capture_trace: bool = False) -> list[TrainedModel | TrainingDiverged]:
     """Train groups of one size, architecture and train length in one loop.
 
-    ``trains[g]`` holds the train rows of the tasks of ``groups[g]``. Every
+    The stack reads its train rows from ``datasets`` when it starts. Every
     group starts from the same parameters and reads the same batch rows,
     both drawn from the config seed alone, so the stack shares one
     initialization and one permutation per epoch. Returns, per group, its
@@ -405,16 +423,12 @@ def _train_stack(arch: Architecture, groups, trains, datasets, config: TrainConf
     ``train_mtl`` trains, can capture its trace.
     """
     n_groups, n_tasks = len(groups), len(groups[0])
-    n_train = trains[0][0][1].size
     # the state carries a leading group axis only for two or more groups:
     # every axis adds to numpy's cost per call, and a lone group (train_mtl)
     # is what train-affinity and the oracle train
     stack = (n_groups,) if n_groups > 1 else ()
-    rows_shape = stack + (n_tasks, n_train)
-    X_all = np.array([[X for X, _ in train] for train in trains], dtype=float).reshape(
-        rows_shape + (arch.input_dim,))  # ([G,] T, n, d)
-    y_all = np.array([[y for _, y in train] for train in trains], dtype=float).reshape(
-        rows_shape)  # ([G,] T, n)
+    X_all, y_all = _stacked_rows(groups, datasets, "train", arch.input_dim)
+    n_train = y_all.shape[-1]
     # theta = [shared | heads row-major], one row per group; velocity and
     # update share the layout
     init = init_params(arch, config.seed, groups[0])
@@ -514,19 +528,13 @@ def _train_stack(arch: Architecture, groups, trains, datasets, config: TrainConf
         params = ModelParams(arch=arch, shared=row[:n_shared].copy(),
                              heads={t: h.copy() for t, h in zip(group, heads)})
         layers = [(w.T, b) for w, b in arch.unpack_shared(params.shared)]
-        losses = {}
+        losses = {split: {} for split in SPLITS}
         for split in SPLITS:
-            losses[split] = {}
-            n = datasets[group[0]].split_size(split)
-            if not n:  # an empty split has no losses
-                continue
-            # filled task by task, so one task's fresh rows are alive at a time
-            X, y = np.empty((n_tasks, n, arch.input_dim)), np.empty((n_tasks, n))
-            for j, t in enumerate(group):
-                X[j], y[j] = datasets[t].rows(split)
-            yhat, _ = _forward(layers, heads[:, :-1, None], heads[:, -1:], X)
-            total, _ = _loss_terms(arch, yhat, y)
-            losses[split] = dict(zip(group, (total / n).tolist()))
+            X, y = _stacked_rows([group], datasets, split, arch.input_dim)
+            if y.size:  # an empty split has no losses
+                yhat, _ = _forward(layers, heads[:, :-1, None], heads[:, -1:], X)
+                total, _ = _loss_terms(arch, yhat, y)
+                losses[split] = dict(zip(group, (total / y.shape[-1]).tolist()))
         bad = [t for split_losses in losses.values()
                for t, value in split_losses.items() if not np.isfinite(value)]
         outcomes[g] = (TrainingDiverged(n_steps - 1, bad[0]) if bad else TrainedModel(
@@ -542,8 +550,8 @@ def train_mtl(group, datasets, config: TrainConfig, capture_trace: bool = False)
     updated with the gradient of the mean task loss; each head with its own
     task's gradient. This is the one-group case of ``train_groups``.
     """
-    group, arch, train = _group_rows(group, datasets, config)
-    (outcome,) = _train_stack(arch, [group], [train], datasets, config, capture_trace)
+    group, arch = _group_rows(group, datasets, config)
+    (outcome,) = _train_stack(arch, [group], datasets, config, capture_trace)
     if isinstance(outcome, TrainingDiverged):
         raise outcome
     return outcome
@@ -562,14 +570,15 @@ def train_groups(groups, datasets, config: TrainConfig) -> list[TrainedModel | E
     buckets: dict = {}
     for i, group in enumerate(groups):
         try:
-            group, arch, train = _group_rows(group, datasets, config)
+            group, arch = _group_rows(group, datasets, config)
         except ValueError as exc:
             outcomes[i] = exc
             continue
-        buckets.setdefault((len(group), arch, train[0][1].size), []).append((i, group, train))
+        size = datasets[group[0]].split_size("train")
+        buckets.setdefault((len(group), arch, size), []).append((i, group))
     for (_, arch, _), members in buckets.items():
-        index, stack, trains = zip(*members)
-        for i, outcome in zip(index, _train_stack(arch, stack, trains, datasets, config)):
+        index, stack = zip(*members)
+        for i, outcome in zip(index, _train_stack(arch, stack, datasets, config)):
             outcomes[i] = outcome
     return outcomes
 

@@ -1,5 +1,6 @@
 import pickle
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from mtlgrouping.engine import (
     Architecture,
     ModelParams,
     TrainConfig,
+    TrainedModel,
     TrainingDiverged,
     _loss_and_grads,
     forward_loss,
@@ -24,6 +26,7 @@ from mtlgrouping.engine import (
 )
 from mtlgrouping.experiment import reference_config
 from mtlgrouping.seeding import stream
+from mtlgrouping.selector import enumerate_candidate_groups
 from mtlgrouping.suite import TaskDataset, TaskSuiteSpec, generate_suite
 
 from helpers import mlp_forward_by_hand, per_step_trace_text, random_trace
@@ -439,6 +442,25 @@ class TestTrainMtl:
             assert np.array_equal(got.params.shared, want.params.shared)
             for t in group:
                 assert np.array_equal(got.params.heads[t], want.params.heads[t])
+
+    def test_train_groups_holds_one_buckets_rows_at_a_time(self):
+        # the 247 groups of 8 tasks train in 7 buckets, and every group's
+        # train rows together take 4.7 MB. The bound lies between the peak
+        # when each bucket stacks its own rows as it starts (4.2 MB) and
+        # the peak when a copy of every group's rows is held through
+        # training (9.2 MB)
+        base = reference_config()
+        suite = generate_suite(replace(base.suite, n_tasks=8, cluster_assignment=None))
+        config = replace(base.train, epochs=1, batch_size=64)
+        tracemalloc.start()
+        try:
+            outcomes = train_groups(enumerate_candidate_groups(8), suite, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(outcomes) == 247
+        assert all(isinstance(outcome, TrainedModel) for outcome in outcomes)
+        assert peak < 6e6
 
     def test_empty_split_scores_no_losses(self):
         datasets = {}
